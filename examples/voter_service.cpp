@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   // Synthetic sensors around an 18.5 klx sunlight level; one optionally
   // reads +6 klx high, the §7 fault.
-  std::vector<avoc::runtime::SensorNode::Generator> samplers;
+  std::vector<avoc::runtime::Generator> samplers;
   for (size_t m = 0; m < kSensors; ++m) {
     avoc::sim::SensorParams params;
     params.bias = -400.0 + 200.0 * static_cast<double>(m);

@@ -1,9 +1,21 @@
 #include "cluster/meanshift.h"
 
+#include <cassert>
 #include <cmath>
 #include <limits>
 
 namespace avoc::cluster {
+
+double SquaredDistance(const Point& a, const Point& b) {
+  assert(a.size() == b.size());
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
 namespace {
 
 double KernelWeight(double dist2, double bandwidth, Kernel kernel) {

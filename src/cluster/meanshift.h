@@ -3,11 +3,16 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
-#include "cluster/kmeans.h"  // Point
 #include "util/status.h"
 
 namespace avoc::cluster {
+
+using Point = std::vector<double>;
+
+/// Squared Euclidean distance; dimensions must match.
+double SquaredDistance(const Point& a, const Point& b);
 
 enum class Kernel { kFlat, kGaussian };
 

@@ -40,13 +40,19 @@ uint64_t LatencyHistogram::BucketLowerBound(size_t index) {
          static_cast<uint64_t>(sub) * (uint64_t{1} << (octave - 2));
 }
 
+uint64_t LatencyHistogram::count() const {
+  uint64_t total = 0;
+  for (const auto& bin : bins_) total += bin.load(std::memory_order_relaxed);
+  return total;
+}
+
 LatencySnapshot LatencyHistogram::Snapshot() const {
   LatencySnapshot snapshot;
   snapshot.counts.resize(kBucketCount);
   for (size_t i = 0; i < kBucketCount; ++i) {
     snapshot.counts[i] = bins_[i].load(std::memory_order_relaxed);
+    snapshot.count += snapshot.counts[i];
   }
-  snapshot.count = count_.load(std::memory_order_relaxed);
   snapshot.sum = sum_.load(std::memory_order_relaxed);
   snapshot.exemplar_trace_id =
       exemplar_trace_id_.load(std::memory_order_relaxed);

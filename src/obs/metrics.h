@@ -8,9 +8,8 @@
 //                        per-thread slots so concurrent writers never
 //                        contend on one line; Value() sums the shards.
 //   * Gauge            — one relaxed atomic double (queue depth, lag).
-//   * LatencyHistogram — fixed log-linear buckets of atomic bins; distinct
-//                        from the offline stats::Histogram (which is
-//                        float-range, single-threaded, and render-oriented).
+//   * LatencyHistogram — fixed log-linear buckets of atomic bins; the
+//                        count is the sum of the bins.
 //                        Snapshots are plain structs that merge, so
 //                        per-shard histograms aggregate into one p50/p95/p99.
 //   * Registry         — names -> metric objects.  Creation takes a mutex
@@ -95,7 +94,7 @@ class Gauge {
 /// merge per-shard snapshots, then read quantiles off the union.
 struct LatencySnapshot {
   std::vector<uint64_t> counts;  ///< one entry per histogram bucket
-  uint64_t count = 0;            ///< total recorded values
+  uint64_t count = 0;            ///< total recorded values (sum of counts)
   uint64_t sum = 0;              ///< sum of recorded nanoseconds
   uint64_t exemplar_trace_id = 0;  ///< last exemplar (0 = none)
   uint64_t exemplar_nanos = 0;     ///< latency of that exemplar
@@ -121,7 +120,7 @@ struct LatencySnapshot {
 /// Buckets are log-linear: values below 8 ns get exact buckets, then four
 /// sub-buckets per power of two up to ~9 minutes (larger values clamp into
 /// the last bucket).  Relative quantile error is therefore bounded by
-/// 12.5%.  Record is wait-free (two relaxed adds and one bin add).
+/// 12.5%.  Record is wait-free (one bin add and one relaxed sum add).
 class LatencyHistogram {
  public:
   static constexpr size_t kLinearBuckets = 8;  ///< exact 0..7 ns
@@ -142,7 +141,6 @@ class LatencyHistogram {
 
   void Record(uint64_t nanos) {
     bins_[BucketIndex(nanos)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(nanos, std::memory_order_relaxed);
   }
 
@@ -158,7 +156,8 @@ class LatencyHistogram {
     }
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Sum of the buckets: there is no separate total to drift from them.
+  uint64_t count() const;
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t exemplar_trace_id() const {
     return exemplar_trace_id_.load(std::memory_order_relaxed);
@@ -171,7 +170,6 @@ class LatencyHistogram {
 
  private:
   std::array<std::atomic<uint64_t>, kBucketCount> bins_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> exemplar_trace_id_{0};
   std::atomic<uint64_t> exemplar_nanos_{0};

@@ -74,7 +74,9 @@ std::string_view SpanKindName(SpanKind kind) {
 
 void CopyToken(char* dst, size_t capacity, std::string_view s) {
   const size_t n = std::min(capacity - 1, s.size());
-  std::memcpy(dst, s.data(), n);
+  // An empty view may carry a null data(); memcpy from null is undefined
+  // even for zero bytes.
+  if (n > 0) std::memcpy(dst, s.data(), n);
   std::memset(dst + n, 0, capacity - n);
   // The dump format is line-oriented: a newline smuggled in via an error
   // message must not be able to forge or corrupt records.

@@ -4,10 +4,9 @@
 
 namespace avoc::runtime {
 
-GroupRunner::GroupRunner(std::vector<SensorNode::Generator> generators,
+GroupRunner::GroupRunner(std::vector<Generator> generators,
                          core::VotingEngine engine, Options options)
-    : options_(std::move(options)),
-      channels_(std::make_unique<GroupChannels>()) {
+    : options_(std::move(options)), generators_(std::move(generators)) {
   HubTelemetry hub_telemetry;
   SinkTelemetry sink_telemetry;
   if (options_.registry != nullptr) {
@@ -43,19 +42,15 @@ GroupRunner::GroupRunner(std::vector<SensorNode::Generator> generators,
     // observer's one-scope threading contract.
     engine.set_observer(observer_.get());
   }
-  hub_ = std::make_unique<HubNode>(engine.module_count(), *channels_,
+  hub_ = std::make_unique<HubNode>(engine.module_count(),
                                    options_.hub_close_at_count, hub_telemetry);
   VoterOptions voter_options;
   voter_options.group = options_.group;
   voter_options.store = options_.store;
-  voter_ = std::make_unique<VoterNode>(std::move(engine), *channels_,
+  voter_ = std::make_unique<VoterNode>(std::move(engine),
                                        std::move(voter_options));
-  sink_ = std::make_unique<SinkNode>(*channels_, sink_telemetry,
-                                     options_.trace_store, options_.group);
-  for (size_t m = 0; m < generators.size(); ++m) {
-    sensors_.push_back(std::make_unique<SensorNode>(
-        m, std::move(generators[m]), channels_->readings));
-  }
+  sink_ = std::make_unique<SinkNode>(sink_telemetry, options_.trace_store,
+                                     options_.group);
 }
 
 Result<std::unique_ptr<GroupRunner>> GroupRunner::Create(
@@ -68,7 +63,7 @@ Result<std::unique_ptr<GroupRunner>> GroupRunner::Create(
 }
 
 Result<std::unique_ptr<GroupRunner>> GroupRunner::WithGenerators(
-    std::vector<SensorNode::Generator> generators, core::VotingEngine engine,
+    std::vector<Generator> generators, core::VotingEngine engine,
     Options options) {
   if (generators.size() != engine.module_count()) {
     return InvalidArgumentError("generator/engine module count mismatch");
@@ -88,7 +83,7 @@ Result<std::unique_ptr<GroupRunner>> GroupRunner::FromTable(
     Options options) {
   // Copy the table into a shared replay buffer the generators index into.
   auto shared = std::make_shared<data::RoundTable>(table);
-  std::vector<SensorNode::Generator> generators;
+  std::vector<Generator> generators;
   generators.reserve(table.module_count());
   for (size_t m = 0; m < table.module_count(); ++m) {
     generators.push_back(
@@ -102,19 +97,27 @@ Result<std::unique_ptr<GroupRunner>> GroupRunner::FromTable(
 }
 
 void GroupRunner::RunRound(size_t round) {
-  for (const auto& sensor : sensors_) {
-    sensor->Emit(round);
+  std::vector<ReadingMessage> readings;
+  readings.reserve(generators_.size());
+  for (size_t m = 0; m < generators_.size(); ++m) {
+    if (const std::optional<double> value = generators_[m](round)) {
+      readings.push_back(ReadingMessage{m, round, *value});
+    }
   }
   // Timeout stand-in: whatever has not arrived by now is missing.
-  hub_->Flush(round, /*publish_empty=*/true);
+  Pass(readings, round);
 }
 
 std::vector<std::thread> GroupRunner::EmitAsync(size_t round) {
   std::vector<std::thread> workers;
-  workers.reserve(sensors_.size());
-  for (const auto& sensor : sensors_) {
-    SensorNode* raw = sensor.get();
-    workers.emplace_back([raw, round] { raw->Emit(round); });
+  workers.reserve(generators_.size());
+  for (size_t m = 0; m < generators_.size(); ++m) {
+    workers.emplace_back([this, m, round] {
+      if (const std::optional<double> value = generators_[m](round)) {
+        const ReadingMessage reading{m, round, *value};
+        SubmitBatch({&reading, 1});
+      }
+    });
   }
   return workers;
 }
@@ -124,33 +127,44 @@ Status GroupRunner::Submit(size_t module, size_t round, double value) {
     return OutOfRangeError("module index out of range for group '" +
                            options_.group + "'");
   }
-  channels_->readings.Publish(ReadingMessage{module, round, value});
+  const ReadingMessage reading{module, round, value};
+  SubmitBatch({&reading, 1});
   return Status::Ok();
 }
 
 BatchIngestStats GroupRunner::SubmitBatch(
     std::span<const ReadingMessage> readings) {
-  if (options_.tracer == nullptr) return hub_->IngestBatch(readings);
+  return Pass(readings, std::nullopt);
+}
+
+void GroupRunner::FlushRound(size_t round) { Pass({}, round); }
+
+BatchIngestStats GroupRunner::Pass(std::span<const ReadingMessage> readings,
+                                   std::optional<size_t> close) {
   // Parent the engine span to whatever span is current on this thread
   // (the server verb span when reached over the wire).
   obs::SpanContext parent;
-  if (const obs::CurrentSpan current = obs::CurrentTraceSpan();
-      current.tracer == options_.tracer) {
-    parent = current.context;
+  if (options_.tracer != nullptr) {
+    if (const obs::CurrentSpan current = obs::CurrentTraceSpan();
+        current.tracer == options_.tracer) {
+      parent = current.context;
+    }
   }
   obs::ScopedSpan span(options_.tracer, obs::SpanKind::kEngine,
                        "engine.batch", parent);
-  const BatchIngestStats stats = hub_->IngestBatch(readings);
+  std::vector<size_t> rounds;
+  data::RoundTable table = data::RoundTable::WithModuleCount(module_count());
+  BatchIngestStats stats = hub_->IngestBatch(readings, rounds, table);
+  if (close.has_value() && hub_->Close(*close, rounds, table)) {
+    ++stats.rounds_closed;
+  }
+  if (!rounds.empty()) voter_->Vote(rounds, table, *sink_);
   if (span.active()) {
     span.SetDetailF("group=%s readings=%zu rounds=%zu",
                     options_.group.c_str(), readings.size(),
                     stats.rounds_closed);
   }
   return stats;
-}
-
-void GroupRunner::FlushRound(size_t round) {
-  hub_->Flush(round, /*publish_empty=*/true);
 }
 
 GroupRunner::State GroupRunner::ExportState() const {

@@ -1,9 +1,9 @@
 // GroupRunner: the one driver behind every execution mode.
 //
-// Exactly one sensor→hub→voter→sink chain per voter group used to be
-// wired by hand in three places (the replay Pipeline, the threaded
-// VoterService, the multi-group manager).  GroupRunner owns that wiring
-// once and exposes the three ways a round can be dispatched:
+// GroupRunner owns one voter group's hub → voter → sink chain and every
+// round goes through one private engine pass: hub assembly into a
+// columnar table, one voter call over that table, one sink append.  It
+// exposes the three ways a round can be dispatched:
 //
 //   * RunRound    — synchronous emit-then-close (deterministic replay),
 //   * EmitAsync + FlushRound — per-sensor worker threads with a
@@ -16,7 +16,10 @@
 // re-wiring nodes.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,10 @@
 #include "util/status.h"
 
 namespace avoc::runtime {
+
+/// Produces one module's reading for a round, or nullopt when the sensor
+/// had nothing to report.
+using Generator = std::function<std::optional<double>(size_t round)>;
 
 /// GroupRunnerOptions configuration.
 struct GroupRunnerOptions {
@@ -51,9 +58,10 @@ struct GroupRunnerOptions {
   size_t metrics_sample_every = 16;
   /// Exclusion-streak alert threshold (0 = off); see MetricsObserverOptions.
   size_t exclusion_streak_alert = 0;
-  /// Flight-recorder tracer (optional).  SubmitBatch wraps its columnar
-  /// engine pass in an "engine.batch" span parented to the caller's
-  /// current span, and sampled rounds emit per-stage events.
+  /// Flight-recorder tracer (optional).  Every engine pass (RunRound,
+  /// Submit, SubmitBatch, FlushRound) runs in an "engine.batch" span
+  /// parented to the caller's current span, and sampled rounds emit
+  /// per-stage events.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -61,13 +69,13 @@ class GroupRunner {
  public:
   using Options = GroupRunnerOptions;
 
-  /// Externally-fed group: no sensor nodes, readings arrive via Submit.
+  /// Externally-fed group: no generators, readings arrive via Submit.
   static Result<std::unique_ptr<GroupRunner>> Create(
       core::VotingEngine engine, Options options = {});
 
-  /// Sensor-driven group: one SensorNode per generator (one per module).
+  /// Sensor-driven group: one generator per module.
   static Result<std::unique_ptr<GroupRunner>> WithGenerators(
-      std::vector<SensorNode::Generator> generators,
+      std::vector<Generator> generators,
       core::VotingEngine engine, Options options = {});
 
   /// Replays a recorded table; rounds beyond the table produce only
@@ -81,18 +89,21 @@ class GroupRunner {
 
   // --- Round dispatch -------------------------------------------------------
 
-  /// Synchronous round: every sensor emits in registration order, then the
-  /// round closes (silent sensors become missing values).
+  /// Synchronous round: every generator is sampled in module order, then
+  /// the round closes (silent sensors become missing values) — one engine
+  /// pass per round.
   void RunRound(size_t round);
 
-  /// Concurrent round: every sensor emits from its own short-lived worker
-  /// so a slow sensor cannot stall the others.  The caller closes the
-  /// round (FlushRound) at its timeout, then joins the returned workers;
-  /// a publish that loses the race is dropped against the closed round.
+  /// Concurrent round: every generator is sampled on its own short-lived
+  /// worker, which submits its reading, so a slow sensor cannot stall the
+  /// others.  The caller closes the round (FlushRound) at its timeout,
+  /// then joins the returned workers; a reading that loses the race is
+  /// dropped against the closed round.
   std::vector<std::thread> EmitAsync(size_t round);
 
-  /// Routes one external reading into the hub.  The round closes on its
-  /// own once every module (or the UNTIL count) reported.
+  /// SubmitBatch of one reading.  The round closes on its own once every
+  /// module (or the UNTIL count) reported; an out-of-range module is an
+  /// OutOfRange error.
   Status Submit(size_t module, size_t round, double value);
 
   /// Routes many readings into the hub under one lock; every round the
@@ -121,7 +132,7 @@ class GroupRunner {
 
   const std::string& group() const { return options_.group; }
   size_t module_count() const { return hub_->module_count(); }
-  size_t sensor_count() const { return sensors_.size(); }
+  size_t sensor_count() const { return generators_.size(); }
   const SinkNode& sink() const { return *sink_; }
   const VoterNode& voter() const { return *voter_; }
   const HubNode& hub() const { return *hub_; }
@@ -129,17 +140,19 @@ class GroupRunner {
   const obs::MetricsObserver* metrics() const { return observer_.get(); }
 
  private:
-  GroupRunner(std::vector<SensorNode::Generator> generators,
-              core::VotingEngine engine, Options options);
+  GroupRunner(std::vector<Generator> generators, core::VotingEngine engine,
+              Options options);
+
+  /// The one engine pass: ingests `readings`, then closes `close` when
+  /// set, and votes every round that closed in one voter call.
+  BatchIngestStats Pass(std::span<const ReadingMessage> readings,
+                        std::optional<size_t> close);
 
   Options options_;
   /// Watches the voter engine; must outlive voter_ (declared first so it
   /// destructs last).  Null without a registry.
   std::unique_ptr<obs::MetricsObserver> observer_;
-  // Channels must outlive the nodes; heap allocation keeps addresses
-  // stable for the node back-references.
-  std::unique_ptr<GroupChannels> channels_;
-  std::vector<std::unique_ptr<SensorNode>> sensors_;
+  std::vector<Generator> generators_;
   std::unique_ptr<HubNode> hub_;
   std::unique_ptr<VoterNode> voter_;
   std::unique_ptr<SinkNode> sink_;

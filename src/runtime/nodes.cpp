@@ -7,136 +7,76 @@
 
 namespace avoc::runtime {
 
-SensorNode::SensorNode(size_t module, Generator generator,
-                       Topic<ReadingMessage>& readings)
-    : module_(module), generator_(std::move(generator)), readings_(&readings) {}
-
-void SensorNode::Emit(size_t round) {
-  const std::optional<double> value = generator_(round);
-  if (!value.has_value()) return;
-  readings_->Publish(ReadingMessage{module_, round, *value});
-}
-
-HubNode::HubNode(size_t module_count, GroupChannels& channels,
-                 size_t close_at_count, HubTelemetry telemetry)
+HubNode::HubNode(size_t module_count, size_t close_at_count,
+                 HubTelemetry telemetry)
     : module_count_(module_count),
       close_at_count_(close_at_count == 0
                           ? module_count
                           : std::min(close_at_count, module_count)),
-      channels_(&channels),
-      telemetry_(telemetry) {
-  subscription_ = channels_->readings.Subscribe(
-      [this](const ReadingMessage& message) { OnReading(message); });
-}
+      telemetry_(telemetry) {}
 
-HubNode::~HubNode() { channels_->readings.Unsubscribe(subscription_); }
-
-void HubNode::OnReading(const ReadingMessage& message) {
-  if (message.module >= module_count_) {
-    AVOC_LOG_WARN("hub: reading for unknown module %zu dropped",
-                  message.module);
-    return;
-  }
-  core::Round complete;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+BatchIngestStats HubNode::IngestBatch(
+    std::span<const ReadingMessage> readings, std::vector<size_t>& rounds,
+    data::RoundTable& table) {
+  BatchIngestStats stats;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const ReadingMessage& message : readings) {
+    if (message.module >= module_count_) {
+      ++stats.rejected;
+      continue;
+    }
     if (closed_.count(message.round)) {
-      // Late reading, round gone.
+      ++stats.late;
       if (telemetry_.late_readings != nullptr) {
         telemetry_.late_readings->Increment();
       }
-      return;
+      continue;
     }
-    if (telemetry_.readings != nullptr) telemetry_.readings->Increment();
-    core::Round& pending = pending_[message.round];
+    ++stats.accepted;
+    auto it = pending_.try_emplace(message.round).first;
+    core::Round& pending = it->second;
     if (pending.empty()) pending.resize(module_count_);
     pending[message.module] = message.value;
     size_t present = 0;
     for (const auto& reading : pending) {
       if (reading.has_value()) ++present;
     }
-    if (present < close_at_count_) {
-      if (telemetry_.open_rounds != nullptr) {
-        telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
-      }
-      return;
-    }
-    complete = std::move(pending);
-    pending_.erase(message.round);
-    closed_[message.round] = true;
-    NoteClosedLocked(message.round);
+    if (present < close_at_count_) continue;
+    core::Round complete = std::move(pending);
+    pending_.erase(it);
+    CloseLocked(message.round, std::move(complete), rounds, table);
+    ++stats.rounds_closed;
   }
-  channels_->rounds.Publish(RoundMessage{message.round, std::move(complete)});
-}
-
-void HubNode::Flush(size_t round, bool publish_empty) {
-  core::Round readings;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_.count(round)) return;
-    auto it = pending_.find(round);
-    if (it == pending_.end()) {
-      if (!publish_empty) return;
-      readings.resize(module_count_);
-    } else {
-      readings = std::move(it->second);
-      pending_.erase(it);
-    }
-    closed_[round] = true;
-    NoteClosedLocked(round);
+  if (telemetry_.readings != nullptr && stats.accepted > 0) {
+    telemetry_.readings->Add(static_cast<uint64_t>(stats.accepted));
   }
-  channels_->rounds.Publish(RoundMessage{round, std::move(readings)});
-}
-
-BatchIngestStats HubNode::IngestBatch(
-    std::span<const ReadingMessage> readings) {
-  BatchIngestStats stats;
-  std::vector<size_t> closed_rounds;
-  data::RoundTable table = data::RoundTable::WithModuleCount(module_count_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const ReadingMessage& message : readings) {
-      if (message.module >= module_count_) {
-        ++stats.rejected;
-        continue;
-      }
-      if (closed_.count(message.round)) {
-        ++stats.late;
-        if (telemetry_.late_readings != nullptr) {
-          telemetry_.late_readings->Increment();
-        }
-        continue;
-      }
-      ++stats.accepted;
-      core::Round& pending = pending_[message.round];
-      if (pending.empty()) pending.resize(module_count_);
-      pending[message.module] = message.value;
-      size_t present = 0;
-      for (const auto& reading : pending) {
-        if (reading.has_value()) ++present;
-      }
-      if (present < close_at_count_) continue;
-      (void)table.AppendRound(std::move(pending));
-      pending_.erase(message.round);
-      closed_[message.round] = true;
-      NoteClosedLocked(message.round);
-      closed_rounds.push_back(message.round);
-    }
-    if (telemetry_.readings != nullptr && stats.accepted > 0) {
-      telemetry_.readings->Add(static_cast<uint64_t>(stats.accepted));
-    }
-    if (telemetry_.open_rounds != nullptr) {
-      telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
-    }
-  }
-  stats.rounds_closed = closed_rounds.size();
-  if (!closed_rounds.empty()) {
-    channels_->round_batches.Publish(RoundBatchMessage{&closed_rounds, &table});
+  if (telemetry_.open_rounds != nullptr) {
+    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
   }
   return stats;
 }
 
-void HubNode::NoteClosedLocked(size_t round) {
+bool HubNode::Close(size_t round, std::vector<size_t>& rounds,
+                    data::RoundTable& table) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_.count(round)) return false;
+  core::Round readings;
+  if (auto it = pending_.find(round); it != pending_.end()) {
+    readings = std::move(it->second);
+    pending_.erase(it);
+  } else {
+    readings.resize(module_count_);
+  }
+  CloseLocked(round, std::move(readings), rounds, table);
+  return true;
+}
+
+void HubNode::CloseLocked(size_t round, core::Round readings,
+                          std::vector<size_t>& rounds,
+                          data::RoundTable& table) {
+  (void)table.AppendRound(std::move(readings));
+  rounds.push_back(round);
+  closed_[round] = true;
   if (telemetry_.rounds_closed != nullptr) telemetry_.rounds_closed->Increment();
   if (telemetry_.open_rounds != nullptr) {
     telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
@@ -182,11 +122,8 @@ void HubNode::RestoreState(const State& state) {
   }
 }
 
-VoterNode::VoterNode(core::VotingEngine engine, GroupChannels& channels,
-                     VoterOptions options)
-    : engine_(std::move(engine)),
-      channels_(&channels),
-      options_(std::move(options)) {
+VoterNode::VoterNode(core::VotingEngine engine, VoterOptions options)
+    : engine_(std::move(engine)), options_(std::move(options)) {
   if (options_.store != nullptr) {
     // Restore learned history from the datastore, if present.
     auto snapshot = options_.store->Get(options_.group);
@@ -201,56 +138,26 @@ VoterNode::VoterNode(core::VotingEngine engine, GroupChannels& channels,
       }
     }
   }
-  subscription_ = channels_->rounds.Subscribe(
-      [this](const RoundMessage& message) { OnRound(message); });
-  batch_subscription_ = channels_->round_batches.Subscribe(
-      [this](const RoundBatchMessage& message) { OnRoundBatch(message); });
 }
 
-VoterNode::~VoterNode() {
-  channels_->round_batches.Unsubscribe(batch_subscription_);
-  channels_->rounds.Unsubscribe(subscription_);
-}
-
-void VoterNode::OnRound(const RoundMessage& message) {
-  OutputMessage output;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto result = engine_.CastVote(message.readings);
-    if (!result.ok()) {
-      last_status_ = result.status();
-      AVOC_LOG_ERROR("voter '%s': round %zu failed: %s",
-                     options_.group.c_str(), message.round,
-                     result.status().ToString().c_str());
-      return;
-    }
-    output.round = message.round;
-    output.result = std::move(*result);
-    PersistHistoryLocked();
-  }
-  channels_->outputs.Publish(output);
-}
-
-void VoterNode::OnRoundBatch(const RoundBatchMessage& message) {
+void VoterNode::Vote(std::span<const size_t> rounds,
+                     const data::RoundTable& table, SinkNode& sink) {
   // One lock acquisition, one columnar engine call, one history persist
-  // for the whole batch.  The publish happens under the lock because the
-  // message borrows batch_trace_'s storage; subscribers must copy out, not
-  // call back into this voter.
+  // for the whole pass.  The sink appends under this lock because it
+  // copies out of batch_trace_, which the next pass reuses.
   std::lock_guard<std::mutex> lock(mutex_);
   batch_trace_.Reset(engine_.module_count());
-  batch_trace_.ReserveRounds(message.table->round_count());
-  const Status status =
-      core::RunOverTable(engine_, *message.table, batch_trace_);
+  batch_trace_.ReserveRounds(table.round_count());
+  const Status status = core::RunOverTable(engine_, table, batch_trace_);
   if (!status.ok()) {
     last_status_ = status;
-    AVOC_LOG_ERROR("voter '%s': batch of %zu rounds failed: %s",
-                   options_.group.c_str(), message.table->round_count(),
+    AVOC_LOG_ERROR("voter '%s': pass of %zu rounds failed: %s",
+                   options_.group.c_str(), table.round_count(),
                    status.ToString().c_str());
     return;
   }
   PersistHistoryLocked();
-  channels_->batches.Publish(
-      BatchOutputMessage{message.rounds, batch_trace_.view()});
+  sink.Append(rounds, batch_trace_.view());
 }
 
 void VoterNode::PersistHistoryLocked() {
@@ -282,52 +189,30 @@ Status VoterNode::RestoreEngineState(const core::VotingEngine::State& state) {
   return last_status_;
 }
 
-SinkNode::SinkNode(GroupChannels& channels, SinkTelemetry telemetry,
+SinkNode::SinkNode(SinkTelemetry telemetry,
                    storage::TraceBackend* trace_store, std::string group)
-    : channels_(&channels),
-      telemetry_(telemetry),
+    : telemetry_(telemetry),
       trace_store_(trace_store),
-      group_(std::move(group)) {
-  subscription_ = channels_->outputs.Subscribe(
-      [this](const OutputMessage& message) { OnOutput(message); });
-  batch_subscription_ = channels_->batches.Subscribe(
-      [this](const BatchOutputMessage& message) { OnBatch(message); });
-}
+      group_(std::move(group)) {}
 
-SinkNode::~SinkNode() {
-  channels_->batches.Unsubscribe(batch_subscription_);
-  channels_->outputs.Unsubscribe(subscription_);
-}
-
-void SinkNode::OnOutput(const OutputMessage& message) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  trace_.Append(message.result);
-  rounds_.push_back(message.round);
-  NoteAppendedLocked(message.round, 1);
-  PersistAppendedLocked(1);
-}
-
-void SinkNode::OnBatch(const BatchOutputMessage& message) {
-  const size_t count = message.trace.round_count();
+void SinkNode::Append(std::span<const size_t> rounds, core::TraceView trace) {
+  const size_t count = trace.round_count();
   if (count == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  // Column-to-column copy out of the borrowed view; the message's storage
-  // is only valid during this publish.
+  // Column-to-column copy out of the borrowed view.
   for (size_t i = 0; i < count; ++i) {
-    trace_.AppendFrom(message.trace, i);
-    rounds_.push_back((*message.rounds)[i]);
+    trace_.AppendFrom(trace, i);
+    rounds_.push_back(rounds[i]);
   }
-  size_t last_round = (*message.rounds)[0];
-  for (size_t i = 1; i < count; ++i) {
-    last_round = std::max(last_round, (*message.rounds)[i]);
-  }
+  const size_t last_round =
+      *std::max_element(rounds.begin(), rounds.begin() + count);
   NoteAppendedLocked(last_round, count);
   PersistAppendedLocked(count);
 }
 
 void SinkNode::PersistAppendedLocked(size_t appended) {
   if (trace_store_ == nullptr || appended == 0) return;
-  // Build the points from the rows just stored, not the message: what the
+  // Build the points from the rows just stored, not the input: what the
   // backend holds is then bit-identical to this trace by construction.
   std::vector<storage::TracePoint> points;
   points.reserve(appended);

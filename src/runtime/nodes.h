@@ -1,13 +1,15 @@
-// Middleware nodes: sensor → hub → voter → sink (Fig. 1's topology).
+// Middleware nodes: hub → voter → sink (Fig. 1's topology).
 //
-// Nodes exchange messages over typed Topics.  The HubNode plays the VINT
-// hub's role: it assembles per-round candidate sets from individual
-// sensor readings and closes a round either when every registered module
+// The nodes are plain classes wired by direct calls: the HubNode plays the
+// VINT hub's role, assembling per-round candidate sets from individual
+// sensor readings and closing a round either when every registered module
 // reported or when the round is flushed (timeout) — missing modules
 // become missing values, feeding the §7 missing-value fault scenario.
+// Closed rounds leave the hub as a columnar RoundTable; the VoterNode
+// votes that table in one engine pass and appends the resulting trace
+// rows to the SinkNode.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -20,7 +22,6 @@
 #include "core/trace.h"
 #include "data/round_table.h"
 #include "obs/metrics.h"
-#include "runtime/bus.h"
 #include "runtime/datastore.h"
 #include "util/status.h"
 
@@ -32,7 +33,7 @@ namespace avoc::runtime {
 struct HubTelemetry {
   obs::Counter* readings = nullptr;       ///< readings accepted
   obs::Counter* late_readings = nullptr;  ///< dropped against a closed round
-  obs::Counter* rounds_closed = nullptr;  ///< rounds published downstream
+  obs::Counter* rounds_closed = nullptr;  ///< rounds closed
   obs::Gauge* open_rounds = nullptr;      ///< pending-round queue depth
   obs::Gauge* last_closed_round = nullptr;
 };
@@ -53,43 +54,11 @@ struct ReadingMessage {
   double value = 0.0;
 };
 
-/// A closed round: one optional candidate per registered module.
-struct RoundMessage {
-  size_t round = 0;
-  core::Round readings;
-};
-
-/// The voter's fused output for one round.
+/// The voter's fused output for one round, materialized (migration blob
+/// and tests; the live path stays columnar).
 struct OutputMessage {
   size_t round = 0;
   core::VoteResult result;
-};
-
-/// Several rounds closed by one batch ingest, as a columnar table.  The
-/// pointees are borrowed: valid only for the duration of the publish
-/// (subscribers copy what they keep).
-struct RoundBatchMessage {
-  const std::vector<size_t>* rounds = nullptr;  ///< round number per row
-  const data::RoundTable* table = nullptr;
-};
-
-/// The voter's fused outputs for one batch, as a columnar trace view.
-/// Borrowed like RoundBatchMessage: row i of `trace` is round
-/// (*rounds)[i], valid only during the publish.
-struct BatchOutputMessage {
-  const std::vector<size_t>* rounds = nullptr;
-  core::TraceView trace;
-};
-
-/// Topics wiring one voter group's pipeline.  The singular topics carry
-/// the one-reading-at-a-time path; the *batch* topics carry the framed
-/// remote path where one message covers many rounds.
-struct GroupChannels {
-  Topic<ReadingMessage> readings;
-  Topic<RoundMessage> rounds;
-  Topic<OutputMessage> outputs;
-  Topic<RoundBatchMessage> round_batches;
-  Topic<BatchOutputMessage> batches;
 };
 
 /// What one IngestBatch call did with its readings.
@@ -100,52 +69,36 @@ struct BatchIngestStats {
   size_t rounds_closed = 0;  ///< rounds completed (and voted) by this batch
 };
 
-/// Produces readings for one module.  The generator may return nullopt
-/// (sensor had nothing to report this round).
-class SensorNode {
- public:
-  using Generator = std::function<std::optional<double>(size_t round)>;
-
-  SensorNode(size_t module, Generator generator,
-             Topic<ReadingMessage>& readings);
-
-  size_t module() const { return module_; }
-
-  /// Samples the generator for `round`; publishes when a value exists.
-  void Emit(size_t round);
-
- private:
-  size_t module_;
-  Generator generator_;
-  Topic<ReadingMessage>* readings_;
-};
-
-/// Assembles readings into rounds.
+/// Assembles readings into rounds.  Every call that closes rounds
+/// appends them to the caller's `rounds` list and `table` (row i of the
+/// table is round rounds[i]); the hub itself never votes.
 class HubNode {
  public:
   /// `close_at_count` implements VDX's UNTIL quorum at the hub: when > 0,
   /// a round closes as soon as that many readings arrived instead of
   /// waiting for every module (later readings for the round are dropped).
   /// 0 keeps the default close-when-complete behaviour.
-  HubNode(size_t module_count, GroupChannels& channels,
-          size_t close_at_count = 0, HubTelemetry telemetry = {});
-  ~HubNode();
+  explicit HubNode(size_t module_count, size_t close_at_count = 0,
+                   HubTelemetry telemetry = {});
 
   HubNode(const HubNode&) = delete;
   HubNode& operator=(const HubNode&) = delete;
 
   size_t module_count() const { return module_count_; }
 
-  /// Closes `round`, publishing whatever arrived (absent modules are
-  /// missing values).  No-op when the round was already closed or never
-  /// received a reading and `publish_empty` is false.
-  void Flush(size_t round, bool publish_empty = false);
+  /// Ingests readings under one hub lock, appending every round they
+  /// complete.  Readings for closed rounds or unknown modules are
+  /// counted, not fatal.
+  BatchIngestStats IngestBatch(std::span<const ReadingMessage> readings,
+                               std::vector<size_t>& rounds,
+                               data::RoundTable& table);
 
-  /// Ingests many readings under ONE hub lock and publishes every round
-  /// they complete as ONE RoundBatchMessage (one downstream engine call),
-  /// instead of N lock/publish cycles.  Readings for closed rounds or
-  /// unknown modules are counted, not fatal.
-  BatchIngestStats IngestBatch(std::span<const ReadingMessage> readings);
+  /// Closes `round` with whatever arrived (absent modules are missing
+  /// values, a round that saw no reading closes all-missing) and appends
+  /// it.  Returns false, appending nothing, when the round was already
+  /// closed.
+  bool Close(size_t round, std::vector<size_t>& rounds,
+             data::RoundTable& table);
 
   /// Rounds currently open (received some but not all readings).
   size_t open_rounds() const;
@@ -160,20 +113,20 @@ class HubNode {
   void RestoreState(const State& state);
 
  private:
-  void OnReading(const ReadingMessage& message);
-
-  /// Updates the close-side gauges; caller holds mutex_.
-  void NoteClosedLocked(size_t round);
+  /// Moves `readings` into the output as `round`, marks the round closed
+  /// and updates the close-side gauges; caller holds mutex_.
+  void CloseLocked(size_t round, core::Round readings,
+                   std::vector<size_t>& rounds, data::RoundTable& table);
 
   size_t module_count_;
   size_t close_at_count_;
-  GroupChannels* channels_;
   HubTelemetry telemetry_;
-  SubscriptionId subscription_;
   mutable std::mutex mutex_;
   std::map<size_t, core::Round> pending_;   // round -> partial readings
-  std::map<size_t, bool> closed_;           // rounds already published
+  std::map<size_t, bool> closed_;           // rounds already closed
 };
+
+class SinkNode;
 
 /// VoterNode configuration.
 struct VoterOptions {
@@ -182,21 +135,27 @@ struct VoterOptions {
   storage::HistoryBackend* store = nullptr;
 };
 
-/// Runs the voting engine over incoming rounds; optionally persists the
-/// history ledger to a HistoryBackend after every round (the datastore
+/// Runs the voting engine over closed rounds; optionally persists the
+/// history ledger to a HistoryBackend after every pass (the datastore
 /// round-trip of the paper's latency notes) and restores it on start.
 class VoterNode {
  public:
-  VoterNode(core::VotingEngine engine, GroupChannels& channels,
-            VoterOptions options = {});
-  ~VoterNode();
+  explicit VoterNode(core::VotingEngine engine, VoterOptions options = {});
 
   VoterNode(const VoterNode&) = delete;
   VoterNode& operator=(const VoterNode&) = delete;
 
   const core::VotingEngine& engine() const { return engine_; }
 
-  /// Status of the most recent round (persistence failures surface here).
+  /// Votes every row of `table` (row i is round rounds[i]) in one
+  /// columnar engine pass, persists the history once, and appends the
+  /// trace rows to `sink` — all under the voter lock, so the sink copies
+  /// out of the scratch trace before the next pass can reuse it.  A
+  /// failed pass appends nothing; its status shows in last_status().
+  void Vote(std::span<const size_t> rounds, const data::RoundTable& table,
+            SinkNode& sink);
+
+  /// Status of the most recent pass (persistence failures surface here).
   Status last_status() const;
 
   /// Full engine state for migration (see core::VotingEngine::State).
@@ -205,21 +164,14 @@ class VoterNode {
   Status RestoreEngineState(const core::VotingEngine::State& state);
 
  private:
-  void OnRound(const RoundMessage& message);
-  void OnRoundBatch(const RoundBatchMessage& message);
-
   /// Persists the engine's history ledger; caller holds mutex_.
   void PersistHistoryLocked();
 
   core::VotingEngine engine_;
-  GroupChannels* channels_;
   VoterOptions options_;
-  SubscriptionId subscription_;
-  SubscriptionId batch_subscription_;
   mutable std::mutex mutex_;
   Status last_status_;
-  /// Scratch trace reused across batches (guarded by mutex_; published
-  /// views stay valid because the batch publish happens under the lock).
+  /// Scratch trace reused across passes (guarded by mutex_).
   core::BatchTrace batch_trace_;
 };
 
@@ -234,13 +186,16 @@ class SinkNode {
   /// storage::TracePoint under `group` — the durable feed behind the
   /// QUERY_RANGE wire verb.  Persist errors are logged, never fatal: the
   /// in-memory trace is the source of truth for the live process.
-  explicit SinkNode(GroupChannels& channels, SinkTelemetry telemetry = {},
+  explicit SinkNode(SinkTelemetry telemetry = {},
                     storage::TraceBackend* trace_store = nullptr,
                     std::string group = {});
-  ~SinkNode();
 
   SinkNode(const SinkNode&) = delete;
   SinkNode& operator=(const SinkNode&) = delete;
+
+  /// Appends the rows of `trace` (row i is round rounds[i]), copying
+  /// them out of the borrowed view.
+  void Append(std::span<const size_t> rounds, core::TraceView trace);
 
   /// Outputs received so far, in arrival order (materialized per call;
   /// prefer trace() for bulk reads).
@@ -265,9 +220,6 @@ class SinkNode {
   }
 
  private:
-  void OnOutput(const OutputMessage& message);
-  void OnBatch(const BatchOutputMessage& message);
-
   /// Updates the sink gauges after appending rows; caller holds mutex_.
   void NoteAppendedLocked(size_t last_round, size_t appended);
 
@@ -275,12 +227,9 @@ class SinkNode {
   /// holds mutex_.
   void PersistAppendedLocked(size_t appended);
 
-  GroupChannels* channels_;
   SinkTelemetry telemetry_;
   storage::TraceBackend* trace_store_;
   std::string group_;
-  SubscriptionId subscription_;
-  SubscriptionId batch_subscription_;
   mutable std::mutex mutex_;
   core::BatchTrace trace_;
   std::vector<size_t> rounds_;  ///< round number of each trace row

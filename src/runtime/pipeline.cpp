@@ -15,7 +15,7 @@ GroupRunner::Options ToRunnerOptions(PipelineOptions options) {
 }  // namespace
 
 Result<Pipeline> Pipeline::FromGenerators(
-    std::vector<SensorNode::Generator> generators, core::VotingEngine engine,
+    std::vector<Generator> generators, core::VotingEngine engine,
     PipelineOptions options) {
   AVOC_ASSIGN_OR_RETURN(
       std::unique_ptr<GroupRunner> runner,

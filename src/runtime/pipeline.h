@@ -36,7 +36,7 @@ class Pipeline {
 
   /// Drives arbitrary per-module generators.
   static Result<Pipeline> FromGenerators(
-      std::vector<SensorNode::Generator> generators,
+      std::vector<Generator> generators,
       core::VotingEngine engine, PipelineOptions options = {});
 
   Pipeline(Pipeline&&) = default;

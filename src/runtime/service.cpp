@@ -16,7 +16,7 @@ VoterService::VoterService(std::unique_ptr<GroupRunner> runner,
 }
 
 Result<std::unique_ptr<VoterService>> VoterService::Create(
-    std::vector<SensorNode::Generator> samplers, core::VotingEngine engine,
+    std::vector<Generator> samplers, core::VotingEngine engine,
     ServiceOptions options) {
   if (samplers.size() != engine.module_count()) {
     return InvalidArgumentError("sampler/engine module count mismatch");
@@ -68,7 +68,7 @@ void VoterService::SchedulerLoop() {
     std::this_thread::sleep_for(
         std::min(options_.round_timeout, options_.round_period));
     // Close the round at the timeout: whatever has not arrived becomes a
-    // missing value, and a late worker's publish is discarded by the hub
+    // missing value, and a late worker's reading is discarded by the hub
     // against the already-closed round.
     runner_->FlushRound(round);
     for (std::thread& worker : workers) {

@@ -44,7 +44,7 @@ class VoterService {
   /// per-sensor worker threads.  (Heap-allocated because the service owns
   /// non-movable thread/atomic state.)
   static Result<std::unique_ptr<VoterService>> Create(
-      std::vector<SensorNode::Generator> samplers, core::VotingEngine engine,
+      std::vector<Generator> samplers, core::VotingEngine engine,
       ServiceOptions options = {});
 
   VoterService(const VoterService&) = delete;

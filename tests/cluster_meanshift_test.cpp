@@ -7,6 +7,11 @@
 namespace avoc::cluster {
 namespace {
 
+TEST(SquaredDistanceTest, KnownValues) {
+  EXPECT_DOUBLE_EQ(SquaredDistance({0.0, 0.0}, {3.0, 4.0}), 25.0);
+  EXPECT_DOUBLE_EQ(SquaredDistance({1.0}, {1.0}), 0.0);
+}
+
 TEST(MeanShiftTest, RejectsBadArguments) {
   const std::vector<Point> empty;
   EXPECT_FALSE(MeanShift(empty).ok());

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "test_temp_dir.h"
+
 namespace avoc::data {
 namespace {
 
@@ -102,7 +104,7 @@ TEST(CsvWriteTest, QuotesSpecialFields) {
 
 TEST(CsvFileTest, WriteAndReadBack) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "avoc_csv_test.csv").string();
+      (TestTempPath("csv_test") += ".csv").string();
   CsvTable table;
   table.header = {"round", "E1"};
   table.rows = {{"0", "18500.5"}, {"1", ""}};

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 
+#include "test_temp_dir.h"
+
 namespace avoc::data {
 namespace {
 
@@ -46,7 +48,7 @@ TEST(DatasetCsvTest, RejectsNonNumericCells) {
 }
 
 TEST(DatasetFileTest, SaveAndLoadWithMetadata) {
-  const auto dir = std::filesystem::temp_directory_path() / "avoc_ds_test";
+  const auto dir = TestTempPath("ds_test");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "sample.csv").string();
 
@@ -72,7 +74,7 @@ TEST(DatasetFileTest, SaveAndLoadWithMetadata) {
 }
 
 TEST(DatasetFileTest, SaveWithoutMetadataSkipsSidecar) {
-  const auto dir = std::filesystem::temp_directory_path() / "avoc_ds_test2";
+  const auto dir = TestTempPath("ds_test");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "bare.csv").string();
   ASSERT_TRUE(SaveDataset(path, SampleTable()).ok());

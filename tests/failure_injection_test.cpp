@@ -11,9 +11,19 @@
 #include "data/csv.h"
 #include "runtime/nodes.h"
 #include "vdx/registry.h"
+#include "test_temp_dir.h"
 
 namespace avoc {
 namespace {
+
+/// Votes `readings` as round 0 through `voter` into `sink`.
+void VoteOneRound(runtime::VoterNode& voter, runtime::SinkNode& sink,
+                  core::Round readings) {
+  auto table = data::RoundTable::WithModuleCount(readings.size());
+  ASSERT_TRUE(table.AppendRound(std::move(readings)).ok());
+  const std::vector<size_t> rounds = {0};
+  voter.Vote(rounds, table, sink);
+}
 
 TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
   // A store rooted in a non-existent directory fails every flush.
@@ -21,19 +31,16 @@ TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
       "/nonexistent-dir-for-avoc-test/history.json");
   ASSERT_TRUE(store.ok());  // opening a fresh (missing) file is fine
 
-  runtime::GroupChannels channels;
-  std::vector<runtime::OutputMessage> outputs;
-  channels.outputs.Subscribe(
-      [&](const runtime::OutputMessage& m) { outputs.push_back(m); });
   runtime::VoterOptions options;
   options.group = "doomed";
   options.store = &*store;
   auto engine = core::MakeEngine(core::AlgorithmId::kAvoc, 3);
   ASSERT_TRUE(engine.ok());
-  runtime::VoterNode voter(std::move(*engine), channels, options);
+  runtime::VoterNode voter(std::move(*engine), options);
+  runtime::SinkNode sink;
 
-  core::Round round = {10.0, 10.1, 9.9};
-  channels.rounds.Publish({0, round});
+  VoteOneRound(voter, sink, {10.0, 10.1, 9.9});
+  const auto outputs = sink.outputs();
   // The vote itself succeeded and reached the sink...
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_NEAR(*outputs[0].result.value, 10.0, 0.2);
@@ -44,7 +51,7 @@ TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
 
 TEST(FailureInjectionTest, CorruptHistoryFileRejectedAtOpen) {
   const auto dir =
-      std::filesystem::temp_directory_path() / "avoc_failure_test";
+      TestTempPath("failure_test");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "history.json").string();
   {
@@ -64,19 +71,16 @@ TEST(FailureInjectionTest, MismatchedSnapshotArityIsIgnoredOnRestore) {
   snapshot.rounds = 99;
   ASSERT_TRUE(store.Put("renamed", snapshot).ok());
 
-  runtime::GroupChannels channels;
-  std::vector<runtime::OutputMessage> outputs;
-  channels.outputs.Subscribe(
-      [&](const runtime::OutputMessage& m) { outputs.push_back(m); });
   runtime::VoterOptions options;
   options.group = "renamed";
   options.store = &store;
   auto engine = core::MakeEngine(core::AlgorithmId::kHybrid, 3);
   ASSERT_TRUE(engine.ok());
-  runtime::VoterNode voter(std::move(*engine), channels, options);
+  runtime::VoterNode voter(std::move(*engine), options);
+  runtime::SinkNode sink;
   // Records must still be the fresh-set 1.0, not the stale zeros.
-  core::Round round = {5.0, 5.0, 5.0};
-  channels.rounds.Publish({0, round});
+  VoteOneRound(voter, sink, {5.0, 5.0, 5.0});
+  const auto outputs = sink.outputs();
   ASSERT_EQ(outputs.size(), 1u);
   for (const double h : outputs[0].result.history) {
     EXPECT_DOUBLE_EQ(h, 1.0);
@@ -94,7 +98,7 @@ TEST(FailureInjectionTest, WriteCsvToUnwritablePathFails) {
 
 TEST(FailureInjectionTest, RegistryDirectoryWithBrokenSpecFailsLoud) {
   const auto dir =
-      std::filesystem::temp_directory_path() / "avoc_failure_registry";
+      TestTempPath("failure_registry");
   std::filesystem::create_directories(dir);
   {
     std::ofstream out(dir / "good.json");

@@ -11,6 +11,7 @@
 #include "sim/light.h"
 #include "vdx/factory.h"
 #include "vdx/registry.h"
+#include "test_temp_dir.h"
 
 namespace avoc {
 namespace {
@@ -18,7 +19,7 @@ namespace {
 class VdxE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avoc_vdx_e2e";
+    dir_ = TestTempPath("vdx_e2e");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -4,6 +4,7 @@
 // for the lock-free ring (snapshot while recording must be data-race
 // free by construction, not by luck).
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,6 +175,25 @@ TEST(ObsTraceTest, NameAndDetailTruncateSafely) {
   EXPECT_EQ(std::string_view(records[0].detail), std::string(79, 'd'));
 }
 
+TEST(ObsTraceTest, EmptyDetailRecordsAnEmptyField) {
+  uint64_t tick = 0;
+  Tracer tracer(TickingOptions(&tick));
+  {
+    // The default detail is an empty view whose data() may be null; the
+    // copy must not hand that pointer to memcpy (UBSan checks this).
+    ScopedSpan span(&tracer, SpanKind::kEngine, "engine.batch", SpanContext{});
+  }
+  const std::vector<SpanRecord> records = tracer.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(std::string_view(records[0].name), "engine.batch");
+  EXPECT_EQ(std::string_view(records[0].detail), "");
+
+  char field[8];
+  std::memset(field, 'x', sizeof(field));
+  CopyToken(field, sizeof(field), std::string_view());
+  for (const char c : field) EXPECT_EQ(c, '\0');
+}
+
 TEST(ObsTraceTest, DumpTextIsByteIdenticalForEqualHistories) {
   auto run = [] {
     uint64_t tick = 0;
@@ -292,7 +312,10 @@ TEST(ObsTraceTest, ConcurrentRecordAndSnapshotIsTornFree) {
   uint64_t seen = 0;
   std::thread reader([&] {
     std::vector<SpanRecord> out;
-    while (!stop.load(std::memory_order_acquire)) {
+    // One more pass after the writers finished, so the checks below see
+    // a snapshot however the threads were scheduled.
+    for (bool last = false; !last;) {
+      last = stop.load(std::memory_order_acquire);
       out.clear();
       ring.Snapshot(&out);
       ++snapshots;

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_temp_dir.h"
+
 namespace avoc::runtime {
 namespace {
 
@@ -60,7 +62,7 @@ TEST(HistoryStoreTest, GroupsSorted) {
 class FileStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avoc_store_test";
+    dir_ = TestTempPath("store_test");
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "history.json").string();
   }

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/algorithms.h"
 #include "core/batch.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace avoc::runtime {
 namespace {
@@ -27,10 +30,8 @@ data::RoundTable SmallTable() {
 
 TEST(GroupRunnerTest, FactoriesValidate) {
   EXPECT_FALSE(GroupRunner::WithGenerators({}, AverageEngine(1)).ok());
-  std::vector<SensorNode::Generator> two(2,
-                                         [](size_t) {
-                                           return std::optional<double>(1.0);
-                                         });
+  std::vector<Generator> two(
+      2, [](size_t) { return std::optional<double>(1.0); });
   EXPECT_FALSE(GroupRunner::WithGenerators(two, AverageEngine(3)).ok());
   GroupRunner::Options unnamed;
   unnamed.group = "";
@@ -54,6 +55,37 @@ TEST(GroupRunnerTest, SynchronousRoundsMatchBatchRunner) {
   for (size_t r = 0; r < outputs.size(); ++r) {
     EXPECT_EQ(outputs[r].result.value, batch->output(r)) << "round " << r;
   }
+}
+
+TEST(GroupRunnerTest, RunRoundVotesGeneratorValues) {
+  const Generator silent = [](size_t) { return std::optional<double>(); };
+  auto runner = GroupRunner::WithGenerators(
+      {silent, [](size_t round) { return 10.0 + round; },
+       [](size_t round) { return 20.0 + round; }},
+      AverageEngine(3));
+  ASSERT_TRUE(runner.ok());
+  (*runner)->RunRound(0);
+  (*runner)->RunRound(1);
+  const auto outputs = (*runner)->sink().outputs();
+  ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_EQ(outputs[1].round, 1u);
+  EXPECT_EQ(outputs[0].result.present_count, 2u);
+  // The silent generator's module is the one without a reading.
+  EXPECT_EQ(outputs[0].result.weights[0], 0.0);
+  EXPECT_GT(outputs[0].result.weights[2], 0.0);
+  EXPECT_DOUBLE_EQ(*outputs[0].result.value, 15.0);
+  EXPECT_DOUBLE_EQ(*outputs[1].result.value, 16.0);
+}
+
+TEST(GroupRunnerTest, SilentGeneratorsCloseAnAllMissingRound) {
+  const Generator silent = [](size_t) { return std::optional<double>(); };
+  auto runner = GroupRunner::WithGenerators({silent, silent}, AverageEngine(2));
+  ASSERT_TRUE(runner.ok());
+  (*runner)->RunRound(0);
+  const auto outputs = (*runner)->sink().outputs();
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(outputs[0].result.present_count, 0u);
+  EXPECT_EQ((*runner)->hub().open_rounds(), 0u);
 }
 
 TEST(GroupRunnerTest, ExternalSubmitClosesRoundWhenComplete) {
@@ -118,6 +150,109 @@ TEST(GroupRunnerTest, PersistsHistoryThroughStore) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->rounds, 2u);
   EXPECT_EQ(snapshot->records.size(), 3u);
+}
+
+/// Hex-float rendering of every column of a trace — bit identity, not
+/// closeness.
+std::string RenderTrace(const core::TraceView& trace) {
+  std::string text;
+  for (size_t r = 0; r < trace.round_count(); ++r) {
+    const std::optional<double> output = trace.output(r);
+    text += output.has_value() ? StrFormat("%a", *output) : "-";
+    text += StrFormat(" o%d p%zu c%d m%d |",
+                      static_cast<int>(trace.outcome(r)),
+                      trace.present_count(r), trace.used_clustering(r) ? 1 : 0,
+                      trace.had_majority(r) ? 1 : 0);
+    for (size_t m = 0; m < trace.module_count(); ++m) {
+      text += StrFormat(" %a/%a/%a/%d%d", trace.weights(r)[m],
+                        trace.agreement(r)[m], trace.history(r)[m],
+                        trace.excluded(r)[m], trace.eliminated(r)[m]);
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+TEST(GroupRunnerTest, PerReadingAndBatchSubmitsShareOneRoundPath) {
+  constexpr size_t kModules = 4;
+  constexpr size_t kRounds = 60;
+  Rng rng(2024);
+  data::RoundTable table = data::RoundTable::WithModuleCount(kModules);
+  for (size_t r = 0; r < kRounds; ++r) {
+    std::vector<data::Reading> row(kModules);
+    for (size_t m = 0; m < kModules; ++m) {
+      // Module 3 drifts off and sometimes goes silent, so the history
+      // ledger (and therefore round order) shapes every later output.
+      if (m == 3 && r % 7 == 5) continue;
+      row[m] = 20.0 + rng.Gaussian(0.0, 0.2) + (m == 3 ? 0.05 * r : 0.0);
+    }
+    ASSERT_TRUE(table.AppendRound(std::move(row)).ok());
+  }
+  auto readings_of = [&](size_t r) {
+    std::vector<ReadingMessage> readings;
+    for (size_t m = 0; m < kModules; ++m) {
+      if (const data::Reading value = table.View(r).at(m)) {
+        readings.push_back(ReadingMessage{m, r, *value});
+      }
+    }
+    return readings;
+  };
+
+  auto engine = core::MakeEngine(core::AlgorithmId::kAvoc, kModules);
+  ASSERT_TRUE(engine.ok());
+  auto runner = GroupRunner::Create(std::move(*engine));
+  ASSERT_TRUE(runner.ok());
+  GroupRunner& group = **runner;
+  // A reading of the next round arrives early through Submit, so two
+  // rounds are open at once.
+  std::optional<ReadingMessage> early;
+  for (size_t r = 0; r < kRounds; ++r) {
+    std::vector<ReadingMessage> readings = readings_of(r);
+    if (early.has_value()) {
+      std::erase_if(readings, [&](const ReadingMessage& reading) {
+        return reading.module == early->module;
+      });
+      early.reset();
+    }
+    if (r + 1 < kRounds && r % 5 == 1) {
+      early = readings_of(r + 1).front();
+      ASSERT_TRUE(group.Submit(early->module, early->round, early->value).ok());
+    }
+    switch (r % 3) {
+      case 0:
+        for (const ReadingMessage& reading : readings) {
+          ASSERT_TRUE(
+              group.Submit(reading.module, reading.round, reading.value).ok());
+        }
+        break;
+      case 1:
+        group.SubmitBatch(readings);
+        break;
+      default:
+        if (readings.empty()) break;
+        ASSERT_TRUE(group
+                        .Submit(readings[0].module, readings[0].round,
+                                readings[0].value)
+                        .ok());
+        group.SubmitBatch(std::span(readings).subspan(1));
+        break;
+    }
+    // Closes the rounds with a silent module; a no-op for complete ones.
+    group.FlushRound(r);
+  }
+
+  auto reference = core::MakeEngine(core::AlgorithmId::kAvoc, kModules);
+  ASSERT_TRUE(reference.ok());
+  auto batch = core::RunOverTable(*reference, table);
+  ASSERT_TRUE(batch.ok());
+  std::string live;
+  group.sink().WithTrace(
+      [&](const core::BatchTrace& trace, const std::vector<size_t>& rounds) {
+        ASSERT_EQ(rounds.size(), kRounds);
+        for (size_t r = 0; r < kRounds; ++r) EXPECT_EQ(rounds[r], r);
+        live = RenderTrace(trace.view());
+      });
+  EXPECT_EQ(live, RenderTrace(batch->view()));
 }
 
 }  // namespace

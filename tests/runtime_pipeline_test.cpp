@@ -23,14 +23,14 @@ data::RoundTable SmallTable() {
 }
 
 TEST(PipelineTest, CreateValidatesArity) {
-  std::vector<SensorNode::Generator> two(2, [](size_t) {
+  std::vector<Generator> two(2, [](size_t) {
     return std::optional<double>(1.0);
   });
   EXPECT_FALSE(Pipeline::FromGenerators(
                    std::move(two),
                    MakeEngineOrDie(core::AlgorithmId::kAverage, 3))
                    .ok());
-  std::vector<SensorNode::Generator> none;
+  std::vector<Generator> none;
   EXPECT_FALSE(Pipeline::FromGenerators(
                    std::move(none),
                    MakeEngineOrDie(core::AlgorithmId::kAverage, 3))
@@ -65,7 +65,7 @@ TEST(PipelineTest, StepsBeyondTableProduceEmptyRounds) {
 }
 
 TEST(PipelineTest, GeneratorsDriveRounds) {
-  std::vector<SensorNode::Generator> generators;
+  std::vector<Generator> generators;
   for (int m = 0; m < 3; ++m) {
     generators.push_back([m](size_t round) {
       return std::optional<double>(static_cast<double>(round * 10 + m));
@@ -82,7 +82,7 @@ TEST(PipelineTest, GeneratorsDriveRounds) {
 }
 
 TEST(PipelineTest, MissingGeneratorsBecomeMissingValues) {
-  std::vector<SensorNode::Generator> generators;
+  std::vector<Generator> generators;
   generators.push_back([](size_t) { return std::optional<double>(10.0); });
   generators.push_back([](size_t round) {
     return round % 2 == 0 ? std::optional<double>(20.0) : std::nullopt;

@@ -18,6 +18,10 @@ constexpr uint16_t kPort = 7;
 class ResilientClientTest : public ::testing::Test {
  protected:
   void StartWorld(uint64_t seed, SimWorld::Options options = {}) {
+    // A test may restart the world: the previous server runs on the old
+    // world's reactor and manager, so it has to go before they do.
+    if (server_ != nullptr) server_->Stop();
+    server_.reset();
     world_ = std::make_unique<SimWorld>(seed, options);
     manager_ = std::make_unique<VoterGroupManager>(nullptr, &registry_);
     ASSERT_TRUE(manager_

@@ -16,9 +16,9 @@ core::VotingEngine AverageEngine(size_t modules) {
   return std::move(*engine);
 }
 
-std::vector<SensorNode::Generator> ConstantSamplers(size_t count,
+std::vector<Generator> ConstantSamplers(size_t count,
                                                     double base) {
-  std::vector<SensorNode::Generator> samplers;
+  std::vector<Generator> samplers;
   for (size_t m = 0; m < count; ++m) {
     samplers.push_back([base, m](size_t) {
       return std::optional<double>(base + static_cast<double>(m));
@@ -119,7 +119,7 @@ TEST(VoterServiceTest, StopOnDestruction) {
 }
 
 TEST(VoterServiceTest, SlowSensorsBecomeMissingValues) {
-  std::vector<SensorNode::Generator> samplers = ConstantSamplers(2, 5.0);
+  std::vector<Generator> samplers = ConstantSamplers(2, 5.0);
   // A sensor that always overruns the round timeout.
   samplers.push_back([](size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

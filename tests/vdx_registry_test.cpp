@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "vdx/factory.h"
+#include "test_temp_dir.h"
 
 namespace avoc::vdx {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 class RegistryFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avoc_vdx_registry";
+    dir_ = TestTempPath("vdx_registry");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
