@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "obs/metrics.h"
 #include "runtime/datastore.h"
+#include "storage/chunk.h"
 #include "util/rng.h"
 
 namespace {
@@ -165,6 +166,52 @@ void BM_HistoryAwareRoundWithFileStore(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_HistoryAwareRoundWithFileStore)->Arg(5)->Arg(9);
+
+// A vote trace shaped like a long-running group's: consecutive rounds,
+// a slowly drifting fused value, every tenth round not engaged.
+std::vector<avoc::storage::TracePoint> MakeTrace(size_t points) {
+  avoc::Rng rng(5);
+  std::vector<avoc::storage::TracePoint> trace;
+  trace.reserve(points);
+  double value = 18500.0;
+  for (size_t i = 0; i < points; ++i) {
+    value += rng.Gaussian(0.0, 0.5);
+    const bool engaged = i % 10 != 9;
+    trace.push_back({1000 + i, engaged ? value : 0.0, engaged});
+  }
+  return trace;
+}
+
+// Gorilla chunk codec, per point: the seal cost a group pays every
+// `chunk_max_points` appends, and the decode cost QUERY_RANGE pays for
+// every point of every chunk its window overlaps.
+void BM_ChunkEncode(benchmark::State& state) {
+  const auto trace = MakeTrace(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    std::string body = avoc::storage::EncodeChunk(trace);
+    benchmark::DoNotOptimize(body);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ChunkEncode)->Arg(512)->Arg(8192);
+
+void BM_ChunkDecode(benchmark::State& state) {
+  const avoc::storage::SealedChunk chunk = avoc::storage::SealChunk(
+      0, MakeTrace(static_cast<size_t>(state.range(0))));
+  std::vector<avoc::storage::TracePoint> decoded;
+  for (auto _ : state) {
+    const avoc::Status status = avoc::storage::DecodeChunk(chunk, &decoded);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(decoded.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ChunkDecode)->Arg(512)->Arg(8192);
 
 // One percentile-pass config: an algorithm preset at a round width.
 struct PercentileConfig {

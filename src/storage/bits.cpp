@@ -2,50 +2,36 @@
 
 namespace avoc::storage {
 
-void BitWriter::WriteBit(uint32_t bit) {
-  current_ = static_cast<uint8_t>((current_ << 1) | (bit & 1u));
-  ++used_;
-  ++bit_count_;
-  if (used_ == 8) {
-    bytes_.push_back(static_cast<char>(current_));
-    current_ = 0;
-    used_ = 0;
-  }
-}
-
-void BitWriter::WriteBits(uint64_t value, unsigned count) {
-  for (unsigned i = count; i-- > 0;) {
-    WriteBit(static_cast<uint32_t>((value >> i) & 1u));
-  }
+void BitWriter::AppendWord(uint64_t word) {
+  word = BigEndian64(word);
+  char bytes[8];
+  std::memcpy(bytes, &word, sizeof(bytes));
+  bytes_.append(bytes, sizeof(bytes));
 }
 
 std::string BitWriter::Finish() {
   if (used_ > 0) {
-    bytes_.push_back(static_cast<char>(current_ << (8 - used_)));
-    current_ = 0;
+    const uint64_t word = acc_ << (64 - used_);
+    for (unsigned i = 0; i < (used_ + 7) / 8; ++i) {
+      bytes_.push_back(static_cast<char>(word >> (56 - 8 * i)));
+    }
     used_ = 0;
   }
   return std::move(bytes_);
 }
 
-Result<uint32_t> BitReader::ReadBit() {
-  if (pos_ >= bytes_.size() * 8) {
-    return ParseError("bit stream exhausted");
-  }
-  const uint8_t byte = static_cast<uint8_t>(bytes_[pos_ / 8]);
-  const uint32_t bit = (byte >> (7 - (pos_ % 8))) & 1u;
-  ++pos_;
-  return bit;
+Status BitReader::status() const {
+  return failed_ ? ParseError("bit stream exhausted") : Status::Ok();
 }
 
-Result<uint64_t> BitReader::ReadBits(unsigned count) {
-  if (count > 64) return ParseError("bit read wider than 64");
-  uint64_t value = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const uint32_t bit, ReadBit());
-    value = (value << 1) | bit;
+uint64_t BitReader::LoadTail(size_t byte) const {
+  uint64_t word = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    const size_t at = byte + i;
+    word = (word << 8) |
+           (at < bytes_.size() ? static_cast<uint8_t>(bytes_[at]) : 0u);
   }
-  return value;
+  return word;
 }
 
 }  // namespace avoc::storage

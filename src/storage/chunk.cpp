@@ -1,5 +1,6 @@
 #include "storage/chunk.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "storage/bits.h"
@@ -41,40 +42,23 @@ void WriteDod(BitWriter& bits, int64_t dod) {
   if (zz == 0) {
     bits.WriteBit(0);
   } else if (zz < (1ull << 7)) {
-    bits.WriteBits(0b10, 2);
-    bits.WriteBits(zz, 7);
+    bits.WriteBits((0b10ull << 7) | zz, 2 + 7);
   } else if (zz < (1ull << 12)) {
-    bits.WriteBits(0b110, 3);
-    bits.WriteBits(zz, 12);
+    bits.WriteBits((0b110ull << 12) | zz, 3 + 12);
   } else if (zz < (1ull << 20)) {
-    bits.WriteBits(0b1110, 4);
-    bits.WriteBits(zz, 20);
+    bits.WriteBits((0b1110ull << 20) | zz, 4 + 20);
   } else {
     bits.WriteBits(0b1111, 4);
     bits.WriteBits(zz, 64);
   }
 }
 
-Result<int64_t> ReadDod(BitReader& bits) {
-  AVOC_ASSIGN_OR_RETURN(uint32_t bit, bits.ReadBit());
-  if (bit == 0) return int64_t{0};
-  AVOC_ASSIGN_OR_RETURN(bit, bits.ReadBit());
-  if (bit == 0) {
-    AVOC_ASSIGN_OR_RETURN(const uint64_t zz, bits.ReadBits(7));
-    return UnZigZag(zz);
-  }
-  AVOC_ASSIGN_OR_RETURN(bit, bits.ReadBit());
-  if (bit == 0) {
-    AVOC_ASSIGN_OR_RETURN(const uint64_t zz, bits.ReadBits(12));
-    return UnZigZag(zz);
-  }
-  AVOC_ASSIGN_OR_RETURN(bit, bits.ReadBit());
-  if (bit == 0) {
-    AVOC_ASSIGN_OR_RETURN(const uint64_t zz, bits.ReadBits(20));
-    return UnZigZag(zz);
-  }
-  AVOC_ASSIGN_OR_RETURN(const uint64_t zz, bits.ReadBits(64));
-  return UnZigZag(zz);
+int64_t ReadDod(BitReader& bits) {
+  if (bits.ReadBit() == 0) return 0;
+  if (bits.ReadBit() == 0) return UnZigZag(bits.ReadBits(7));
+  if (bits.ReadBit() == 0) return UnZigZag(bits.ReadBits(12));
+  if (bits.ReadBit() == 0) return UnZigZag(bits.ReadBits(20));
+  return UnZigZag(bits.ReadBits(64));
 }
 
 }  // namespace
@@ -88,7 +72,9 @@ std::string EncodeChunk(std::span<const TracePoint> points) {
   bits.WriteBits(DoubleBits(points[0].value), 64);
   bits.WriteBit(points[0].engaged ? 1 : 0);
 
-  int64_t prev_delta = 0;
+  // Deltas wrap modulo 2^64 (rounds are unsigned); the dod field stores
+  // the wrapped difference as a signed value.
+  uint64_t prev_delta = 0;
   uint64_t prev_round = points[0].round;
   uint64_t prev_bits = DoubleBits(points[0].value);
   unsigned window_lead = 64;  // 64 = no reusable XOR window yet
@@ -98,8 +84,8 @@ std::string EncodeChunk(std::span<const TracePoint> points) {
     const TracePoint& p = points[i];
 
     // Round: delta-of-delta.
-    const int64_t delta = static_cast<int64_t>(p.round - prev_round);
-    WriteDod(bits, delta - prev_delta);
+    const uint64_t delta = p.round - prev_round;
+    WriteDod(bits, static_cast<int64_t>(delta - prev_delta));
     prev_delta = delta;
     prev_round = p.round;
 
@@ -134,67 +120,90 @@ std::string EncodeChunk(std::span<const TracePoint> points) {
   return bits.Finish();
 }
 
-Status DecodeChunk(std::string_view bytes, uint64_t count,
-                   std::vector<TracePoint>* out) {
+SealedChunk SealChunk(uint64_t base_index,
+                      std::span<const TracePoint> points) {
+  SealedChunk chunk;
+  chunk.base_index = base_index;
+  chunk.count = points.size();
+  const auto [lo, hi] = std::minmax_element(
+      points.begin(), points.end(),
+      [](const TracePoint& a, const TracePoint& b) {
+        return a.round < b.round;
+      });
+  chunk.first_round = lo->round;
+  chunk.last_round = hi->round;
+  chunk.body = EncodeChunk(points);
+  return chunk;
+}
+
+Status DecodeChunk(const SealedChunk& chunk, std::vector<TracePoint>* out) {
   out->clear();
-  if (count == 0) return Status::Ok();
-  if (count > bytes.size() * 8) {
+  const uint64_t count = chunk.count;
+  if (count == 0) return ParseError("chunk holds no points");
+  if (count > chunk.body.size() * 8) {
     // Cheap sanity bound: every point costs >= 3 bits.
     return ParseError("chunk count exceeds encoded capacity");
   }
-  BitReader bits(bytes);
+  BitReader bits(chunk.body);
   out->reserve(static_cast<size_t>(count));
 
-  AVOC_ASSIGN_OR_RETURN(const uint64_t first_round, bits.ReadBits(64));
-  AVOC_ASSIGN_OR_RETURN(const uint64_t first_bits, bits.ReadBits(64));
-  AVOC_ASSIGN_OR_RETURN(const uint32_t first_engaged, bits.ReadBit());
+  // A read past the end yields zeros and latches the reader's error, so
+  // each point checks `bits.ok()` once, after all of its fields.
+  const uint64_t first_round = bits.ReadBits(64);
+  const uint64_t first_bits = bits.ReadBits(64);
+  const uint32_t first_engaged = bits.ReadBit();
+  AVOC_RETURN_IF_ERROR(bits.status());
   out->push_back(
       TracePoint{first_round, BitsToDouble(first_bits), first_engaged != 0});
 
-  int64_t prev_delta = 0;
+  uint64_t prev_delta = 0;
   uint64_t prev_round = first_round;
   uint64_t prev_bits = first_bits;
+  uint64_t min_round = first_round;
+  uint64_t max_round = first_round;
   unsigned window_lead = 64;
   unsigned window_len = 0;
 
   for (uint64_t i = 1; i < count; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const int64_t dod, ReadDod(bits));
-    const int64_t delta = prev_delta + dod;
-    const uint64_t round = prev_round + static_cast<uint64_t>(delta);
+    const uint64_t delta = prev_delta + static_cast<uint64_t>(ReadDod(bits));
+    const uint64_t round = prev_round + delta;
     prev_delta = delta;
     prev_round = round;
 
-    AVOC_ASSIGN_OR_RETURN(uint32_t bit, bits.ReadBit());
-    uint64_t value_bits = prev_bits;
-    if (bit != 0) {
-      AVOC_ASSIGN_OR_RETURN(bit, bits.ReadBit());
-      if (bit == 0) {
+    if (bits.ReadBit() != 0) {
+      if (bits.ReadBit() == 0) {
         if (window_len == 0) {
           return ParseError("chunk reuses XOR window before defining one");
         }
-        AVOC_ASSIGN_OR_RETURN(const uint64_t meaningful,
-                              bits.ReadBits(window_len));
-        value_bits =
-            prev_bits ^ (meaningful << (64 - window_lead - window_len));
+        prev_bits ^= bits.ReadBits(window_len)
+                     << (64 - window_lead - window_len);
       } else {
-        AVOC_ASSIGN_OR_RETURN(const uint64_t lead64, bits.ReadBits(6));
-        AVOC_ASSIGN_OR_RETURN(const uint64_t len64, bits.ReadBits(6));
-        const unsigned lead = static_cast<unsigned>(lead64);
-        const unsigned len = static_cast<unsigned>(len64) + 1;
+        const auto lead = static_cast<unsigned>(bits.ReadBits(6));
+        const auto len = static_cast<unsigned>(bits.ReadBits(6)) + 1;
         if (lead + len > 64) {
           return ParseError("chunk XOR window exceeds 64 bits");
         }
-        AVOC_ASSIGN_OR_RETURN(const uint64_t meaningful, bits.ReadBits(len));
-        const unsigned trail = 64 - lead - len;
-        value_bits = prev_bits ^ (meaningful << trail);
+        prev_bits ^= bits.ReadBits(len) << (64 - lead - len);
         window_lead = lead;
         window_len = len;
       }
     }
-    prev_bits = value_bits;
 
-    AVOC_ASSIGN_OR_RETURN(const uint32_t engaged, bits.ReadBit());
-    out->push_back(TracePoint{round, BitsToDouble(value_bits), engaged != 0});
+    const uint32_t engaged = bits.ReadBit();
+    if (!bits.ok()) return bits.status();
+    min_round = std::min(min_round, round);
+    max_round = std::max(max_round, round);
+    out->push_back(TracePoint{round, BitsToDouble(prev_bits), engaged != 0});
+  }
+
+  // The encoder pads only the last byte, with zeros; anything else means
+  // the header's count does not describe this body.
+  const size_t padding = bits.bits_remaining();
+  if (padding >= 8 || bits.ReadBits(static_cast<unsigned>(padding)) != 0) {
+    return ParseError("chunk body continues past its last point");
+  }
+  if (min_round != chunk.first_round || max_round != chunk.last_round) {
+    return ParseError("chunk rounds disagree with its header");
   }
   return Status::Ok();
 }

@@ -40,18 +40,12 @@
 
 namespace avoc::storage {
 
-/// Compresses `points` (must be non-empty) into a chunk body.
-std::string EncodeChunk(std::span<const TracePoint> points);
-
-/// Decompresses a chunk body holding exactly `count` points (the count
-/// lives in the chunk-file entry header, covered by its CRC).
-Status DecodeChunk(std::string_view bytes, uint64_t count,
-                   std::vector<TracePoint>* out);
-
 /// A sealed chunk as held in memory: metadata + compressed body.
 /// `base_index` is the index of the first point within the group's
 /// append history — recovery uses it to dedupe the WAL tail against
-/// already-sealed points (docs/STORAGE.md).
+/// already-sealed points (docs/STORAGE.md).  The chunks file CRCs only
+/// the body; DecodeChunk cross-checks `count` and the round range
+/// against the body instead.
 struct SealedChunk {
   uint64_t base_index = 0;
   uint64_t count = 0;
@@ -59,5 +53,18 @@ struct SealedChunk {
   uint64_t last_round = 0;   ///< max round in the chunk
   std::string body;          ///< EncodeChunk output
 };
+
+/// Compresses `points` into a chunk body.
+std::string EncodeChunk(std::span<const TracePoint> points);
+
+/// Seals `points` (must be non-empty), the group's points from append
+/// index `base_index` on, into a chunk with its header filled in.
+SealedChunk SealChunk(uint64_t base_index, std::span<const TracePoint> points);
+
+/// Decompresses `chunk.body` into exactly `chunk.count` points.  Fails
+/// with ParseError when the body is malformed, when it does not end
+/// within a byte of the last point with zero padding, or when the
+/// decoded min/max round differs from the header's.
+Status DecodeChunk(const SealedChunk& chunk, std::vector<TracePoint>* out);
 
 }  // namespace avoc::storage

@@ -185,10 +185,13 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
 }
 
 Status StorageEngine::RecoverLocked() {
-  AVOC_RETURN_IF_ERROR(LoadChunksLocked());
+  // The snapshot goes first: its tail bases tell LoadChunksLocked which
+  // gaps in a group's sealed run are harmless.
   AVOC_RETURN_IF_ERROR(LoadSnapshotLocked());
+  AVOC_RETURN_IF_ERROR(LoadChunksLocked());
   TrimSealedTailsLocked();
   AVOC_RETURN_IF_ERROR(ReplayWalLocked());
+  const bool renumbered = CloseSealedGapsLocked();
   AVOC_RETURN_IF_ERROR(RemoveStaleFilesLocked());
   AVOC_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(WalPath(seq_),
@@ -200,6 +203,8 @@ Status StorageEngine::RecoverLocked() {
     for (const SealedChunk& chunk : trace.sealed) trace_points_ += chunk.count;
     trace_points_ += trace.tail.size();
   }
+  // A renumbered tail base must reach disk before the next seal does.
+  if (renumbered) AVOC_RETURN_IF_ERROR(CompactLocked());
   return Status::Ok();
 }
 
@@ -211,6 +216,7 @@ Status StorageEngine::LoadChunksLocked() {
   }
   const std::string& data = *contents;
   size_t pos = 0;
+  std::vector<TracePoint> decoded;
   while (pos + kChunkMagic.size() <= data.size()) {
     if (std::string_view(data).substr(pos, kChunkMagic.size()) !=
         kChunkMagic) {
@@ -247,16 +253,30 @@ Status StorageEngine::LoadChunksLocked() {
       body_len = *len;
       crc = *sum;
     }
-    if (chunk.count == 0 || body_len > kMaxChunkBytes ||
-        reader.remaining() < body_len) {
-      break;
-    }
+    if (body_len > kMaxChunkBytes || reader.remaining() < body_len) break;
     const size_t body_off =
         pos + kChunkMagic.size() + (rest.size() - reader.remaining());
     const std::string_view body =
         std::string_view(data).substr(body_off, body_len);
     if (Crc32(body) != crc) break;
     chunk.body.assign(body);
+    // The CRC covers only the body, so the header is checked against
+    // it: the entry must continue its group's sealed run, and the body
+    // must decode to exactly `count` points spanning the header's rounds.
+    // The run may skip ahead only to an entry that ends at or below the
+    // snapshot's tail base (tail_base is still the snapshot's here, 0
+    // without one).  Sealed indices up to there decide nothing: trimming,
+    // WAL replay and the next seal all start at the tail base.
+    const auto existing = traces_.find(group);
+    const uint64_t sealed_end =
+        existing == traces_.end() ? 0 : existing->second.sealed_end();
+    const uint64_t snapshot_base =
+        existing == traces_.end() ? 0 : existing->second.tail_base;
+    const bool continues =
+        chunk.base_index == sealed_end ||
+        (chunk.base_index > sealed_end && chunk.base_index <= snapshot_base &&
+         chunk.count <= snapshot_base - chunk.base_index);
+    if (!continues || !DecodeChunk(chunk, &decoded).ok()) break;
 
     GroupTrace& trace = traces_[group];
     trace.sealed.push_back(std::move(chunk));
@@ -271,14 +291,6 @@ Status StorageEngine::LoadChunksLocked() {
     std::filesystem::resize_file(ChunksPath(), pos, ec);
     if (ec) {
       return IoError("truncate torn chunks file: " + ec.message());
-    }
-  }
-  // Sealed coverage defines where each tail starts until a snapshot or
-  // WAL replay says otherwise.
-  for (auto& [group, trace] : traces_) {
-    if (!trace.sealed.empty()) {
-      trace.tail_base =
-          trace.sealed.back().base_index + trace.sealed.back().count;
     }
   }
   return Status::Ok();
@@ -377,9 +389,7 @@ Status StorageEngine::LoadSnapshotLocked() {
 
 void StorageEngine::TrimSealedTailsLocked() {
   for (auto& [group, trace] : traces_) {
-    if (trace.sealed.empty()) continue;
-    const uint64_t sealed_end =
-        trace.sealed.back().base_index + trace.sealed.back().count;
+    const uint64_t sealed_end = trace.sealed_end();
     if (trace.tail_base >= sealed_end) continue;
     const uint64_t overlap = sealed_end - trace.tail_base;
     if (overlap >= trace.tail.size()) {
@@ -390,6 +400,17 @@ void StorageEngine::TrimSealedTailsLocked() {
     }
     trace.tail_base = sealed_end;
   }
+}
+
+bool StorageEngine::CloseSealedGapsLocked() {
+  bool renumbered = false;
+  for (auto& [group, trace] : traces_) {
+    const uint64_t sealed_end = trace.sealed_end();
+    if (trace.tail_base <= sealed_end) continue;
+    trace.tail_base = sealed_end;
+    renumbered = true;
+  }
+  return renumbered;
 }
 
 Status StorageEngine::ReplayWalLocked() {
@@ -585,7 +606,7 @@ Result<std::vector<TracePoint>> StorageEngine::QueryTraceRange(
   std::vector<TracePoint> decoded;
   for (const SealedChunk& chunk : it->second.sealed) {
     if (chunk.last_round < lo_round || chunk.first_round > hi_round) continue;
-    AVOC_RETURN_IF_ERROR(DecodeChunk(chunk.body, chunk.count, &decoded));
+    AVOC_RETURN_IF_ERROR(DecodeChunk(chunk, &decoded));
     for (const TracePoint& point : decoded) {
       if (point.round >= lo_round && point.round <= hi_round) {
         out.push_back(point);
@@ -602,17 +623,8 @@ Result<std::vector<TracePoint>> StorageEngine::QueryTraceRange(
 
 Status StorageEngine::SealLocked(const std::string& group, GroupTrace& trace) {
   const size_t n = options_.chunk_max_points;
-  const std::span<const TracePoint> points(trace.tail.data(), n);
-  SealedChunk chunk;
-  chunk.base_index = trace.tail_base;
-  chunk.count = n;
-  chunk.first_round = points[0].round;
-  chunk.last_round = points[0].round;
-  for (const TracePoint& point : points) {
-    chunk.first_round = std::min(chunk.first_round, point.round);
-    chunk.last_round = std::max(chunk.last_round, point.round);
-  }
-  chunk.body = EncodeChunk(points);
+  SealedChunk chunk = SealChunk(
+      trace.tail_base, std::span<const TracePoint>(trace.tail.data(), n));
 
   std::string entry(kChunkMagic);
   AppendBytes(entry, group);

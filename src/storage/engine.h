@@ -13,8 +13,9 @@
 //                fsynced at each seal.  Never rewritten; recovery
 //                truncates a torn tail.
 //
-// Recovery order: chunks (truncate to last valid entry) -> newest valid
-// snapshot -> replay the matching WAL (truncate to last valid record).
+// Recovery order: newest valid snapshot -> chunks (truncate to last
+// valid entry) -> replay the matching WAL (truncate to last valid
+// record) -> renumber tails whose sealed chunks were lost, and compact.
 // Per-group monotone point indices (`base_index`) make replay idempotent
 // against sealed chunks regardless of where a crash interleaved —
 // docs/STORAGE.md walks every window.
@@ -146,6 +147,10 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
     std::vector<TracePoint> tail;
 
     uint64_t next_index() const { return tail_base + tail.size(); }
+    uint64_t sealed_end() const {
+      return sealed.empty() ? 0
+                            : sealed.back().base_index + sealed.back().count;
+    }
   };
 
   explicit StorageEngine(StorageEngineOptions options);
@@ -162,6 +167,12 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
   /// Drops tail points already covered by sealed chunks (crash between
   /// a seal and the next snapshot replays them from the WAL).
   void TrimSealedTailsLocked();
+  /// A tail base past the sealed run means sealed points were lost for
+  /// good (an entry dropped as corrupt after a snapshot retired its
+  /// WAL).  Renumbers each such tail to follow the sealed run, so later
+  /// seals continue it and the next load finds no gap; returns whether
+  /// any tail moved (the caller then compacts to make it durable).
+  bool CloseSealedGapsLocked();
   Status RemoveStaleFilesLocked();
 
   Status AppendWalLocked(WalRecordType type, std::string_view payload);

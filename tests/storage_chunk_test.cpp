@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "storage/bits.h"
@@ -19,6 +22,32 @@ uint64_t Bits(double value) {
   return bits;
 }
 
+TracePoint Raw(uint64_t round, uint64_t value_bits, bool engaged = true) {
+  double value = 0.0;
+  std::memcpy(&value, &value_bits, sizeof(value));
+  return TracePoint{round, value, engaged};
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<uint8_t>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xF]);
+  }
+  return hex;
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
 TEST(BitsTest, RoundTripSingleBits) {
   BitWriter writer;
   const uint32_t pattern[] = {1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1};
@@ -26,9 +55,9 @@ TEST(BitsTest, RoundTripSingleBits) {
   const std::string bytes = writer.Finish();
   BitReader reader(bytes);
   for (uint32_t bit : pattern) {
-    auto read = reader.ReadBit();
-    ASSERT_TRUE(read.ok());
-    EXPECT_EQ(*read, bit);
+    const uint32_t read = reader.ReadBit();
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(read, bit);
   }
 }
 
@@ -41,11 +70,12 @@ TEST(BitsTest, RoundTripMultiBitFields) {
   writer.WriteBits(0x12345, 20);
   const std::string bytes = writer.Finish();
   BitReader reader(bytes);
-  EXPECT_EQ(*reader.ReadBits(8), 0x5Au);
-  EXPECT_EQ(*reader.ReadBits(2), 0x3u);
-  EXPECT_EQ(*reader.ReadBits(64), 0xFFFFFFFFFFFFFFFFull);
-  EXPECT_EQ(*reader.ReadBits(1), 0u);
-  EXPECT_EQ(*reader.ReadBits(20), 0x12345u);
+  EXPECT_EQ(reader.ReadBits(8), 0x5Au);
+  EXPECT_EQ(reader.ReadBits(2), 0x3u);
+  EXPECT_EQ(reader.ReadBits(64), 0xFFFFFFFFFFFFFFFFull);
+  EXPECT_EQ(reader.ReadBits(1), 0u);
+  EXPECT_EQ(reader.ReadBits(20), 0x12345u);
+  EXPECT_TRUE(reader.ok());
 }
 
 TEST(BitsTest, ReadPastEndFails) {
@@ -53,15 +83,153 @@ TEST(BitsTest, ReadPastEndFails) {
   writer.WriteBits(0xAB, 8);
   const std::string bytes = writer.Finish();
   BitReader reader(bytes);
-  EXPECT_TRUE(reader.ReadBits(8).ok());
-  EXPECT_FALSE(reader.ReadBits(1).ok());
-  EXPECT_EQ(reader.ReadBits(1).status().code(), ErrorCode::kParseError);
+  reader.ReadBits(8);
+  EXPECT_TRUE(reader.ok());
+  reader.ReadBits(1);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.ReadBits(1), 0u);
+  EXPECT_EQ(reader.status().code(), ErrorCode::kParseError);
+}
+
+// Fields of every width at every bit offset, including ones that
+// straddle a 64-bit word and ones inside the last 8 bytes, against a
+// bit-at-a-time reference packer.
+TEST(BitsTest, RandomFieldsMatchBitAtATimeReference) {
+  avoc::Rng rng(20261018);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<std::pair<uint64_t, unsigned>> fields;
+    std::vector<bool> reference;
+    BitWriter writer;
+    const size_t n = 1 + rng.UniformInt(40);
+    for (size_t f = 0; f < n; ++f) {
+      const auto count = static_cast<unsigned>(rng.UniformInt(65));
+      const uint64_t value =
+          count == 64 ? rng() : rng() & ((uint64_t{1} << count) - 1);
+      fields.emplace_back(value, count);
+      writer.WriteBits(value, count);
+      for (unsigned b = count; b-- > 0;) reference.push_back((value >> b) & 1);
+    }
+    std::string want((reference.size() + 7) / 8, '\0');
+    for (size_t b = 0; b < reference.size(); ++b) {
+      if (reference[b]) want[b / 8] |= static_cast<char>(0x80 >> (b % 8));
+    }
+    const std::string bytes = writer.Finish();
+    ASSERT_EQ(Hex(bytes), Hex(want)) << "iteration " << iter;
+
+    BitReader reader(bytes);
+    for (const auto& [value, count] : fields) {
+      EXPECT_EQ(reader.ReadBits(count), value) << "width " << count;
+    }
+    ASSERT_TRUE(reader.ok());
+    EXPECT_LT(reader.bits_remaining(), 8u);
+    reader.ReadBits(static_cast<unsigned>(reader.bits_remaining()) + 1);
+    EXPECT_EQ(reader.status().code(), ErrorCode::kParseError);
+  }
+}
+
+/// Rounds whose delta-of-delta walks through `dods`, starting at `first`.
+std::vector<TracePoint> RoundsWithDods(uint64_t first,
+                                       std::span<const int64_t> dods) {
+  std::vector<TracePoint> points{{first, 3.5, true}};
+  int64_t delta = 0;
+  for (const int64_t dod : dods) {
+    delta += dod;
+    points.push_back(TracePoint{
+        points.back().round + static_cast<uint64_t>(delta), 3.5, true});
+  }
+  return points;
+}
+
+struct GoldenChunk {
+  const char* name;
+  std::vector<TracePoint> points;
+  const char* hex;  ///< EncodeChunk(points) as the format defines it
+};
+
+// Chunk bodies as the format defines them.  Sealed `chunks` files hold
+// exactly these bytes, so the encoder must keep emitting them and the
+// decoder must keep reading them back bit for bit; a round trip alone
+// cannot catch a format change made on both sides at once.
+std::vector<GoldenChunk> GoldenChunks() {
+  // Every delta-of-delta bucket, both signs, and each bucket edge:
+  // zig-zag 127/128, 4095/4096 and 2^20-1/2^20.
+  const int64_t dods[] = {1,       0,      -2,
+                          100,     -1500,  300000,
+                          -400000, int64_t{1} << 40,
+                          -(int64_t{1} << 40),
+                          -64,     64,     -2048,
+                          2048,    -524288, 524288,
+                          0};
+  return {
+      {"dod_buckets", RoundsWithDods(1000000000000, dods),
+       "000000e8d4a51000400c000000000000c0930370643aedde927c07b0"
+       "d3fdf00000200000000007c000007fffffffffdbfb8201dffef00800"
+       "3dffffef800000000008000024"},
+      {"xor_paths",
+       {
+           Raw(0, 0x3FF0000000000000),  // 1.0
+           Raw(1, 0x3FF0000000000000),  // identical: '0'
+           Raw(2, 0x3FF8000000000000),  // new window (12, 1)
+           Raw(3, 0x3FF0000000000000),  // reuses (12, 1)
+           Raw(4, 0x3FFC000000000000),  // wider: new window (12, 2)
+           Raw(5, 0x3FF8000000000000),  // fits (12, 2): reuse
+           Raw(6, 0x3FF8000000000001),  // lead 63 clamped to 31
+           Raw(7, 0x3FF8000000000003),  // fits (31, 33): reuse
+           Raw(8, 0x0000000000000000),  // new window (2, 62)
+           Raw(9, 0x8000000000000001),  // 64-bit-wide window (0, 64)
+           Raw(10, 0x0000000000000003),  // reuses the 64-bit window
+           Raw(11, 0xFFFFFFFFFFFFFFFF),  // and again, all bits
+       },
+       "00000000000000003ff0000000000000c096601ad980f4dbf0000000"
+       "006800000005617bffc000000000001d81fc000000000000000d4000"
+       "00000000000157ffffffffffffffe4"},
+      {"special_values",
+       {
+           Raw(0, 0x0000000000000000),  // +0.0
+           Raw(1, 0x8000000000000000),  // -0.0
+           Raw(2, 0x7FF0000000000000),  // +inf
+           Raw(3, 0xFFF0000000000000),  // -inf
+           Raw(4, 0x7FF8000000000123),  // quiet NaN with a payload
+           Raw(5, 0x7FF0000000000001),  // signalling NaN
+           Raw(6, 0xFFF8000000000000),  // negative NaN
+           Raw(7, 0x0000000000000001),  // smallest denormal
+           Raw(8, 0x000FFFFFFFFFFFFF),  // largest denormal
+           Raw(9, 0x800FFFFFFFFFFFFF),  // negative denormal
+       },
+       "00000000000000000000000000000000c0b000d805fffd400581fc00"
+       "4000000000091d000400000000009154004000000000000d7ffc0000"
+       "00000000d0007ffffffffffff5400000000000000040"},
+      {"non_engaged",
+       {
+           {50, 20.25, true},
+           {51, 0.0, false},
+           {52, 20.5, true},
+           {53, 20.625, true},
+           {54, 0.0, false},
+           {55, 0.0, false},
+           {56, 21.0, true},
+       },
+       "00000000000000324034400000000000c0b050806894034ad20360a3"
+       "00d282806a20"},
+      // 129 bits: the body ends 7 bits short of a byte boundary.
+      {"single_point_off_boundary",
+       {{7, 2.5, true}},
+       "0000000000000007400400000000000080"},
+      // 129 + 11 + 4 * 3 = 152 bits: the body ends on a byte boundary.
+      {"on_byte_boundary",
+       {{7, 2.5, true},
+        {8, 2.5, true},
+        {9, 2.5, true},
+        {10, 2.5, true},
+        {11, 2.5, true},
+        {12, 2.5, true}},
+       "00000000000000074004000000000000c09249"},
+  };
 }
 
 std::vector<TracePoint> RoundTrip(std::span<const TracePoint> points) {
-  const std::string body = EncodeChunk(points);
   std::vector<TracePoint> decoded;
-  const Status status = DecodeChunk(body, points.size(), &decoded);
+  const Status status = DecodeChunk(SealChunk(0, points), &decoded);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return decoded;
 }
@@ -73,6 +241,24 @@ void ExpectBitIdentical(std::span<const TracePoint> want,
     EXPECT_EQ(want[i].round, got[i].round) << "point " << i;
     EXPECT_EQ(want[i].engaged, got[i].engaged) << "point " << i;
     EXPECT_EQ(Bits(want[i].value), Bits(got[i].value)) << "point " << i;
+  }
+}
+
+TEST(ChunkTest, GoldenBodiesAreByteIdentical) {
+  for (const GoldenChunk& golden : GoldenChunks()) {
+    EXPECT_EQ(Hex(EncodeChunk(golden.points)), golden.hex) << golden.name;
+  }
+}
+
+TEST(ChunkTest, GoldenBodiesDecodeBitIdentical) {
+  for (const GoldenChunk& golden : GoldenChunks()) {
+    SCOPED_TRACE(golden.name);
+    SealedChunk chunk = SealChunk(0, golden.points);
+    chunk.body = Unhex(golden.hex);
+    std::vector<TracePoint> decoded;
+    const Status status = DecodeChunk(chunk, &decoded);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ExpectBitIdentical(golden.points, decoded);
   }
 }
 
@@ -162,25 +348,77 @@ TEST(ChunkTest, RandomizedRoundTrip) {
 }
 
 TEST(ChunkTest, DecodeRejectsTruncatedBody) {
-  std::vector<TracePoint> points;
+  std::vector<std::vector<TracePoint>> bodies;
+  std::vector<TracePoint> steady;
   for (uint64_t round = 0; round < 100; ++round) {
-    points.push_back(TracePoint{round, 1.0 + round * 0.5, true});
+    steady.push_back(TracePoint{round, 1.0 + round * 0.5, true});
   }
-  const std::string body = EncodeChunk(points);
+  bodies.push_back(steady);
+  // The last point's raw 64-bit dod is read inside the final 8 bytes.
+  bodies.push_back(
+      {{0, 1.0, true}, {1, 1.0, true}, {1 + (1ull << 40), 1.0, true}});
+  for (const GoldenChunk& golden : GoldenChunks()) {
+    bodies.push_back(golden.points);
+  }
   std::vector<TracePoint> decoded;
-  for (size_t keep : {size_t{0}, size_t{1}, body.size() / 2, body.size() - 1}) {
-    EXPECT_FALSE(
-        DecodeChunk(body.substr(0, keep), points.size(), &decoded).ok())
-        << "kept " << keep << " of " << body.size();
+  for (const std::vector<TracePoint>& points : bodies) {
+    const SealedChunk full = SealChunk(0, points);
+    for (size_t keep = 0; keep < full.body.size(); ++keep) {
+      SealedChunk chunk = full;
+      chunk.body.resize(keep);
+      EXPECT_EQ(DecodeChunk(chunk, &decoded).code(), ErrorCode::kParseError)
+          << "kept " << keep << " of " << full.body.size();
+    }
   }
 }
 
 TEST(ChunkTest, DecodeRejectsImpossibleCount) {
   const TracePoint point{1, 2.0, true};
-  const std::string body = EncodeChunk(std::span(&point, 1));
+  SealedChunk chunk = SealChunk(0, std::span(&point, 1));
   std::vector<TracePoint> decoded;
   // More points than the body has bits cannot be valid.
-  EXPECT_FALSE(DecodeChunk(body, body.size() * 8 + 1, &decoded).ok());
+  chunk.count = chunk.body.size() * 8 + 1;
+  EXPECT_FALSE(DecodeChunk(chunk, &decoded).ok());
+  chunk.count = 0;
+  EXPECT_FALSE(DecodeChunk(chunk, &decoded).ok());
+}
+
+// The chunks file CRCs only the body, so the decoder cross-checks the
+// header fields it can: the point count against where the body ends,
+// and the round range against the decoded rounds.
+TEST(ChunkTest, DecodeRejectsHeaderThatDisagreesWithBody) {
+  std::vector<TracePoint> points;
+  for (uint64_t round = 10; round < 30; ++round) {
+    points.push_back(TracePoint{round, 0.25 * round, true});
+  }
+  const SealedChunk sealed = SealChunk(7, points);
+  std::vector<TracePoint> decoded;
+  ASSERT_TRUE(DecodeChunk(sealed, &decoded).ok());
+
+  const auto expect_rejected = [&](const SealedChunk& chunk,
+                                   const char* what) {
+    EXPECT_EQ(DecodeChunk(chunk, &decoded).code(), ErrorCode::kParseError)
+        << what;
+  };
+  for (const uint64_t count : {sealed.count - 1, sealed.count + 1}) {
+    SealedChunk chunk = sealed;
+    chunk.count = count;
+    expect_rejected(chunk, "count");
+  }
+  for (const uint64_t flip : {1ull, 8ull, 1ull << 40}) {
+    SealedChunk chunk = sealed;
+    chunk.first_round ^= flip;
+    expect_rejected(chunk, "first_round");
+    chunk = sealed;
+    chunk.last_round ^= flip;
+    expect_rejected(chunk, "last_round");
+  }
+  SealedChunk chunk = sealed;
+  chunk.body.push_back('\0');
+  expect_rejected(chunk, "trailing byte");
+  chunk = sealed;
+  chunk.body.back() = static_cast<char>(chunk.body.back() | 1);
+  expect_rejected(chunk, "non-zero padding");
 }
 
 }  // namespace

@@ -154,9 +154,11 @@ TEST(StorageCorruptionSoakTest, ChunkDecoderSurvivesFuzzBytes) {
     for (size_t i = 0; i < len; ++i) {
       bytes.push_back(static_cast<char>(rng()));
     }
-    const uint64_t count = rng.UniformInt(300);
+    SealedChunk chunk;
+    chunk.count = rng.UniformInt(300);
+    chunk.body = std::move(bytes);
     // Must return (ok or error), never fault.
-    (void)DecodeChunk(bytes, count, &decoded);
+    (void)DecodeChunk(chunk, &decoded);
   }
 }
 
@@ -172,15 +174,19 @@ TEST(StorageCorruptionSoakTest, ChunkDecoderSurvivesMutatedValidBodies) {
       points.push_back(
           TracePoint{round, rng.NextDouble() * 100.0, rng.UniformInt(4) != 0});
     }
-    std::string body = EncodeChunk(points);
+    SealedChunk chunk = SealChunk(0, points);
+    std::string& body = chunk.body;
     const size_t flips = 1 + rng.UniformInt(4);
     for (size_t i = 0; i < flips && !body.empty(); ++i) {
       body[rng.UniformInt(body.size())] ^=
           static_cast<char>(1u << rng.UniformInt(8));
     }
     // A flipped body may still decode (the flip can land in a value's
-    // meaningful bits) or fail; either way it must stay in bounds.
-    (void)DecodeChunk(body, points.size(), &decoded);
+    // meaningful bits) or fail; either way it must stay in bounds, and
+    // a decode that succeeds holds exactly the header's count.
+    if (DecodeChunk(chunk, &decoded).ok()) {
+      EXPECT_EQ(decoded.size(), points.size());
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/io.h"
 
 namespace avoc::storage {
 namespace {
@@ -161,6 +162,234 @@ TEST_F(StorageEngineTest, TraceSurvivesReopenAcrossSealBoundary) {
   for (size_t i = 0; i < 50; ++i) {
     EXPECT_EQ((*all)[i].round, points[i].round);
     EXPECT_EQ(Bits((*all)[i].value), Bits(points[i].value));
+  }
+}
+
+// Points [from, to) of a drifting trace, three rounds apart, every
+// fifth one not engaged.
+std::vector<TracePoint> DriftPoints(uint64_t from, uint64_t to) {
+  std::vector<TracePoint> points;
+  for (uint64_t i = from; i < to; ++i) {
+    points.push_back(TracePoint{3 * i + 1, 0.5 * i, i % 5 != 0});
+  }
+  return points;
+}
+
+// Offsets of the entries of a chunks file holding group "g" only.
+// Entry layout: magic, group name, base_index, count, first_round,
+// last_round (u64 each), body length and CRC (u32 each), body.
+std::vector<size_t> ChunkEntryOffsets(const std::string& chunks) {
+  std::string prefix = "AVCK";
+  AppendBytes(prefix, "g");
+  std::vector<size_t> offsets;
+  for (size_t pos = 0; pos < chunks.size();) {
+    offsets.push_back(pos);
+    ByteReader reader(
+        std::string_view(chunks).substr(pos + prefix.size() + 32));
+    auto body_len = reader.ReadU32();
+    if (!body_len.ok()) break;
+    pos += prefix.size() + 32 + 8 + *body_len;
+  }
+  return offsets;
+}
+constexpr size_t kEntryHeaderOffset = 4 + 4 + 1;  // magic, name length, "g"
+
+// Compares every 30-round window of group "g" below `max_round` with
+// `want`.  A window may instead fail with ParseError; returns how many
+// did.
+size_t CheckWindows(const StorageEngine& engine,
+                    const std::vector<TracePoint>& want, uint64_t max_round) {
+  size_t failed = 0;
+  for (uint64_t lo = 0; lo < max_round; lo += 20) {
+    const uint64_t hi = lo + 29;
+    auto got = engine.QueryTraceRange("g", lo, hi);
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), ErrorCode::kParseError);
+      ++failed;
+      continue;
+    }
+    std::vector<TracePoint> expected;
+    for (const TracePoint& point : want) {
+      if (point.round >= lo && point.round <= hi) expected.push_back(point);
+    }
+    EXPECT_EQ(got->size(), expected.size()) << "window " << lo;
+    if (got->size() != expected.size()) continue;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*got)[i].round, expected[i].round);
+      EXPECT_EQ((*got)[i].engaged, expected[i].engaged);
+      EXPECT_EQ(Bits((*got)[i].value), Bits(expected[i].value));
+    }
+  }
+  return failed;
+}
+
+// The chunks file CRCs each entry's body but not its header.  A flipped
+// header field must be caught: either reopen truncates the file (at that
+// entry, or at the next when a raised base_index still fits below the
+// snapshot's tail base) or a query over it fails with ParseError.
+// Without compaction the WAL then restores every truncated point; after
+// one the truncated chunks are lost, but nothing else may differ, and
+// the store must keep sealing, reopening and compacting cleanly.
+void CheckHeaderFlips(const std::string& dir, bool compacted) {
+  StorageEngineOptions options;
+  options.dir = dir;
+  options.chunk_max_points = 16;
+  const std::vector<TracePoint> points = DriftPoints(0, 100);  // 6 chunks
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->AppendTrace("g", points).ok());
+    ASSERT_EQ((*engine)->stats().sealed_chunks, 6u);
+    if (compacted) {
+      ASSERT_TRUE((*engine)->Compact().ok());
+    }
+  }
+  const std::string pristine = dir + "_pristine";
+  std::filesystem::remove_all(pristine);
+  std::filesystem::copy(dir, pristine);
+  auto chunks = ReadFileToString(dir + "/chunks");
+  ASSERT_TRUE(chunks.ok());
+  const std::vector<size_t> offsets = ChunkEntryOffsets(*chunks);
+  ASSERT_EQ(offsets.size(), 6u);
+  const std::vector<TracePoint> later = DriftPoints(100, 140);
+
+  const char* const kFields[] = {"base_index", "count", "first_round",
+                                 "last_round"};
+  for (const size_t entry : {size_t{0}, size_t{2}, size_t{5}}) {
+    for (size_t field = 0; field < 4; ++field) {
+      for (const unsigned bit : {0u, 3u, 40u}) {
+        SCOPED_TRACE(::testing::Message() << "entry " << entry << " "
+                                          << kFields[field] << " bit " << bit);
+        std::filesystem::remove_all(dir);
+        std::filesystem::copy(pristine, dir);
+        std::string mangled = *chunks;
+        mangled[offsets[entry] + kEntryHeaderOffset + 8 * field + bit / 8] ^=
+            static_cast<char>(1u << (bit % 8));
+        ASSERT_TRUE(WriteFileDurable(dir + "/chunks", mangled).ok());
+
+        std::vector<TracePoint> want;
+        {
+          auto engine = StorageEngine::Open(options);
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          const StorageStats stats = (*engine)->stats();
+          const size_t kept = compacted ? stats.sealed_chunks * 16 : 96;
+          EXPECT_TRUE(kept == 96 || stats.recovered_truncated_tail);
+          for (size_t i = 0; i < points.size(); ++i) {
+            if (i < kept || i >= 96) want.push_back(points[i]);
+          }
+          const size_t failed = CheckWindows(**engine, want, 320);
+          EXPECT_TRUE(stats.recovered_truncated_tail || failed > 0);
+          if (failed > 0) continue;
+          // 4 tail points + 40 more seal two chunks past the recovered run.
+          ASSERT_TRUE((*engine)->AppendTrace("g", later).ok());
+        }
+        want.insert(want.end(), later.begin(), later.end());
+        for (const bool compact : {false, true}) {
+          auto engine = StorageEngine::Open(options);
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          EXPECT_FALSE((*engine)->stats().recovered_truncated_tail);
+          EXPECT_EQ(CheckWindows(**engine, want, 440), 0u);
+          if (compact) {
+            ASSERT_TRUE((*engine)->Compact().ok());
+          }
+        }
+        auto engine = StorageEngine::Open(options);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        EXPECT_FALSE((*engine)->stats().recovered_truncated_tail);
+        EXPECT_EQ(CheckWindows(**engine, want, 440), 0u);
+      }
+    }
+  }
+  std::filesystem::remove_all(pristine);
+}
+
+TEST_F(StorageEngineTest, FlippedChunkHeaderFieldsNeverChangeAnswers) {
+  CheckHeaderFlips(dir_, /*compacted=*/false);
+}
+
+TEST_F(StorageEngineTest, FlippedChunkHeaderFieldsAfterCompaction) {
+  CheckHeaderFlips(dir_, /*compacted=*/true);
+}
+
+// A corrupt entry dropped after a compaction loses its points for good,
+// since the compaction retired their WAL.  The tail that follows must be
+// renumbered so that chunks sealed later still load at every reopen,
+// before and after the next compaction.
+TEST_F(StorageEngineTest, SealsAfterADroppedCompactedEntrySurviveReopen) {
+  auto options = Options();
+  options.chunk_max_points = 16;
+  const std::vector<TracePoint> points = DriftPoints(0, 100);
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->AppendTrace("g", points).ok());
+    ASSERT_TRUE((*engine)->Compact().ok());
+  }
+  auto chunks = ReadFileToString(dir_ + "/chunks");
+  ASSERT_TRUE(chunks.ok());
+  const std::vector<size_t> offsets = ChunkEntryOffsets(*chunks);
+  ASSERT_EQ(offsets.size(), 6u);
+  (*chunks)[offsets[3] - 1] ^= 0x10;  // last body byte of entry 2
+  ASSERT_TRUE(WriteFileDurable(dir_ + "/chunks", *chunks).ok());
+
+  std::vector<TracePoint> want(points.begin(), points.begin() + 32);
+  want.insert(want.end(), points.begin() + 96, points.end());
+  const std::vector<TracePoint> later = DriftPoints(100, 140);
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE((*engine)->stats().recovered_truncated_tail);
+    EXPECT_EQ((*engine)->stats().sealed_chunks, 2u);
+    EXPECT_EQ(CheckWindows(**engine, want, 320), 0u);
+    ASSERT_TRUE((*engine)->AppendTrace("g", later).ok());
+    EXPECT_EQ((*engine)->stats().sealed_chunks, 4u);
+  }
+  want.insert(want.end(), later.begin(), later.end());
+  for (int reopen = 0; reopen < 3; ++reopen) {
+    SCOPED_TRACE(::testing::Message() << "reopen " << reopen);
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_FALSE((*engine)->stats().recovered_truncated_tail);
+    EXPECT_EQ((*engine)->stats().sealed_chunks, 4u);
+    EXPECT_EQ(CheckWindows(**engine, want, 440), 0u);
+    ASSERT_TRUE((*engine)->Compact().ok());
+  }
+}
+
+// A sealed run may skip ahead below the snapshot's tail base: a store
+// whose gap was never renumbered must still load every entry.
+TEST_F(StorageEngineTest, SealedRunMaySkipAheadBelowTheSnapshotBase) {
+  auto options = Options();
+  options.chunk_max_points = 16;
+  const std::vector<TracePoint> points = DriftPoints(0, 200);  // 12 chunks
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->AppendTrace("g", points).ok());
+    ASSERT_TRUE((*engine)->Compact().ok());
+  }
+  auto chunks = ReadFileToString(dir_ + "/chunks");
+  ASSERT_TRUE(chunks.ok());
+  const std::vector<size_t> offsets = ChunkEntryOffsets(*chunks);
+  ASSERT_EQ(offsets.size(), 12u);
+  std::string gapped = chunks->substr(0, offsets[5]);  // cut entries 5..9
+  gapped.append(chunks->substr(offsets[10]));
+  ASSERT_TRUE(WriteFileDurable(dir_ + "/chunks", gapped).ok());
+
+  std::vector<TracePoint> want(points.begin(), points.begin() + 80);
+  want.insert(want.end(), points.begin() + 160, points.end());
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    SCOPED_TRACE(::testing::Message() << "reopen " << reopen);
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_FALSE((*engine)->stats().recovered_truncated_tail);
+    EXPECT_EQ((*engine)->stats().sealed_chunks, 7u + reopen);
+    EXPECT_EQ(CheckWindows(**engine, want, 640), 0u);
+    if (reopen == 0) {
+      const std::vector<TracePoint> later = DriftPoints(200, 220);
+      ASSERT_TRUE((*engine)->AppendTrace("g", later).ok());
+      want.insert(want.end(), later.begin(), later.end());
+    }
   }
 }
 
