@@ -5,7 +5,7 @@
 // SUBMIT_BATCH frame and the server votes completed rounds in one
 // columnar engine pass.  Three modes over the identical loopback
 // workload (R rounds x M modules into one AVOC group):
-//   legacy-line       one SUBMIT line + OK line per reading
+//   legacy-line       one raw SUBMIT line + OK line per reading
 //   binary-batched    SUBMIT_BATCH frames of --batch readings, one
 //                     round trip per frame
 //   binary-pipelined  same frames, --depth of them in flight
@@ -24,12 +24,14 @@
 #include "runtime/framing.h"
 #include "runtime/remote.h"
 #include "util/cli.h"
+#include "util/strings.h"
 
 namespace {
 
 using avoc::runtime::BatchReading;
 using avoc::runtime::RemoteVoterClient;
 using avoc::runtime::RemoteVoterServer;
+using avoc::runtime::TcpConnection;
 using avoc::runtime::VoterGroupManager;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -93,15 +95,17 @@ std::vector<BatchReading> MakeReadings(size_t rounds, size_t modules) {
 
 /// -1.0 on failure; otherwise elapsed seconds for the submit phase.
 double RunLegacy(uint16_t port, std::span<const BatchReading> readings) {
-  auto client = RemoteVoterClient::Connect("127.0.0.1", port);
-  if (!client.ok()) return -1.0;
+  auto connection = TcpConnection::Connect("127.0.0.1", port);
+  if (!connection.ok()) return -1.0;
   const auto start = std::chrono::steady_clock::now();
   for (const BatchReading& reading : readings) {
-    if (!client
-             ->Submit("bench", reading.module, reading.round, reading.value)
-             .ok()) {
-      return -1.0;
-    }
+    const std::string line = avoc::StrFormat(
+        "SUBMIT bench %llu %llu %.17g",
+        static_cast<unsigned long long>(reading.module),
+        static_cast<unsigned long long>(reading.round), reading.value);
+    if (!connection->SendLine(line).ok()) return -1.0;
+    auto reply = connection->ReceiveLine();
+    if (!reply.ok() || *reply != "OK") return -1.0;
   }
   return SecondsSince(start);
 }

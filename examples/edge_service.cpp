@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   for (const char* group : {"hall-lights", "lab-lights"}) {
     for (size_t m = 0; m < 5; ++m) {
       feeders.emplace_back([&, group, m] {
-        auto client = avoc::runtime::RemoteVoterClient::Connect(
+        auto client = avoc::runtime::RemoteVoterClient::ConnectBinary(
             "127.0.0.1", (*server)->port());
         if (!client.ok()) return;
         avoc::Rng rng(1000 + m * 7 +
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   for (std::thread& feeder : feeders) feeder.join();
 
   // Dashboard: poll the fused values over the wire.
-  auto dashboard = avoc::runtime::RemoteVoterClient::Connect(
+  auto dashboard = avoc::runtime::RemoteVoterClient::ConnectBinary(
       "127.0.0.1", (*server)->port());
   if (!dashboard.ok()) {
     std::fprintf(stderr, "%s\n", dashboard.status().ToString().c_str());

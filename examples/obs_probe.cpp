@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto client = avoc::runtime::RemoteVoterClient::Connect(
+  auto client = avoc::runtime::RemoteVoterClient::ConnectBinary(
       "127.0.0.1", (*server)->port());
   if (!client.ok()) {
     std::fprintf(stderr, "obs_probe: connect: %s\n",

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "runtime/migration.h"
 #include "util/strings.h"
 
 namespace avoc::runtime {
@@ -511,6 +512,104 @@ Status DecodeMoved(std::string_view payload, uint64_t* node,
   AVOC_ASSIGN_OR_RETURN(const std::string_view addr, reader.ReadString());
   address->assign(addr);
   return reader.ExpectEnd();
+}
+
+Result<Frame> ParseRequestLine(std::string_view line) {
+  std::vector<std::string> tokens;
+  for (std::string& token : SplitString(TrimWhitespace(line), ' ')) {
+    if (!token.empty()) tokens.push_back(std::move(token));
+  }
+  if (tokens.empty()) return InvalidArgumentError("empty request");
+  const std::string& verb = tokens[0];
+  if (verb == "SUBMIT") {
+    if (tokens.size() != 5) {
+      return InvalidArgumentError("SUBMIT needs group module round value");
+    }
+    auto module = ParseInt(tokens[2]);
+    auto round = ParseInt(tokens[3]);
+    auto value = ParseDouble(tokens[4]);
+    if (!module.ok() || *module < 0) {
+      return InvalidArgumentError("bad module index");
+    }
+    if (!round.ok() || *round < 0) {
+      return InvalidArgumentError("bad round number");
+    }
+    if (!value.ok()) return InvalidArgumentError("bad value");
+    const BatchReading reading{static_cast<uint64_t>(*module),
+                               static_cast<uint64_t>(*round), *value};
+    return Frame{FrameType::kSubmitBatch,
+                 EncodeSubmitBatch(tokens[1], {&reading, 1})};
+  }
+  if (verb == "CLOSE") {
+    if (tokens.size() != 3) return InvalidArgumentError("CLOSE needs group round");
+    auto round = ParseInt(tokens[2]);
+    if (!round.ok() || *round < 0) {
+      return InvalidArgumentError("bad round number");
+    }
+    return Frame{FrameType::kClose,
+                 EncodeClose(tokens[1], static_cast<uint64_t>(*round))};
+  }
+  if (verb == "QUERY") {
+    if (tokens.size() != 2) return InvalidArgumentError("QUERY needs group");
+    return Frame{FrameType::kQuery, EncodeQuery(tokens[1])};
+  }
+  // Payload-less verbs ignore trailing tokens.
+  for (const FrameType type : {FrameType::kGroups, FrameType::kMetrics,
+                               FrameType::kHealth, FrameType::kPing,
+                               FrameType::kQuit}) {
+    if (verb == FrameTypeName(type)) return Frame{type, {}};
+  }
+  return InvalidArgumentError("unknown verb '" + verb + "'");
+}
+
+std::string RenderLineReply(const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kOk: {
+      uint64_t accepted = 0;
+      if (!DecodeOk(frame.payload, &accepted).ok()) break;
+      // A line SUBMIT carries one reading: OK means it was accepted.
+      return accepted >= 1 ? "OK" : "ERR reading not accepted";
+    }
+    case FrameType::kError: {
+      std::string reason;
+      if (!DecodeError(frame.payload, &reason).ok()) break;
+      return "ERR " + reason;
+    }
+    case FrameType::kValue: {
+      double value = 0.0;
+      if (!DecodeValue(frame.payload, &value).ok()) break;
+      return StrFormat("VALUE %.17g", value);
+    }
+    case FrameType::kNone:
+    case FrameType::kPong:
+    case FrameType::kBye:
+      return std::string(FrameTypeName(frame.type));
+    case FrameType::kGroupList: {
+      std::vector<std::string> groups;
+      if (!DecodeGroupList(frame.payload, &groups).ok()) break;
+      std::string line = StrFormat("GROUPS %zu", groups.size());
+      for (const std::string& group : groups) line += " " + group;
+      return line;
+    }
+    case FrameType::kText: {
+      // Multi-line reply: the text's own '\n'-terminated lines, then the
+      // END sentinel.
+      std::string text;
+      if (!DecodeText(frame.payload, &text).ok()) break;
+      return text + "END";
+    }
+    case FrameType::kMoved: {
+      uint64_t node = 0;
+      std::string address;
+      if (!DecodeMoved(frame.payload, &node, &address).ok()) break;
+      return "ERR " + MovedError(node, address).ToString();
+    }
+    default:
+      break;
+  }
+  const std::string_view name = FrameTypeName(frame.type);
+  return StrFormat("ERR unrenderable %.*s reply", static_cast<int>(name.size()),
+                   name.data());
 }
 
 }  // namespace avoc::runtime

@@ -326,4 +326,31 @@ std::string EncodeMoved(uint64_t node, std::string_view address);
 Status DecodeMoved(std::string_view payload, uint64_t* node,
                    std::string* address);
 
+// --- line codec ----------------------------------------------------------------
+
+/// The line protocol is a text spelling of eight frame verbs.  Translates
+/// one request line (newline already stripped) into the frame a binary
+/// client would send for it:
+///
+///   SUBMIT <group> <module> <round> <value>  -> SUBMIT_BATCH of one reading
+///   CLOSE <group> <round>                    -> CLOSE
+///   QUERY <group>                            -> QUERY
+///   GROUPS | METRICS | HEALTH | PING | QUIT  -> the payload-less frame
+///
+/// A malformed line fails with InvalidArgument whose message is the reply
+/// reason ("empty request", "bad module index", "unknown verb 'X'", ...).
+Result<Frame> ParseRequestLine(std::string_view line);
+
+/// The line-protocol text of one reply frame, without its newline:
+///
+///   OK, accepted >= 1  -> OK
+///   OK, accepted 0     -> ERR reading not accepted
+///   ERR                -> ERR <reason>
+///   VALUE              -> VALUE <%.17g>
+///   NONE | PONG | BYE  -> NONE | PONG | BYE
+///   GROUP_LIST         -> GROUPS <n> <group>...
+///   TEXT               -> the text, then END
+///   MOVED              -> ERR + the MovedError status text
+std::string RenderLineReply(const Frame& frame);
+
 }  // namespace avoc::runtime

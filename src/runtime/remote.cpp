@@ -79,20 +79,28 @@ std::string PeekFrameGroup(const Frame& frame) {
   }
 }
 
-/// The (verb, group) of a legacy line; group is "" for group-less verbs.
-std::pair<std::string, std::string> PeekLegacyLine(const std::string& line) {
-  std::vector<std::string> tokens;
-  for (const std::string& token : SplitString(TrimWhitespace(line), ' ')) {
-    if (!token.empty()) tokens.push_back(token);
-    if (tokens.size() == 2) break;
+/// Wire readings in the manager's ingest form.
+std::vector<ReadingMessage> ToMessages(std::span<const BatchReading> readings) {
+  std::vector<ReadingMessage> messages;
+  messages.reserve(readings.size());
+  for (const BatchReading& reading : readings) {
+    messages.push_back(ReadingMessage{static_cast<size_t>(reading.module),
+                                      static_cast<size_t>(reading.round),
+                                      reading.value});
   }
-  if (tokens.empty()) return {};
-  const std::string& verb = tokens[0];
-  if (tokens.size() == 2 &&
-      (verb == "SUBMIT" || verb == "CLOSE" || verb == "QUERY")) {
-    return {verb, tokens[1]};
-  }
-  return {verb, std::string()};
+  return messages;
+}
+
+/// An encoded reply frame as its line-protocol text (newline included):
+/// the reply encoder of line connections.
+std::string LineReply(std::string_view encoded) {
+  FrameDecoder decoder;
+  decoder.Feed(encoded);
+  auto frame = decoder.Next();
+  std::string line =
+      frame.ok() ? RenderLineReply(*frame) : "ERR malformed reply frame";
+  line.push_back('\n');
+  return line;
 }
 
 }  // namespace
@@ -423,7 +431,7 @@ void RemoteVoterServer::ProcessInput(int fd) {
   if (c.mode == Connection::Mode::kDetecting) {
     if (c.inbuf.empty()) return;
     if (static_cast<uint8_t>(c.inbuf[0]) != kBinaryMagic[0]) {
-      c.mode = Connection::Mode::kLegacy;
+      c.mode = Connection::Mode::kLine;
     } else {
       if (c.inbuf.size() < 2) return;  // wait for the second magic byte
       if (static_cast<uint8_t>(c.inbuf[1]) != kBinaryMagic[1]) {
@@ -441,11 +449,7 @@ void RemoteVoterServer::ProcessInput(int fd) {
       c.inbuf.shrink_to_fit();
     }
   }
-  if (c.mode == Connection::Mode::kLegacy) {
-    ProcessLegacyLines(fd);
-  } else {
-    ProcessBinaryFrames(fd);
-  }
+  ProcessRequests(fd);
   UpdateInterest(fd);
 }
 
@@ -453,86 +457,37 @@ bool RemoteVoterServer::OverHighWater(const Connection& c) const {
   return c.outbuf.size() - c.out_pos > options_.write_high_water_bytes;
 }
 
-void RemoteVoterServer::ProcessLegacyLines(int fd) {
-  auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  Connection& c = *it->second;
-  size_t start = 0;
-  while (!c.want_close) {
-    const size_t newline = c.inbuf.find('\n', start);
-    if (newline == std::string::npos) break;
-    std::string line = c.inbuf.substr(start, newline - start);
-    start = newline + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (IsLinked()) {
-      const auto [verb, group] = PeekLegacyLine(line);
-      if (verb == "HEALTH") {
-        ++requests_;
-        StartHealthFanout(fd, c, /*binary=*/false);
-        continue;
-      }
-      if (!group.empty()) {
-        const size_t owner = router_.ShardFor(group);
-        if (!c.pinned) {
-          // First group-addressed request decides the connection's home
-          // shard: move the whole connection to the owner (shared-nothing
-          // from here on) instead of forwarding forever.
-          c.pinned = true;
-          if (owner != link_.index) {
-            c.inbuf.erase(0, start);
-            MigrateConnection(fd, owner, std::nullopt, std::move(line));
-            return;
-          }
-        } else if (owner != link_.index) {
-          ++requests_;
-          if (OverHighWater(c)) {
-            backpressure_.fetch_add(1);
-            if (backpressure_counter_ != nullptr) {
-              backpressure_counter_->Increment();
-            }
-            DeliverResponse(c, "ERR busy\n");
-            continue;
-          }
-          ForwardLine(fd, c, owner, std::move(line));
-          continue;
-        }
-      }
-    }
-    ExecuteLineLocally(c, line);
+Result<Frame> RemoteVoterServer::NextRequest(Connection& c) {
+  if (c.mode == Connection::Mode::kBinary) return c.decoder.Next();
+  const size_t newline = c.inbuf.find('\n', c.line_pos);
+  if (newline == std::string::npos) {
+    c.inbuf.erase(0, c.line_pos);
+    c.line_pos = 0;
+    return NotFoundError("need more bytes");
   }
-  c.inbuf.erase(0, start);
+  std::string_view line =
+      std::string_view(c.inbuf).substr(c.line_pos, newline - c.line_pos);
+  c.line_pos = newline + 1;
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return ParseRequestLine(line);
 }
 
-void RemoteVoterServer::ExecuteLineLocally(Connection& c,
-                                           const std::string& line) {
-  ++requests_;
-  std::string response;
-  if (OverHighWater(c)) {
-    backpressure_.fetch_add(1);
-    if (backpressure_counter_ != nullptr) {
-      backpressure_counter_->Increment();
-    }
-    response = "ERR busy";
-  } else {
-    const uint64_t begin = NowNanos();
-    response = Handle(line);
-    if (request_latency_ != nullptr) {
-      request_latency_->Record(NowNanos() - begin);
-    }
-  }
-  if (response == "BYE") c.want_close = true;
-  response.push_back('\n');
-  DeliverResponse(c, std::move(response));
-}
-
-void RemoteVoterServer::ProcessBinaryFrames(int fd) {
+void RemoteVoterServer::ProcessRequests(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   Connection& c = *it->second;
   while (!c.want_close) {
-    auto frame = c.decoder.Next();
+    auto frame = NextRequest(c);
     if (!frame.ok()) {
       if (frame.status().code() == ErrorCode::kNotFound) break;
+      if (c.mode == Connection::Mode::kLine) {
+        // A malformed line costs only its own reply: line boundaries
+        // survive, so the connection carries on.
+        ++requests_;
+        DeliverResponse(c, EncodeFrame(FrameType::kError,
+                                       EncodeError(frame.status().message())));
+        continue;
+      }
       // Protocol violation: boundaries are lost, report and hang up.
       if (tracer_ != nullptr) {
         tracer_->Event("server.poisoned_frame", frame.status().message());
@@ -547,7 +502,7 @@ void RemoteVoterServer::ProcessBinaryFrames(int fd) {
       if (frame->type == FrameType::kHealth) {
         ++requests_;
         if (frames_in_ != nullptr) frames_in_->Increment();
-        StartHealthFanout(fd, c, /*binary=*/true);
+        StartHealthFanout(fd, c);
         continue;
       }
       const std::string group = PeekFrameGroup(*frame);
@@ -558,7 +513,7 @@ void RemoteVoterServer::ProcessBinaryFrames(int fd) {
           // the whole connection there (shared-nothing from here on).
           c.pinned = true;
           if (owner != link_.index) {
-            MigrateConnection(fd, owner, std::move(*frame), std::nullopt);
+            MigrateConnection(fd, owner, std::move(*frame));
             return;
           }
         } else if (owner != link_.index) {
@@ -615,6 +570,9 @@ void RemoteVoterServer::ExecuteFrameLocally(Connection& c, const Frame& frame,
 }
 
 void RemoteVoterServer::QueueResponse(Connection& c, std::string bytes) {
+  // Every reply reaches the socket through here, so this is the one
+  // place a line connection's reply frames become line text.
+  if (c.mode == Connection::Mode::kLine) bytes = LineReply(bytes);
   if (c.outbuf.empty()) {
     c.outbuf = std::move(bytes);
     c.out_pos = 0;
@@ -751,27 +709,7 @@ void RemoteVoterServer::ForwardFrame(int fd, Connection& c, size_t owner,
       });
 }
 
-void RemoteVoterServer::ForwardLine(int fd, Connection& c, size_t owner,
-                                    std::string line) {
-  forwarded_.fetch_add(1);
-  if (forwarded_counter_ != nullptr) forwarded_counter_->Increment();
-  const uint64_t slot = AllocatePendingSlot(c);
-  RemoteVoterServer* peer = link_.peers[owner];
-  link_.reactors[owner]->Post(
-      [peer, line = std::move(line), origin = this, origin_reactor = loop_,
-       fd, conn_id = c.id, slot]() mutable {
-        std::string response = peer->Handle(line);
-        response.push_back('\n');
-        origin_reactor->Post([origin, fd, conn_id, slot,
-                              response = std::move(response)]() mutable {
-          origin->CompleteReply(fd, conn_id, slot, std::move(response));
-        });
-      });
-}
-
-void RemoteVoterServer::MigrateConnection(int fd, size_t owner,
-                                          std::optional<Frame> frame,
-                                          std::optional<std::string> line) {
+void RemoteVoterServer::MigrateConnection(int fd, size_t owner, Frame frame) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   std::shared_ptr<Connection> c = std::move(it->second);
@@ -792,15 +730,13 @@ void RemoteVoterServer::MigrateConnection(int fd, size_t owner,
   }
   RemoteVoterServer* peer = link_.peers[owner];
   link_.reactors[owner]->Post(
-      [peer, c = std::move(c), frame = std::move(frame),
-       line = std::move(line)]() mutable {
-        peer->AdoptMigrated(std::move(c), std::move(frame), std::move(line));
+      [peer, c = std::move(c), frame = std::move(frame)]() mutable {
+        peer->AdoptMigrated(std::move(c), std::move(frame));
       });
 }
 
 void RemoteVoterServer::AdoptMigrated(std::shared_ptr<Connection> c,
-                                      std::optional<Frame> frame,
-                                      std::optional<std::string> line) {
+                                      Frame frame) {
   if (crashed_ || !running_.load() || loop_->stopped()) {
     c->conn->Close();
     return;
@@ -827,8 +763,7 @@ void RemoteVoterServer::AdoptMigrated(std::shared_ptr<Connection> c,
   Connection& conn = *slot->second;
   // The request that triggered the migration executes here first, then
   // whatever else the client already pipelined into the buffers.
-  if (frame.has_value()) ExecuteFrameLocally(conn, *frame, "migrated");
-  if (line.has_value()) ExecuteLineLocally(conn, *line);
+  ExecuteFrameLocally(conn, frame, "migrated");
   ProcessInput(fd);
   if (connections_.find(fd) != connections_.end()) {
     UpdateInterest(fd);
@@ -836,7 +771,7 @@ void RemoteVoterServer::AdoptMigrated(std::shared_ptr<Connection> c,
   }
 }
 
-void RemoteVoterServer::StartHealthFanout(int fd, Connection& c, bool binary) {
+void RemoteVoterServer::StartHealthFanout(int fd, Connection& c) {
   // Scatter-gather: every shard reports its own groups on its own loop;
   // parts assemble on this loop when the last one lands.  The aggregate
   // is only ever touched from the origin loop thread.
@@ -852,20 +787,18 @@ void RemoteVoterServer::StartHealthFanout(int fd, Connection& c, bool binary) {
     RemoteVoterServer* peer = link_.peers[shard];
     link_.reactors[shard]->Post(
         [peer, shard, aggregate, origin = this, origin_reactor = loop_, fd,
-         conn_id = c.id, slot, binary,
-         total = link_.all_groups.size()]() {
+         conn_id = c.id, slot, total = link_.all_groups.size()]() {
           std::string part = peer->LocalHealthLines();
           origin_reactor->Post([aggregate, shard, part = std::move(part),
-                                origin, fd, conn_id, slot, binary,
+                                origin, fd, conn_id, slot,
                                 total]() mutable {
             aggregate->parts[shard] = std::move(part);
             if (--aggregate->remaining > 0) return;
             std::string body = StrFormat("HEALTH %zu\n", total);
             for (const std::string& p : aggregate->parts) body += p;
-            std::string response =
-                binary ? EncodeFrame(FrameType::kText, EncodeText(body))
-                       : body + "END\n";
-            origin->CompleteReply(fd, conn_id, slot, std::move(response));
+            origin->CompleteReply(
+                fd, conn_id, slot,
+                EncodeFrame(FrameType::kText, EncodeText(body)));
           });
         });
   }
@@ -1321,14 +1254,7 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
           tracer_, obs::SpanKind::kServer, "server.submit_batch",
           ParentOf(trace), StrFormat("group=%s route=%s%s", group.c_str(),
                                      route, node_suffix_.c_str()));
-      std::vector<ReadingMessage> messages;
-      messages.reserve(readings.size());
-      for (const BatchReading& reading : readings) {
-        messages.push_back(ReadingMessage{
-            static_cast<size_t>(reading.module),
-            static_cast<size_t>(reading.round), reading.value});
-      }
-      auto stats = manager_->SubmitBatch(group, messages);
+      auto stats = manager_->SubmitBatch(group, ToMessages(readings));
       if (!stats.ok()) return error(stats.status());
       return EncodeFrame(FrameType::kOk, EncodeOk(stats->accepted));
     }
@@ -1363,14 +1289,7 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
                       group.c_str(), route,
                       static_cast<unsigned long long>(seq),
                       node_suffix_.c_str());
-      std::vector<ReadingMessage> messages;
-      messages.reserve(readings.size());
-      for (const BatchReading& reading : readings) {
-        messages.push_back(ReadingMessage{
-            static_cast<size_t>(reading.module),
-            static_cast<size_t>(reading.round), reading.value});
-      }
-      auto stats = manager_->SubmitBatch(group, messages);
+      auto stats = manager_->SubmitBatch(group, ToMessages(readings));
       if (!stats.ok()) return error(stats.status());
       dedup.acks[seq] = ClientDedup::AckEntry{stats->accepted, group};
       dedup.max_seq = std::max(dedup.max_seq, seq);
@@ -1514,119 +1433,29 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
   }
 }
 
-std::string RemoteVoterServer::Handle(const std::string& line) {
-  std::vector<std::string> tokens;
-  for (const std::string& token : SplitString(TrimWhitespace(line), ' ')) {
-    if (!token.empty()) tokens.push_back(token);
-  }
-  if (tokens.empty()) return "ERR empty request";
-  const std::string& verb = tokens[0];
-
-  if (verb == "PING") return "PONG";
-  if (verb == "QUIT") return "BYE";
-
-  if (verb == "METRICS") {
-    obs::Registry* registry = manager_->registry();
-    if (registry == nullptr) {
-      return "ERR metrics disabled (manager has no registry)";
-    }
-    // Multi-line response: the exposition's own '\n'-terminated lines,
-    // then the END sentinel (the queued line adds its newline).
-    return registry->RenderPrometheus() + "END";
-  }
-
-  if (verb == "HEALTH") return HealthText() + "END";
-
-  if (verb == "GROUPS") {
-    const auto names = IsLinked() ? link_.all_groups : manager_->GroupNames();
-    std::string response = StrFormat("GROUPS %zu", names.size());
-    for (const std::string& name : names) {
-      response += " " + name;
-    }
-    return response;
-  }
-
-  if (verb == "SUBMIT") {
-    if (tokens.size() != 5) return "ERR SUBMIT needs group module round value";
-    auto module = ParseInt(tokens[2]);
-    auto round = ParseInt(tokens[3]);
-    auto value = ParseDouble(tokens[4]);
-    if (!module.ok() || *module < 0) return "ERR bad module index";
-    if (!round.ok() || *round < 0) return "ERR bad round number";
-    if (!value.ok()) return "ERR bad value";
-    const Status status =
-        manager_->Submit(tokens[1], static_cast<size_t>(*module),
-                         static_cast<size_t>(*round), *value);
-    return status.ok() ? "OK" : "ERR " + status.ToString();
-  }
-
-  if (verb == "CLOSE") {
-    if (tokens.size() != 3) return "ERR CLOSE needs group round";
-    auto round = ParseInt(tokens[2]);
-    if (!round.ok() || *round < 0) return "ERR bad round number";
-    const Status status =
-        manager_->CloseRound(tokens[1], static_cast<size_t>(*round));
-    return status.ok() ? "OK" : "ERR " + status.ToString();
-  }
-
-  if (verb == "QUERY") {
-    if (tokens.size() != 2) return "ERR QUERY needs group";
-    auto sink = manager_->sink(tokens[1]);
-    if (!sink.ok()) return "ERR " + sink.status().ToString();
-    const auto value = (*sink)->last_value();
-    if (!value.has_value()) return "NONE";
-    return StrFormat("VALUE %.17g", *value);
-  }
-
-  return "ERR unknown verb '" + verb + "'";
-}
-
 // --- client ------------------------------------------------------------------
-
-Result<RemoteVoterClient> RemoteVoterClient::Connect(const std::string& host,
-                                                     uint16_t port) {
-  AVOC_ASSIGN_OR_RETURN(TcpConnection connection,
-                        TcpConnection::Connect(host, port));
-  return FromTransport(std::make_unique<TcpConnection>(std::move(connection)),
-                       /*binary=*/false);
-}
 
 Result<RemoteVoterClient> RemoteVoterClient::ConnectBinary(
     const std::string& host, uint16_t port) {
   AVOC_ASSIGN_OR_RETURN(TcpConnection connection,
                         TcpConnection::Connect(host, port));
-  return FromTransport(std::make_unique<TcpConnection>(std::move(connection)),
-                       /*binary=*/true);
+  return FromTransport(std::make_unique<TcpConnection>(std::move(connection)));
 }
 
 Result<RemoteVoterClient> RemoteVoterClient::FromTransport(
-    std::unique_ptr<Transport> transport, bool binary) {
+    std::unique_ptr<Transport> transport) {
   if (transport == nullptr || !transport->valid()) {
     return InvalidArgumentError("client needs a connected transport");
   }
-  if (binary) {
-    const char preamble[2] = {static_cast<char>(kBinaryMagic[0]),
-                              static_cast<char>(kBinaryMagic[1])};
-    AVOC_RETURN_IF_ERROR(
-        transport->SendAll(std::string_view(preamble, sizeof(preamble))));
-  }
-  return RemoteVoterClient(std::move(transport),
-                           binary ? Mode::kBinary : Mode::kLegacy);
+  const char preamble[2] = {static_cast<char>(kBinaryMagic[0]),
+                            static_cast<char>(kBinaryMagic[1])};
+  AVOC_RETURN_IF_ERROR(
+      transport->SendAll(std::string_view(preamble, sizeof(preamble))));
+  return RemoteVoterClient(std::move(transport));
 }
 
 Status RemoteVoterClient::SetRequestTimeoutMs(int timeout_ms) {
   return connection_->SetReceiveTimeoutMs(timeout_ms);
-}
-
-Result<std::string> RemoteVoterClient::RoundTrip(const std::string& line) {
-  AVOC_RETURN_IF_ERROR(connection_->SendLine(line));
-  AVOC_ASSIGN_OR_RETURN(std::string response, connection_->ReceiveLine());
-  if (StartsWith(response, "ERR ")) {
-    // The server answered: an application error, not a transport fault
-    // (retry layers must not re-dial on it).
-    return FailedPreconditionError("server: " + response.substr(4));
-  }
-  return response;
 }
 
 Result<Frame> RemoteVoterClient::ReadFrame() {
@@ -1641,7 +1470,7 @@ Result<Frame> RemoteVoterClient::ReadFrame() {
   }
 }
 
-Result<Frame> RemoteVoterClient::CheckFrame(Frame frame) {
+Result<Frame> RemoteVoterClient::CheckFrame(Frame frame, FrameType expected) {
   if (frame.type == FrameType::kMoved) {
     uint64_t node = 0;
     std::string address;
@@ -1661,34 +1490,38 @@ Result<Frame> RemoteVoterClient::CheckFrame(Frame frame) {
     // Application error: the transport is healthy, the server said no.
     return FailedPreconditionError("server: " + reason);
   }
+  if (frame.type != expected) {
+    const std::string_view got = FrameTypeName(frame.type);
+    const std::string_view want = FrameTypeName(expected);
+    return IoError(StrFormat("unexpected %.*s frame, expected %.*s",
+                             static_cast<int>(got.size()), got.data(),
+                             static_cast<int>(want.size()), want.data()));
+  }
   return frame;
 }
 
 Result<Frame> RemoteVoterClient::FrameRoundTrip(FrameType type,
-                                                std::string_view payload) {
-  if (mode_ != Mode::kBinary) {
-    return FailedPreconditionError(
-        "frame round trip needs a binary connection (ConnectBinary)");
-  }
+                                                std::string_view payload,
+                                                FrameType expected) {
   AVOC_RETURN_IF_ERROR(connection_->SendAll(EncodeFrame(type, payload)));
   AVOC_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
-  return CheckFrame(std::move(frame));
+  return CheckFrame(std::move(frame), expected);
+}
+
+Result<std::string> RemoteVoterClient::TextRoundTrip(FrameType type) {
+  AVOC_ASSIGN_OR_RETURN(const Frame frame,
+                        FrameRoundTrip(type, {}, FrameType::kText));
+  std::string text;
+  AVOC_RETURN_IF_ERROR(DecodeText(frame.payload, &text));
+  return text;
 }
 
 Status RemoteVoterClient::Submit(const std::string& group, size_t module,
                                  size_t round, double value) {
-  if (mode_ == Mode::kBinary) {
-    const BatchReading reading{module, round, value};
-    AVOC_ASSIGN_OR_RETURN(const uint64_t accepted,
-                          SubmitBatch(group, {&reading, 1}));
-    if (accepted != 1) return IoError("reading not accepted");
-    return Status::Ok();
-  }
-  AVOC_ASSIGN_OR_RETURN(
-      const std::string response,
-      RoundTrip(StrFormat("SUBMIT %s %zu %zu %.17g", group.c_str(), module,
-                          round, value)));
-  if (response != "OK") return IoError("unexpected response: " + response);
+  const BatchReading reading{module, round, value};
+  AVOC_ASSIGN_OR_RETURN(const uint64_t accepted,
+                        SubmitBatch(group, {&reading, 1}));
+  if (accepted != 1) return IoError("reading not accepted");
   return Status::Ok();
 }
 
@@ -1701,19 +1534,12 @@ Result<uint64_t> RemoteVoterClient::SubmitBatch(
 Result<uint64_t> RemoteVoterClient::SubmitBatchSeq(
     std::string_view client_id, uint64_t seq, const std::string& group,
     std::span<const BatchReading> readings, const WireTraceContext* trace) {
-  if (mode_ != Mode::kBinary) {
-    return FailedPreconditionError(
-        "SubmitBatchSeq needs a binary connection (ConnectBinary)");
-  }
   AVOC_ASSIGN_OR_RETURN(
       const Frame frame,
       FrameRoundTrip(
           FrameType::kSubmitBatchSeq,
-          EncodeSubmitBatchSeq(client_id, seq, group, readings, trace)));
-  if (frame.type != FrameType::kOk) {
-    return IoError(StrFormat("unexpected frame %s",
-                             std::string(FrameTypeName(frame.type)).c_str()));
-  }
+          EncodeSubmitBatchSeq(client_id, seq, group, readings, trace),
+          FrameType::kOk));
   uint64_t accepted = 0;
   AVOC_RETURN_IF_ERROR(DecodeOk(frame.payload, &accepted));
   return accepted;
@@ -1721,10 +1547,6 @@ Result<uint64_t> RemoteVoterClient::SubmitBatchSeq(
 
 Status RemoteVoterClient::PipelineSubmitBatch(
     const std::string& group, std::span<const BatchReading> readings) {
-  if (mode_ != Mode::kBinary) {
-    return FailedPreconditionError(
-        "SubmitBatch needs a binary connection (ConnectBinary)");
-  }
   AVOC_RETURN_IF_ERROR(connection_->SendAll(EncodeFrame(
       FrameType::kSubmitBatch, EncodeSubmitBatch(group, readings))));
   ++pending_submits_;
@@ -1737,84 +1559,45 @@ Result<uint64_t> RemoteVoterClient::AwaitSubmitBatch() {
   }
   --pending_submits_;
   AVOC_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
-  AVOC_ASSIGN_OR_RETURN(frame, CheckFrame(std::move(frame)));
-  if (frame.type != FrameType::kOk) {
-    return IoError(StrFormat("unexpected frame %s",
-                             std::string(FrameTypeName(frame.type)).c_str()));
-  }
+  AVOC_ASSIGN_OR_RETURN(frame, CheckFrame(std::move(frame), FrameType::kOk));
   uint64_t accepted = 0;
   AVOC_RETURN_IF_ERROR(DecodeOk(frame.payload, &accepted));
   return accepted;
 }
 
 Status RemoteVoterClient::CloseRound(const std::string& group, size_t round) {
-  if (mode_ == Mode::kBinary) {
-    AVOC_ASSIGN_OR_RETURN(
-        const Frame frame,
-        FrameRoundTrip(FrameType::kClose, EncodeClose(group, round)));
-    if (frame.type != FrameType::kOk) {
-      return IoError("unexpected frame in CLOSE reply");
-    }
-    return Status::Ok();
-  }
-  AVOC_ASSIGN_OR_RETURN(
-      const std::string response,
-      RoundTrip(StrFormat("CLOSE %s %zu", group.c_str(), round)));
-  if (response != "OK") return IoError("unexpected response: " + response);
-  return Status::Ok();
+  return FrameRoundTrip(FrameType::kClose, EncodeClose(group, round),
+                        FrameType::kOk)
+      .status();
 }
 
 Status RemoteVoterClient::MigrateGroup(const std::string& group,
                                        uint64_t dest_node) {
-  if (mode_ != Mode::kBinary) {
-    return FailedPreconditionError(
-        "MigrateGroup needs a binary connection (ConnectBinary)");
-  }
-  AVOC_ASSIGN_OR_RETURN(const Frame frame,
-                        FrameRoundTrip(FrameType::kMigrateGroup,
-                                       EncodeMigrateGroup(group, dest_node)));
-  if (frame.type != FrameType::kOk) {
-    return IoError("unexpected frame in MIGRATE_GROUP reply");
-  }
-  return Status::Ok();
+  return FrameRoundTrip(FrameType::kMigrateGroup,
+                        EncodeMigrateGroup(group, dest_node), FrameType::kOk)
+      .status();
 }
 
 Result<double> RemoteVoterClient::Query(const std::string& group) {
-  if (mode_ == Mode::kBinary) {
-    AVOC_ASSIGN_OR_RETURN(
-        const Frame frame,
-        FrameRoundTrip(FrameType::kQuery, EncodeQuery(group)));
-    if (frame.type == FrameType::kNone) {
-      return NotFoundError("no fused value yet");
-    }
-    if (frame.type != FrameType::kValue) {
-      return IoError("unexpected frame in QUERY reply");
-    }
-    double value = 0.0;
-    AVOC_RETURN_IF_ERROR(DecodeValue(frame.payload, &value));
-    return value;
+  AVOC_RETURN_IF_ERROR(connection_->SendAll(
+      EncodeFrame(FrameType::kQuery, EncodeQuery(group))));
+  AVOC_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
+  if (frame.type == FrameType::kNone) {
+    return NotFoundError("no fused value yet");
   }
-  AVOC_ASSIGN_OR_RETURN(const std::string response,
-                        RoundTrip("QUERY " + group));
-  if (response == "NONE") return NotFoundError("no fused value yet");
-  if (!StartsWith(response, "VALUE ")) {
-    return IoError("unexpected response: " + response);
-  }
-  return ParseDouble(response.substr(6));
+  AVOC_ASSIGN_OR_RETURN(frame, CheckFrame(std::move(frame), FrameType::kValue));
+  double value = 0.0;
+  AVOC_RETURN_IF_ERROR(DecodeValue(frame.payload, &value));
+  return value;
 }
 
 Result<std::vector<RangePoint>> RemoteVoterClient::QueryRange(
     const std::string& group, uint64_t lo_round, uint64_t hi_round) {
-  if (mode_ != Mode::kBinary) {
-    return UnsupportedError("QUERY_RANGE requires the binary protocol");
-  }
   AVOC_ASSIGN_OR_RETURN(
       const Frame frame,
       FrameRoundTrip(FrameType::kQueryRange,
-                     EncodeQueryRange(group, lo_round, hi_round)));
-  if (frame.type != FrameType::kRangeResult) {
-    return IoError("unexpected frame in QUERY_RANGE reply");
-  }
+                     EncodeQueryRange(group, lo_round, hi_round),
+                     FrameType::kRangeResult));
   std::vector<RangePoint> points;
   AVOC_RETURN_IF_ERROR(DecodeRangeResult(frame.payload, &points));
   return points;
@@ -1822,15 +1605,10 @@ Result<std::vector<RangePoint>> RemoteVoterClient::QueryRange(
 
 Result<RemoteVoterClient::RemoteHistory> RemoteVoterClient::HistoryGet(
     const std::string& group) {
-  if (mode_ != Mode::kBinary) {
-    return UnsupportedError("HISTORY_GET requires the binary protocol");
-  }
-  AVOC_ASSIGN_OR_RETURN(
-      const Frame frame,
-      FrameRoundTrip(FrameType::kHistoryGet, EncodeHistoryGet(group)));
-  if (frame.type != FrameType::kHistory) {
-    return IoError("unexpected frame in HISTORY_GET reply");
-  }
+  AVOC_ASSIGN_OR_RETURN(const Frame frame,
+                        FrameRoundTrip(FrameType::kHistoryGet,
+                                       EncodeHistoryGet(group),
+                                       FrameType::kHistory));
   RemoteHistory history;
   AVOC_RETURN_IF_ERROR(
       DecodeHistoryState(frame.payload, &history.rounds, &history.records));
@@ -1838,104 +1616,32 @@ Result<RemoteVoterClient::RemoteHistory> RemoteVoterClient::HistoryGet(
 }
 
 Result<std::vector<std::string>> RemoteVoterClient::Groups() {
-  if (mode_ == Mode::kBinary) {
-    AVOC_ASSIGN_OR_RETURN(const Frame frame,
-                          FrameRoundTrip(FrameType::kGroups));
-    if (frame.type != FrameType::kGroupList) {
-      return IoError("unexpected frame in GROUPS reply");
-    }
-    std::vector<std::string> groups;
-    AVOC_RETURN_IF_ERROR(DecodeGroupList(frame.payload, &groups));
-    return groups;
-  }
-  AVOC_ASSIGN_OR_RETURN(const std::string response, RoundTrip("GROUPS"));
-  std::vector<std::string> tokens;
-  for (const std::string& token : SplitString(response, ' ')) {
-    if (!token.empty()) tokens.push_back(token);
-  }
-  if (tokens.size() < 2 || tokens[0] != "GROUPS") {
-    return IoError("unexpected response: " + response);
-  }
-  return std::vector<std::string>(tokens.begin() + 2, tokens.end());
+  AVOC_ASSIGN_OR_RETURN(
+      const Frame frame,
+      FrameRoundTrip(FrameType::kGroups, {}, FrameType::kGroupList));
+  std::vector<std::string> groups;
+  AVOC_RETURN_IF_ERROR(DecodeGroupList(frame.payload, &groups));
+  return groups;
 }
 
 Status RemoteVoterClient::Ping() {
-  if (mode_ == Mode::kBinary) {
-    AVOC_ASSIGN_OR_RETURN(const Frame frame, FrameRoundTrip(FrameType::kPing));
-    if (frame.type != FrameType::kPong) {
-      return IoError("unexpected frame in PING reply");
-    }
-    return Status::Ok();
-  }
-  AVOC_ASSIGN_OR_RETURN(const std::string response, RoundTrip("PING"));
-  if (response != "PONG") return IoError("unexpected response: " + response);
-  return Status::Ok();
-}
-
-Result<std::vector<std::string>> RemoteVoterClient::RoundTripMultiLine(
-    const std::string& line) {
-  AVOC_RETURN_IF_ERROR(connection_->SendLine(line));
-  std::vector<std::string> lines;
-  while (true) {
-    AVOC_ASSIGN_OR_RETURN(std::string response, connection_->ReceiveLine());
-    if (response == "END") return lines;
-    if (lines.empty() && StartsWith(response, "ERR ")) {
-      return IoError("server: " + response.substr(4));
-    }
-    lines.push_back(std::move(response));
-  }
+  return FrameRoundTrip(FrameType::kPing, {}, FrameType::kPong).status();
 }
 
 Result<std::string> RemoteVoterClient::Metrics() {
-  if (mode_ == Mode::kBinary) {
-    AVOC_ASSIGN_OR_RETURN(const Frame frame,
-                          FrameRoundTrip(FrameType::kMetrics));
-    if (frame.type != FrameType::kText) {
-      return IoError("unexpected frame in METRICS reply");
-    }
-    std::string text;
-    AVOC_RETURN_IF_ERROR(DecodeText(frame.payload, &text));
-    return text;
-  }
-  AVOC_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                        RoundTripMultiLine("METRICS"));
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line;
-    text += '\n';
-  }
-  return text;
+  return TextRoundTrip(FrameType::kMetrics);
 }
 
 Result<std::string> RemoteVoterClient::TraceDump() {
-  if (mode_ != Mode::kBinary) {
-    return UnsupportedError("TRACE_DUMP requires the binary protocol");
-  }
-  AVOC_ASSIGN_OR_RETURN(const Frame frame,
-                        FrameRoundTrip(FrameType::kTraceDump));
-  if (frame.type != FrameType::kText) {
-    return IoError("unexpected frame in TRACE_DUMP reply");
-  }
-  std::string text;
-  AVOC_RETURN_IF_ERROR(DecodeText(frame.payload, &text));
-  return text;
+  return TextRoundTrip(FrameType::kTraceDump);
 }
 
 Result<std::vector<std::string>> RemoteVoterClient::Health() {
+  AVOC_ASSIGN_OR_RETURN(const std::string text,
+                        TextRoundTrip(FrameType::kHealth));
   std::vector<std::string> lines;
-  if (mode_ == Mode::kBinary) {
-    AVOC_ASSIGN_OR_RETURN(const Frame frame,
-                          FrameRoundTrip(FrameType::kHealth));
-    if (frame.type != FrameType::kText) {
-      return IoError("unexpected frame in HEALTH reply");
-    }
-    std::string text;
-    AVOC_RETURN_IF_ERROR(DecodeText(frame.payload, &text));
-    for (const std::string& line : SplitString(text, '\n')) {
-      if (!line.empty()) lines.push_back(line);
-    }
-  } else {
-    AVOC_ASSIGN_OR_RETURN(lines, RoundTripMultiLine("HEALTH"));
+  for (const std::string& line : SplitString(text, '\n')) {
+    if (!line.empty()) lines.push_back(line);
   }
   if (lines.empty() || !StartsWith(lines[0], "HEALTH ")) {
     return IoError("unexpected response: " +

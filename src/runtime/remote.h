@@ -6,18 +6,25 @@
 //
 // The server is a single-threaded epoll event loop (runtime/event_loop.h)
 // multiplexing every connection; each connection is a small protocol
-// state machine with a bounded outbound queue.  Two protocols share the
-// port, auto-detected from a connection's first bytes:
+// state machine with a bounded outbound queue.  Every request is a frame
+// (runtime/framing.h, docs/PROTOCOL.md) and runs through one executor:
+// cluster intercept, shard forward or connection migration, then
+// HandleFrame.  Two spellings share the port, auto-detected from a
+// connection's first bytes:
 //
-//   * Binary frame protocol (runtime/framing.h, docs/PROTOCOL.md).
-//     Announced by the 2-byte magic preamble 0xAB 0x0C.  Length-prefixed
-//     typed frames; SUBMIT_BATCH carries N readings that the server turns
-//     into ONE columnar engine pass (VoterGroupManager::SubmitBatch), and
-//     requests may be pipelined back-to-back without waiting.
+//   * Binary frames, announced by the 2-byte magic preamble 0xAB 0x0C.
+//     Length-prefixed typed frames; SUBMIT_BATCH carries N readings that
+//     the server turns into ONE columnar engine pass
+//     (VoterGroupManager::SubmitBatch), and requests may be pipelined
+//     back-to-back without waiting.
 //
-//   * Legacy line protocol (UTF-8 lines, space-separated tokens;
-//     multi-line responses end with an "END" line).  Any connection whose
-//     first byte is not 0xAB speaks this:
+//   * The line protocol (UTF-8 lines, space-separated tokens; multi-line
+//     responses end with an "END" line), spoken by any connection whose
+//     first byte is not 0xAB.  It is a text spelling of eight frame
+//     verbs: each line becomes its frame (ParseRequestLine) and each
+//     reply frame becomes its line (RenderLineReply) inside the
+//     connection, so line requests get MOVED redirects, standby
+//     replication, migration parking and shard forwarding like frames:
 //
 //       SUBMIT <group> <module> <round> <value>   -> OK | ERR <reason>
 //       CLOSE <group> <round>                     -> OK | ERR <reason>
@@ -27,6 +34,9 @@
 //       HEALTH       -> multi-line: "HEALTH <n>" then one GROUP line each
 //       PING                                      -> PONG
 //       QUIT                                      -> BYE (and disconnects)
+//
+//     SUBMIT answers OK exactly when the reading was accepted (a reading
+//     for an already-closed round or an out-of-range module gets ERR).
 //
 // Backpressure: a client that pipelines faster than it reads accumulates
 // an outbound queue.  Past `read_pause_bytes` the server stops reading
@@ -55,7 +65,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,8 +221,8 @@ class RemoteVoterServer {
   /// Idempotent.
   void Stop();
 
-  /// Requests handled so far (all connections, both protocols; one
-  /// binary frame or one legacy line each).
+  /// Requests handled so far (all connections; one frame or one request
+  /// line each).
   size_t requests_served() const { return requests_.load(); }
 
   /// Times a connection hit a backpressure threshold (read pause or
@@ -240,9 +249,10 @@ class RemoteVoterServer {
     explicit Connection(std::shared_ptr<Transport> c) : conn(std::move(c)) {}
 
     std::shared_ptr<Transport> conn;  ///< shared: posts across reactors
-    enum class Mode : uint8_t { kDetecting, kLegacy, kBinary };
+    enum class Mode : uint8_t { kDetecting, kLine, kBinary };
     Mode mode = Mode::kDetecting;
-    std::string inbuf;     ///< detection + legacy line assembly
+    std::string inbuf;     ///< detection + request-line assembly
+    size_t line_pos = 0;   ///< consumed prefix of inbuf (line mode)
     FrameDecoder decoder;  ///< binary frame assembly
     std::string outbuf;    ///< encoded responses not yet written
     size_t out_pos = 0;    ///< written prefix of outbuf
@@ -277,16 +287,20 @@ class RemoteVoterServer {
   void ReadPath(int fd);
   void WritePath(int fd);
   void ProcessInput(int fd);
-  void ProcessLegacyLines(int fd);
-  void ProcessBinaryFrames(int fd);
+  /// The one request source: the next frame, decoded or translated from
+  /// a request line.  NotFound = need more bytes; a malformed line fails
+  /// with its reply reason; a decoder error means the stream is poisoned.
+  static Result<Frame> NextRequest(Connection& c);
+  /// Routes every complete request: HEALTH fan-out, connection migration
+  /// or shard forwarding, else local execution.
+  void ProcessRequests(int fd);
+  /// Appends one encoded reply frame to the outbound queue, rendered as
+  /// line text on line connections.
   void QueueResponse(Connection& c, std::string bytes);
   bool OverHighWater(const Connection& c) const;
   void UpdateInterest(int fd);
   void ScheduleIdleTimer(int fd);
   void CloseConnection(int fd);
-
-  /// Handles one legacy request line; returns the response line.
-  std::string Handle(const std::string& line);
 
   /// Handles one binary frame; returns the encoded response frame and
   /// sets `*close_after` for QUIT.  `route` tags the server span with
@@ -295,7 +309,7 @@ class RemoteVoterServer {
   std::string HandleFrame(const Frame& frame, bool* close_after,
                           const char* route = "local");
 
-  /// The multi-line HEALTH body (shared by both protocols; no END line).
+  /// The multi-line HEALTH body (the TEXT reply payload).
   std::string HealthText() const;
 
   /// The per-group "GROUP ..." lines of this shard (no header).
@@ -308,8 +322,6 @@ class RemoteVoterServer {
   /// in-order response delivery.
   void ExecuteFrameLocally(Connection& c, const Frame& frame,
                            const char* route = "local");
-  /// Same for one legacy line.
-  void ExecuteLineLocally(Connection& c, const std::string& line);
 
   /// Appends a response, respecting pending forwarded slots.
   void DeliverResponse(Connection& c, std::string bytes);
@@ -323,18 +335,14 @@ class RemoteVoterServer {
 
   /// Posts `frame` to the owning peer; the response completes the slot.
   void ForwardFrame(int fd, Connection& c, size_t owner, Frame frame);
-  /// Legacy-line forwarding (response gains its newline at the origin).
-  void ForwardLine(int fd, Connection& c, size_t owner, std::string line);
   /// Hands the whole connection (buffers, decoder, outbuf) to the owning
   /// shard, carrying the request that triggered the move.
-  void MigrateConnection(int fd, size_t owner, std::optional<Frame> frame,
-                         std::optional<std::string> line);
+  void MigrateConnection(int fd, size_t owner, Frame frame);
   /// Receives a migrated connection on the owning shard.
-  void AdoptMigrated(std::shared_ptr<Connection> c, std::optional<Frame> frame,
-                     std::optional<std::string> line);
+  void AdoptMigrated(std::shared_ptr<Connection> c, Frame frame);
   /// HEALTH scatter-gather: one LocalHealthLines() per shard, assembled
   /// into the slot when the last part arrives.
-  void StartHealthFanout(int fd, Connection& c, bool binary);
+  void StartHealthFanout(int fd, Connection& c);
 
   /// Remembered SUBMIT_BATCH_SEQ acknowledgements for one client
   /// identity (loop thread only).  Each ack remembers the group it
@@ -456,25 +464,20 @@ class RemoteVoterServer {
   obs::Counter* replicated_applies_counter_ = nullptr;
 };
 
-/// Client helper speaking either protocol.  Connect() yields a legacy
-/// line-protocol client (bit-compatible with the original); ConnectBinary
-/// sends the 0xAB 0x0C preamble and speaks frames, which unlocks
-/// SubmitBatch and pipelining.  One client is one connection; methods are
-/// not thread-safe.
+/// Client helper speaking the binary frame protocol: it sends the 0xAB
+/// 0x0C preamble on connect and one frame per request (the line protocol
+/// is for raw-text clients such as netcat).  One client is one
+/// connection; methods are not thread-safe.
 class RemoteVoterClient {
  public:
-  static Result<RemoteVoterClient> Connect(const std::string& host,
-                                           uint16_t port);
-
-  /// Binary-framed connection (preamble sent immediately).
+  /// Connects over TCP (preamble sent immediately).
   static Result<RemoteVoterClient> ConnectBinary(const std::string& host,
                                                  uint16_t port);
 
   /// Speaks over an already-connected stream (the simulation harness
-  /// hands in in-memory transports here).  `binary` sends the protocol
-  /// preamble immediately.
+  /// hands in in-memory transports here); sends the preamble immediately.
   static Result<RemoteVoterClient> FromTransport(
-      std::unique_ptr<Transport> transport, bool binary);
+      std::unique_ptr<Transport> transport);
 
   /// Bounds every subsequent reply wait; 0 disables.
   Status SetRequestTimeoutMs(int timeout_ms);
@@ -483,15 +486,13 @@ class RemoteVoterClient {
                 double value);
 
   /// Sends `readings` as one SUBMIT_BATCH frame and awaits the reply;
-  /// returns the number of readings the server accepted.  Binary mode
-  /// only.
+  /// returns the number of readings the server accepted.
   Result<uint64_t> SubmitBatch(const std::string& group,
                                std::span<const BatchReading> readings);
 
   /// SUBMIT_BATCH_SEQ: like SubmitBatch, tagged with a client identity
   /// and sequence number so a resend after a lost reply is answered from
-  /// the server's dedup cache instead of double-ingested.  Binary mode
-  /// only.
+  /// the server's dedup cache instead of double-ingested.
   /// `trace` (optional) rides the frame as the trailing trace-context
   /// field, parenting the server-side span tree to the caller's span.
   Result<uint64_t> SubmitBatchSeq(std::string_view client_id, uint64_t seq,
@@ -499,8 +500,7 @@ class RemoteVoterClient {
                                   std::span<const BatchReading> readings,
                                   const WireTraceContext* trace = nullptr);
 
-  /// Pipelining (binary mode only): queue a SUBMIT_BATCH without reading
-  /// the reply...
+  /// Pipelining: queue a SUBMIT_BATCH without reading the reply...
   Status PipelineSubmitBatch(const std::string& group,
                              std::span<const BatchReading> readings);
   /// ...then collect one pending reply per earlier Pipeline call, in
@@ -510,14 +510,14 @@ class RemoteVoterClient {
 
   Status CloseRound(const std::string& group, size_t round);
   /// Operator verb: asks the server to migrate `group` to cluster node
-  /// `dest_node` (MIGRATE_GROUP).  Binary mode only; FailedPrecondition
-  /// on a standalone (non-clustered) server.
+  /// `dest_node` (MIGRATE_GROUP).  FailedPrecondition on a standalone
+  /// (non-clustered) server.
   Status MigrateGroup(const std::string& group, uint64_t dest_node);
   /// Last fused value of the group; NotFound when none yet.
   Result<double> Query(const std::string& group);
   /// The group's stored vote trace restricted to rounds in
   /// [lo_round, hi_round] (inclusive).  Values are bit-identical to the
-  /// server's trace.  Binary mode only (kUnsupported on legacy lines).
+  /// server's trace.
   Result<std::vector<RangePoint>> QueryRange(const std::string& group,
                                              uint64_t lo_round,
                                              uint64_t hi_round);
@@ -526,44 +526,40 @@ class RemoteVoterClient {
     uint64_t rounds = 0;            ///< rounds absorbed by the ledger
     std::vector<double> records;    ///< per-module reliability records
   };
-  /// The group's reliability ledger.  Binary mode only.
+  /// The group's reliability ledger.
   Result<RemoteHistory> HistoryGet(const std::string& group);
   Result<std::vector<std::string>> Groups();
   Status Ping();
   /// The server's Prometheus text exposition (one string, '\n'-separated
-  /// lines, END sentinel stripped).
+  /// lines).
   Result<std::string> Metrics();
   /// Snapshot of the server's flight recorder as AVOC-TRACE v1 text
-  /// (obs::Tracer::DumpText).  Binary mode only; FailedPrecondition when
-  /// the server runs without a tracer.
+  /// (obs::Tracer::DumpText).  FailedPrecondition when the server runs
+  /// without a tracer.
   Result<std::string> TraceDump();
-  /// Per-group health lines ("GROUP <name> ..."), header/END stripped.
+  /// Per-group health lines ("GROUP <name> ..."), header stripped.
   Result<std::vector<std::string>> Health();
 
  private:
-  enum class Mode : uint8_t { kLegacy, kBinary };
+  explicit RemoteVoterClient(std::unique_ptr<Transport> connection)
+      : connection_(std::move(connection)) {}
 
-  RemoteVoterClient(std::unique_ptr<Transport> connection, Mode mode)
-      : connection_(std::move(connection)), mode_(mode) {}
-
-  /// Sends one line, reads one response line, fails on ERR.
-  Result<std::string> RoundTrip(const std::string& line);
-
-  /// Sends one line, reads response lines until "END", fails on ERR.
-  Result<std::vector<std::string>> RoundTripMultiLine(const std::string& line);
-
-  /// Binary mode: blocks until one complete frame arrives.
+  /// Blocks until one complete frame arrives.
   Result<Frame> ReadFrame();
 
-  /// Binary mode: sends a request frame and reads its response frame
-  /// (decoding kError into a Status).
-  Result<Frame> FrameRoundTrip(FrameType type, std::string_view payload = {});
+  /// Sends a request frame and reads its reply frame, which must be of
+  /// type `expected`.
+  Result<Frame> FrameRoundTrip(FrameType type, std::string_view payload,
+                               FrameType expected);
 
-  /// Unwraps a kError frame into a Status; passes others through.
-  Result<Frame> CheckFrame(Frame frame);
+  /// FrameRoundTrip of a payload-less verb answered with TEXT.
+  Result<std::string> TextRoundTrip(FrameType type);
+
+  /// Unwraps kError / kMoved frames into a Status and rejects any other
+  /// type but `expected`.
+  static Result<Frame> CheckFrame(Frame frame, FrameType expected);
 
   std::unique_ptr<Transport> connection_;
-  Mode mode_ = Mode::kLegacy;
   FrameDecoder decoder_;
   size_t pending_submits_ = 0;
 };

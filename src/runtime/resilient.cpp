@@ -99,8 +99,7 @@ Status ResilientVoterClient::EnsureConnected(uint64_t deadline_at_ms,
     }
     if (transport.ok()) {
       Result<RemoteVoterClient> client =
-          RemoteVoterClient::FromTransport(std::move(*transport),
-                                           /*binary=*/true);
+          RemoteVoterClient::FromTransport(std::move(*transport));
       if (client.ok()) {
         AVOC_RETURN_IF_ERROR(
             client->SetRequestTimeoutMs(policy_.request_timeout_ms));

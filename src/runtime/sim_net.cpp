@@ -220,8 +220,10 @@ IoOp SimWorld::EndpointRead(int handle, char* buffer, size_t len) {
   }
   Pipe& rx = is_client ? conn->s2c : conn->c2s;
   if (rx.delivered.empty()) {
-    if (rx.src_closed && rx.in_flight.empty()) return IoOp{IoOp::Kind::kEof};
-    return IoOp{IoOp::Kind::kWouldBlock};
+    if (rx.src_closed && rx.in_flight.empty()) {
+      return IoOp{IoOp::Kind::kEof, 0, Status::Ok()};
+    }
+    return IoOp{IoOp::Kind::kWouldBlock, 0, Status::Ok()};
   }
   size_t n = std::min(len, rx.delivered.size());
   if (options_.fault_plan.max_read_bytes > 0) {
@@ -229,7 +231,7 @@ IoOp SimWorld::EndpointRead(int handle, char* buffer, size_t len) {
   }
   std::memcpy(buffer, rx.delivered.data(), n);
   rx.delivered.erase(0, n);
-  return IoOp{IoOp::Kind::kDone, n};
+  return IoOp{IoOp::Kind::kDone, n, Status::Ok()};
 }
 
 IoOp SimWorld::EndpointWrite(int handle, const char* data, size_t len) {
@@ -249,13 +251,15 @@ IoOp SimWorld::EndpointWrite(int handle, const char* data, size_t len) {
   }
   Pipe& tx = is_client ? conn->c2s : conn->s2c;
   const size_t used = tx.bytes_in_flight + tx.delivered.size();
-  if (used >= options_.pipe_capacity_bytes) return IoOp{IoOp::Kind::kWouldBlock};
+  if (used >= options_.pipe_capacity_bytes) {
+    return IoOp{IoOp::Kind::kWouldBlock, 0, Status::Ok()};
+  }
   size_t n = std::min(len, options_.pipe_capacity_bytes - used);
   if (options_.fault_plan.max_segment_bytes > 0) {
     n = std::min(n, options_.fault_plan.max_segment_bytes);
   }
   EnqueueBytes(*conn, /*c2s=*/is_client, std::string_view(data, n));
-  return IoOp{IoOp::Kind::kDone, n};
+  return IoOp{IoOp::Kind::kDone, n, Status::Ok()};
 }
 
 void SimWorld::EnqueueBytes(Conn& conn, bool c2s, std::string_view data) {

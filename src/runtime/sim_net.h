@@ -108,8 +108,9 @@ struct FaultPlan {
   /// strictly inside [0, horizon_ms).  Never corrupts the stream.
   static FaultPlan Chaos(uint64_t seed, uint64_t horizon_ms);
 
-  /// Delays + fragmentation only; no resets, no windows.  Safe for the
-  /// legacy line protocol (which has no retry story).
+  /// Delays + fragmentation only; no resets, no windows.  Safe for raw
+  /// line-protocol exchanges, which carry no retry identity (a resent
+  /// line SUBMIT could not be told from a new one).
   static FaultPlan Gentle(uint64_t seed);
 };
 

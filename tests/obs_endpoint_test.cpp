@@ -27,7 +27,8 @@ class ObsEndpointTest : public ::testing::Test {
   void TearDown() override { server_->Stop(); }
 
   RemoteVoterClient MustConnect() {
-    auto client = RemoteVoterClient::Connect("127.0.0.1", server_->port());
+    auto client =
+        RemoteVoterClient::ConnectBinary("127.0.0.1", server_->port());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -109,14 +110,25 @@ TEST_F(ObsEndpointTest, MetricsWithoutRegistryIsAnError) {
                   .ok());
   auto bare_server = RemoteVoterServer::Start(&bare_manager, 0);
   ASSERT_TRUE(bare_server.ok());
-  auto client = RemoteVoterClient::Connect("127.0.0.1",
-                                           (*bare_server)->port());
-  ASSERT_TRUE(client.ok());
-  auto metrics = client->Metrics();
-  EXPECT_FALSE(metrics.ok());
+  auto raw = TcpConnection::Connect("127.0.0.1", (*bare_server)->port());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->SendLine("METRICS").ok());
+  auto metrics = raw->ReceiveLine();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(*metrics,
+            "ERR failed_precondition: metrics disabled (no registry)");
   // HEALTH still works without a registry.
-  auto health = client->Health();
-  EXPECT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_TRUE(raw->SendLine("HEALTH").ok());
+  std::vector<std::string> health;
+  for (int i = 0; i < 3; ++i) {
+    auto line = raw->ReceiveLine();
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    health.push_back(*line);
+  }
+  EXPECT_EQ(health, (std::vector<std::string>{
+                        "HEALTH 1",
+                        "GROUP lights modules=3 outputs=0 open=0 status=ok",
+                        "END"}));
   (*bare_server)->Stop();
 }
 

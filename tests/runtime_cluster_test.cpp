@@ -8,6 +8,8 @@
 //     a bit-identical sink trace and travelling dedup entries;
 //   * failover: crash the owner, promote its hot standby, ingest resumes
 //     exactly-once;
+//   * the line protocol: raw request lines replicate to the standby, get
+//     MOVED from a non-owner, and park during a handoff, like frames;
 //   * negative paths: every malformed or impossible migration request
 //     answers a TYPED error — nothing hangs, nothing crashes;
 //   * telemetry identity: HEALTH lines, TRACE_DUMP spans, and metric
@@ -177,8 +179,7 @@ TEST(ClusterMigrationTest, DedupEntriesTravelWithTheGroup) {
   const auto workload = WorkloadFor(kSeed);
   auto transport = (*cluster)->DialNode(source);
   ASSERT_TRUE(transport.ok());
-  auto writer =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto writer = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(writer.ok());
   auto first = writer->SubmitBatchSeq("edge-7", 1, "lights", workload[0]);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -190,8 +191,7 @@ TEST(ClusterMigrationTest, DedupEntriesTravelWithTheGroup) {
   // from the migrated dedup cache, not double-ingested.
   auto transport2 = (*cluster)->DialNode(dest);
   ASSERT_TRUE(transport2.ok());
-  auto resender =
-      RemoteVoterClient::FromTransport(std::move(*transport2), /*binary=*/true);
+  auto resender = RemoteVoterClient::FromTransport(std::move(*transport2));
   ASSERT_TRUE(resender.ok());
   auto replay = resender->SubmitBatchSeq("edge-7", 1, "lights", workload[0]);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
@@ -215,8 +215,7 @@ TEST(ClusterMigrationTest, WireMigrateGroupVerbCommitsAndOldOwnerRedirects) {
 
   auto transport = (*cluster)->DialNode(source);
   ASSERT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->MigrateGroup("lights", dest).ok());
   EXPECT_EQ((*cluster)->OwnerOf("lights"), dest);
@@ -268,6 +267,140 @@ TEST(ClusterMigrationTest, CrashFailoverResumesIngestExactlyOnce) {
   }
   EXPECT_GE(client.reconnects(), 1u);  // the crash dropped the connection
 
+  auto sink = (*cluster)->sink("lights");
+  ASSERT_TRUE(sink.ok());
+  EXPECT_EQ(RenderOutputs(*sink), ReferenceTrace(kSeed));
+  (*cluster)->Stop();
+}
+
+// --- the line protocol on a cluster ------------------------------------------
+//
+// Line requests are translated into frames inside the connection, so they
+// take the same cluster path as binary clients: standby replication,
+// MOVED redirects and migration parking.
+
+/// Sends one request line and returns the reply line.
+std::string Exchange(Transport& connection, const std::string& line) {
+  EXPECT_TRUE(connection.SendLine(line).ok());
+  auto reply = connection.ReceiveLine();
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() ? *reply : "<" + reply.status().ToString() + ">";
+}
+
+std::string SubmitLine(const BatchReading& reading) {
+  return StrFormat("SUBMIT lights %llu %llu %.17g",
+                   static_cast<unsigned long long>(reading.module),
+                   static_cast<unsigned long long>(reading.round),
+                   reading.value);
+}
+
+std::string MovedLine(VoterCluster& cluster, size_t owner) {
+  return "ERR " + MovedError(owner, cluster.NodeAddress(owner)).ToString();
+}
+
+TEST(ClusterLineProtocolTest, LineSubmitsReplicateAndSurviveFailover) {
+  SimWorld world(kSeed);
+  obs::Registry registry;
+  VoterCluster::Options options;
+  options.nodes = 2;
+  options.hot_standbys = true;
+  auto cluster = VoterCluster::StartOnWorld(&world, options, &registry);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ASSERT_TRUE((*cluster)->AddGroup("lights", AvocMaker()).ok());
+  const size_t owner = (*cluster)->OwnerOf("lights");
+
+  const auto workload = WorkloadFor(kSeed);
+  auto primary = (*cluster)->DialNode(owner);
+  ASSERT_TRUE(primary.ok());
+  for (size_t r = 0; r < kRounds / 2; ++r) {
+    for (const BatchReading& reading : workload[r]) {
+      ASSERT_EQ(Exchange(**primary, SubmitLine(reading)), "OK");
+    }
+  }
+  // Every acknowledged line reached the standby before its reply.
+  EXPECT_GE((*cluster)->StandbyServer(owner)->replicated_applies(),
+            kRounds / 2 * kModules);
+
+  (*cluster)->CrashNode(owner);
+  ASSERT_TRUE((*cluster)->Failover(owner).ok());
+  // The crash dropped the connection; the node index now dials the
+  // promoted standby.
+  auto promoted = (*cluster)->DialNode(owner);
+  ASSERT_TRUE(promoted.ok());
+  for (size_t r = kRounds / 2; r < kRounds; ++r) {
+    for (const BatchReading& reading : workload[r]) {
+      ASSERT_EQ(Exchange(**promoted, SubmitLine(reading)), "OK");
+    }
+  }
+
+  auto sink = (*cluster)->sink("lights");
+  ASSERT_TRUE(sink.ok());
+  EXPECT_EQ(RenderOutputs(*sink), ReferenceTrace(kSeed));
+  (*cluster)->Stop();
+}
+
+TEST(ClusterLineProtocolTest, NonOwnerAnswersMovedNamingTheOwner) {
+  SimWorld world(kSeed);
+  VoterCluster::Options options;
+  options.nodes = 2;
+  auto cluster = VoterCluster::StartOnWorld(&world, options);
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->AddGroup("lights", AvocMaker()).ok());
+  const size_t owner = (*cluster)->OwnerOf("lights");
+  const size_t other = 1 - owner;
+
+  auto transport = (*cluster)->DialNode(other);
+  ASSERT_TRUE(transport.ok());
+  const auto workload = WorkloadFor(kSeed);
+  EXPECT_EQ(Exchange(**transport, SubmitLine(workload[0][0])),
+            MovedLine(**cluster, owner));
+  EXPECT_EQ(Exchange(**transport, "CLOSE lights 0"),
+            MovedLine(**cluster, owner));
+  EXPECT_EQ(Exchange(**transport, "QUERY lights"), MovedLine(**cluster, owner));
+  EXPECT_GE((*cluster)->ActiveServer(other)->moved_redirects(), 3u);
+  // Nothing was written on the non-owner.
+  EXPECT_FALSE((*cluster)->ActiveManager(other)->HasGroup("lights"));
+  (*cluster)->Stop();
+}
+
+TEST(ClusterLineProtocolTest, LineSubmitDuringHandoffIsParkedThenMoved) {
+  SimWorld world(kSeed);
+  VoterCluster::Options options;
+  options.nodes = 2;
+  auto cluster = VoterCluster::StartOnWorld(&world, options);
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->AddGroup("lights", AvocMaker()).ok());
+  const size_t source = (*cluster)->OwnerOf("lights");
+  const size_t dest = 1 - source;
+
+  const auto workload = WorkloadFor(kSeed);
+  auto transport = (*cluster)->DialNode(source);
+  ASSERT_TRUE(transport.ok());
+  for (const BatchReading& reading : workload[0]) {
+    ASSERT_EQ(Exchange(**transport, SubmitLine(reading)), "OK");
+  }
+  // The migration quiesces the group on the source's loop before the
+  // next line arrives; that line parks and resolves to MOVED once the
+  // handoff commits, instead of landing in the exported copy.
+  bool migrated = false;
+  (*cluster)->Migrate("lights", dest, [&](Status status) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    migrated = true;
+  });
+  EXPECT_EQ(Exchange(**transport, SubmitLine(workload[1][0])),
+            MovedLine(**cluster, dest));
+  EXPECT_TRUE(migrated);
+  EXPECT_EQ((*cluster)->OwnerOf("lights"), dest);
+
+  // Resent to the new owner, the rest of the workload completes with the
+  // reference trace: nothing was lost or doubled by the handoff.
+  auto moved = (*cluster)->DialNode(dest);
+  ASSERT_TRUE(moved.ok());
+  for (size_t r = 1; r < kRounds; ++r) {
+    for (const BatchReading& reading : workload[r]) {
+      ASSERT_EQ(Exchange(**moved, SubmitLine(reading)), "OK");
+    }
+  }
   auto sink = (*cluster)->sink("lights");
   ASSERT_TRUE(sink.ok());
   EXPECT_EQ(RenderOutputs(*sink), ReferenceTrace(kSeed));
@@ -431,8 +564,7 @@ TEST(ClusterMigrationNegativeTest, StandaloneServerRejectsMigrateGroupVerb) {
 
   auto transport = world.Connect(7);
   ASSERT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(client.ok());
   const Status status = client->MigrateGroup("lights", 1);
   ASSERT_FALSE(status.ok());
@@ -464,8 +596,7 @@ TEST(ClusterTelemetryTest, HealthMetricsAndTraceDumpCarryNodeLabels) {
   const auto workload = WorkloadFor(kSeed);
   auto transport = (*cluster)->DialNode(owner);
   ASSERT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->SubmitBatch("lights", workload[0]).ok());
 

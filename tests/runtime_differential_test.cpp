@@ -3,11 +3,11 @@
 // The same seeded workload is pushed through (a) the in-process
 // VoterGroupManager batch API, (b) the binary frame protocol over a
 // chaotic-but-healing simulated network with the resilient client, (c)
-// the legacy line protocol over a gentle simulated network (delays and
-// fragmentation only — the line protocol has no retry identity), (d)
-// the 3-shard ShardedVoterServer under the same chaos, where the
-// target group lives on whatever shard the router says and the
-// connection must migrate to reach it, and (e) a 2-node VoterCluster
+// raw line-protocol SUBMIT lines over a gentle simulated network
+// (delays and fragmentation only — the line protocol has no retry
+// identity), (d) the 3-shard ShardedVoterServer under the same chaos,
+// where the target group lives on whatever shard the router says and
+// the connection must migrate to reach it, and (e) a 2-node VoterCluster
 // under the same chaos with the group MIGRATED between nodes twice
 // mid-workload, the client chasing MOVED redirects.  All five must
 // produce bit-identical sink traces: same rounds, same fused values,
@@ -131,15 +131,19 @@ std::string LegacyGentleTrace(uint64_t seed) {
 
   auto transport = world.Connect(kPort);
   EXPECT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/false);
-  EXPECT_TRUE(client.ok()) << client.status().ToString();
   for (const std::vector<BatchReading>& batch : WorkloadFor(seed)) {
     for (const BatchReading& r : batch) {
-      const Status status =
-          client->Submit("lights", static_cast<size_t>(r.module),
-                         static_cast<size_t>(r.round), r.value);
-      EXPECT_TRUE(status.ok()) << status.ToString();
+      // %.17g round-trips every double, so the line carries the exact
+      // reading the frame paths carry.
+      EXPECT_TRUE((*transport)
+                      ->SendLine(StrFormat(
+                          "SUBMIT lights %llu %llu %.17g",
+                          static_cast<unsigned long long>(r.module),
+                          static_cast<unsigned long long>(r.round), r.value))
+                      .ok());
+      auto reply = (*transport)->ReceiveLine();
+      EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply.ok() ? *reply : std::string(), "OK");
     }
   }
   const std::string trace = SinkTrace(*manager);

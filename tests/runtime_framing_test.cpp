@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -379,6 +380,140 @@ TEST(FramingTest, DecoderCompactionPreservesStream) {
     ++decoded;
   }
   EXPECT_EQ(decoded, kCount);
+}
+
+// --- line codec ----------------------------------------------------------------
+
+/// The bytes a binary client would send for `frame`.
+std::string Encoded(const Frame& frame) {
+  return EncodeFrame(frame.type, frame.payload);
+}
+
+/// The reply a line connection writes for a malformed request line.
+std::string RenderParseError(const Status& status) {
+  return RenderLineReply(Frame{FrameType::kError, EncodeError(status.message())});
+}
+
+TEST(LineCodecTest, EachVerbYieldsTheBinaryClientsFrame) {
+  const BatchReading reading{2, 7, 21.5};
+  const BatchReading negative{0, 0, -0.25};
+  const struct {
+    const char* line;
+    std::string frame;
+  } cases[] = {
+      {"SUBMIT lights 2 7 21.5",
+       EncodeFrame(FrameType::kSubmitBatch,
+                   EncodeSubmitBatch("lights", {&reading, 1}))},
+      {"  SUBMIT   lights 0 0 -0.25\t",
+       EncodeFrame(FrameType::kSubmitBatch,
+                   EncodeSubmitBatch("lights", {&negative, 1}))},
+      {"CLOSE lights 5",
+       EncodeFrame(FrameType::kClose, EncodeClose("lights", 5))},
+      {"QUERY lights", EncodeFrame(FrameType::kQuery, EncodeQuery("lights"))},
+      {"GROUPS", EncodeFrame(FrameType::kGroups)},
+      {"METRICS", EncodeFrame(FrameType::kMetrics)},
+      {"HEALTH", EncodeFrame(FrameType::kHealth)},
+      {"PING", EncodeFrame(FrameType::kPing)},
+      {"QUIT", EncodeFrame(FrameType::kQuit)},
+      // Payload-less verbs ignore trailing tokens.
+      {"PING and more", EncodeFrame(FrameType::kPing)},
+  };
+  for (const auto& c : cases) {
+    auto frame = ParseRequestLine(c.line);
+    ASSERT_TRUE(frame.ok()) << c.line << ": " << frame.status().ToString();
+    EXPECT_EQ(Encoded(*frame), c.frame) << c.line;
+  }
+}
+
+TEST(LineCodecTest, MalformedLinesKeepTheirErrorText) {
+  const struct {
+    const char* line;
+    const char* reply;
+  } cases[] = {
+      {"", "ERR empty request"},
+      {"   ", "ERR empty request"},
+      {"SUBMIT lights 0 0", "ERR SUBMIT needs group module round value"},
+      {"SUBMIT lights 0 0 1 2", "ERR SUBMIT needs group module round value"},
+      {"SUBMIT lights x 0 1", "ERR bad module index"},
+      {"SUBMIT lights -1 0 1", "ERR bad module index"},
+      {"SUBMIT lights x y z", "ERR bad module index"},
+      {"SUBMIT lights 0 y 1", "ERR bad round number"},
+      {"SUBMIT lights 0 -2 1", "ERR bad round number"},
+      {"SUBMIT lights 0 0 abc", "ERR bad value"},
+      {"CLOSE lights", "ERR CLOSE needs group round"},
+      {"CLOSE lights x", "ERR bad round number"},
+      {"CLOSE lights -1", "ERR bad round number"},
+      {"QUERY", "ERR QUERY needs group"},
+      {"QUERY a b", "ERR QUERY needs group"},
+      {"FROBNICATE x", "ERR unknown verb 'FROBNICATE'"},
+      {"submit lights 0 0 1", "ERR unknown verb 'submit'"},
+      {"QUERY_RANGE lights 0 9", "ERR unknown verb 'QUERY_RANGE'"},
+  };
+  for (const auto& c : cases) {
+    auto frame = ParseRequestLine(c.line);
+    ASSERT_FALSE(frame.ok()) << c.line;
+    EXPECT_EQ(frame.status().code(), ErrorCode::kInvalidArgument) << c.line;
+    EXPECT_EQ(RenderParseError(frame.status()), c.reply) << c.line;
+  }
+}
+
+TEST(LineCodecTest, ReplyFramesRenderTheLineText) {
+  const std::vector<std::string> groups = {"extra", "lights"};
+  const struct {
+    Frame frame;
+    const char* line;
+  } cases[] = {
+      {{FrameType::kOk, EncodeOk(1)}, "OK"},
+      {{FrameType::kOk, EncodeOk(3)}, "OK"},
+      {{FrameType::kOk, EncodeOk(0)}, "ERR reading not accepted"},
+      {{FrameType::kError,
+        EncodeError("not_found: no voter group named 'ghosts'")},
+       "ERR not_found: no voter group named 'ghosts'"},
+      {{FrameType::kError, EncodeError("busy")}, "ERR busy"},
+      {{FrameType::kValue, EncodeValue(100.25)}, "VALUE 100.25"},
+      {{FrameType::kValue, EncodeValue(42.0)}, "VALUE 42"},
+      {{FrameType::kValue, EncodeValue(0.1)}, "VALUE 0.10000000000000001"},
+      {{FrameType::kNone, ""}, "NONE"},
+      {{FrameType::kPong, ""}, "PONG"},
+      {{FrameType::kBye, ""}, "BYE"},
+      {{FrameType::kGroupList, EncodeGroupList(groups)},
+       "GROUPS 2 extra lights"},
+      {{FrameType::kGroupList, EncodeGroupList({})}, "GROUPS 0"},
+      {{FrameType::kText, EncodeText("HEALTH 1\nGROUP lights modules=3\n")},
+       "HEALTH 1\nGROUP lights modules=3\nEND"},
+      {{FrameType::kText, EncodeText("")}, "END"},
+      {{FrameType::kMoved, EncodeMoved(1, "sim:n1")},
+       "ERR failed_precondition: MOVED 1 sim:n1"},
+      // Torn payloads and reply types no line verb produces.
+      {{FrameType::kOk, ""}, "ERR unrenderable OK reply"},
+      {{FrameType::kRangeResult, EncodeRangeResult({})},
+       "ERR unrenderable RANGE_RESULT reply"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(RenderLineReply(c.frame), c.line)
+        << FrameTypeName(c.frame.type);
+  }
+}
+
+// %.17g round-trips every finite double, so a line SUBMIT carries
+// exactly the reading the binary client would carry.
+TEST(LineCodecTest, SubmitValuesSurviveTheTextSpellingBitExactly) {
+  const double values[] = {0.0,
+                           -0.0,
+                           0.1,
+                           1.0 / 3.0,
+                           -123456.789,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max()};
+  for (const double value : values) {
+    char line[96];
+    std::snprintf(line, sizeof(line), "SUBMIT g 1 2 %.17g", value);
+    auto frame = ParseRequestLine(line);
+    ASSERT_TRUE(frame.ok()) << line;
+    const BatchReading reading{1, 2, value};
+    EXPECT_EQ(frame->payload, EncodeSubmitBatch("g", {&reading, 1})) << line;
+  }
 }
 
 }  // namespace

@@ -118,8 +118,7 @@ class QueryRangeTest : public ::testing::Test {
   RemoteVoterClient MustClient() {
     auto transport = world_->Connect(kPort);
     EXPECT_TRUE(transport.ok());
-    auto client =
-        RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+    auto client = RemoteVoterClient::FromTransport(std::move(*transport));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -305,8 +304,7 @@ class ShardedQueryRangeTest : public ::testing::Test {
   RemoteVoterClient MustClient() {
     auto transport = world_->Connect(kPort);
     EXPECT_TRUE(transport.ok());
-    auto client = RemoteVoterClient::FromTransport(std::move(*transport),
-                                                   /*binary=*/true);
+    auto client = RemoteVoterClient::FromTransport(std::move(*transport));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }

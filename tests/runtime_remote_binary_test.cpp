@@ -11,6 +11,7 @@
 #include "core/algorithms.h"
 #include "obs/metrics.h"
 #include "runtime/framing.h"
+#include "util/strings.h"
 
 namespace avoc::runtime {
 namespace {
@@ -106,18 +107,22 @@ TEST_F(RemoteBinaryTest, PipelinedBatchesReplyInOrder) {
 // Both protocols share the port; detection is per-connection.
 TEST_F(RemoteBinaryTest, BinaryAndLegacyClientsCoexist) {
   RemoteVoterClient binary = MustConnectBinary();
-  auto legacy = RemoteVoterClient::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(legacy->Submit("lights", 0, 0, 30.0).ok());
+  auto line = TcpConnection::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(line.ok());
+  ASSERT_TRUE(line->SendLine("SUBMIT lights 0 0 30").ok());
+  auto submitted = line->ReceiveLine();
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(*submitted, "OK");
   const std::vector<BatchReading> rest = {{1, 0, 31.0}, {2, 0, 32.0}};
   auto accepted = binary.SubmitBatch("lights", rest);
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(*accepted, 2u);
-  auto via_legacy = legacy->Query("lights");
   auto via_binary = binary.Query("lights");
-  ASSERT_TRUE(via_legacy.ok());
   ASSERT_TRUE(via_binary.ok());
-  EXPECT_EQ(*via_legacy, *via_binary);
+  ASSERT_TRUE(line->SendLine("QUERY lights").ok());
+  auto via_line = line->ReceiveLine();
+  ASSERT_TRUE(via_line.ok()) << via_line.status().ToString();
+  EXPECT_EQ(*via_line, StrFormat("VALUE %.17g", *via_binary));
 }
 
 TEST_F(RemoteBinaryTest, ControlFramesWork) {

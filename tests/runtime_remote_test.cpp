@@ -1,3 +1,6 @@
+// The line protocol over real TCP: raw request lines in, exact reply text
+// out.  Every line is translated into its frame inside the connection,
+// so these tests pin the text spelling of the one frame executor.
 #include "runtime/remote.h"
 
 #include <gtest/gtest.h>
@@ -5,6 +8,7 @@
 #include <thread>
 
 #include "core/algorithms.h"
+#include "util/strings.h"
 
 namespace avoc::runtime {
 namespace {
@@ -23,10 +27,27 @@ class RemoteTest : public ::testing::Test {
 
   void TearDown() override { server_->Stop(); }
 
-  RemoteVoterClient MustConnect() {
-    auto client = RemoteVoterClient::Connect("127.0.0.1", server_->port());
-    EXPECT_TRUE(client.ok()) << client.status().ToString();
-    return std::move(*client);
+  TcpConnection MustConnect() {
+    auto connection = TcpConnection::Connect("127.0.0.1", server_->port());
+    EXPECT_TRUE(connection.ok()) << connection.status().ToString();
+    return std::move(*connection);
+  }
+
+  /// Sends one request line and returns the reply line.
+  static std::string Exchange(Transport& connection, const std::string& line) {
+    EXPECT_TRUE(connection.SendLine(line).ok());
+    auto reply = connection.ReceiveLine();
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? *reply : "<" + reply.status().ToString() + ">";
+  }
+
+  /// The QUERY reply for the sink's current fused value.
+  std::string ExpectedValueLine() {
+    auto sink = manager_.sink("lights");
+    EXPECT_TRUE(sink.ok());
+    const auto value = (*sink)->last_value();
+    EXPECT_TRUE(value.has_value());
+    return StrFormat("VALUE %.17g", value.value_or(0.0));
   }
 
   VoterGroupManager manager_;
@@ -34,45 +55,57 @@ class RemoteTest : public ::testing::Test {
 };
 
 TEST_F(RemoteTest, PingPong) {
-  RemoteVoterClient client = MustConnect();
-  EXPECT_TRUE(client.Ping().ok());
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "PING"), "PONG");
 }
 
 TEST_F(RemoteTest, SubmitFullRoundAndQuery) {
-  RemoteVoterClient client = MustConnect();
-  ASSERT_TRUE(client.Submit("lights", 0, 0, 100.0).ok());
-  ASSERT_TRUE(client.Submit("lights", 1, 0, 101.0).ok());
-  ASSERT_TRUE(client.Submit("lights", 2, 0, 99.5).ok());
-  auto value = client.Query("lights");
-  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 0 0 100"), "OK");
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 1 0 101"), "OK");
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 2 0 99.5"), "OK");
+  const std::string reply = Exchange(connection, "QUERY lights");
+  EXPECT_EQ(reply, ExpectedValueLine());
+  ASSERT_EQ(reply.rfind("VALUE ", 0), 0u) << reply;
+  auto value = ParseDouble(reply.substr(6));
+  ASSERT_TRUE(value.ok()) << reply;
   EXPECT_NEAR(*value, 100.0, 1.5);
 }
 
 TEST_F(RemoteTest, CloseFlushesPartialRound) {
-  RemoteVoterClient client = MustConnect();
-  ASSERT_TRUE(client.Submit("lights", 0, 5, 42.0).ok());
-  ASSERT_TRUE(client.Submit("lights", 1, 5, 44.0).ok());
-  ASSERT_TRUE(client.CloseRound("lights", 5).ok());
-  auto value = client.Query("lights");
-  ASSERT_TRUE(value.ok());
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 0 5 42"), "OK");
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 1 5 44"), "OK");
+  EXPECT_EQ(Exchange(connection, "CLOSE lights 5"), "OK");
   // AVOC's mean-nearest-neighbour selection returns a real candidate.
-  EXPECT_TRUE(*value == 42.0 || *value == 44.0) << *value;
+  const std::string reply = Exchange(connection, "QUERY lights");
+  EXPECT_TRUE(reply == "VALUE 42" || reply == "VALUE 44") << reply;
 }
 
 TEST_F(RemoteTest, QueryBeforeAnyRoundReturnsNone) {
-  RemoteVoterClient client = MustConnect();
-  auto value = client.Query("lights");
-  EXPECT_FALSE(value.ok());
-  EXPECT_EQ(value.status().code(), ErrorCode::kNotFound);
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "QUERY lights"), "NONE");
 }
 
 TEST_F(RemoteTest, ErrorsForUnknownGroupAndBadInput) {
-  RemoteVoterClient client = MustConnect();
-  EXPECT_FALSE(client.Submit("ghosts", 0, 0, 1.0).ok());
-  EXPECT_FALSE(client.Query("ghosts").ok());
-  EXPECT_FALSE(client.CloseRound("ghosts", 0).ok());
-  // Out-of-range module.
-  EXPECT_FALSE(client.Submit("lights", 99, 0, 1.0).ok());
+  TcpConnection connection = MustConnect();
+  const std::string unknown = "ERR not_found: no voter group named 'ghosts'";
+  EXPECT_EQ(Exchange(connection, "SUBMIT ghosts 0 0 1"), unknown);
+  EXPECT_EQ(Exchange(connection, "QUERY ghosts"), unknown);
+  EXPECT_EQ(Exchange(connection, "CLOSE ghosts 0"), unknown);
+  // Out-of-range module: the reading is not accepted.
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 99 0 1"),
+            "ERR reading not accepted");
+}
+
+// SUBMIT answers OK exactly when the reading was accepted: a reading for
+// an already-closed round is dropped, and says so.
+TEST_F(RemoteTest, SubmitIntoClosedRoundIsAnError) {
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 0 3 7"), "OK");
+  EXPECT_EQ(Exchange(connection, "CLOSE lights 3"), "OK");
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights 1 3 9"),
+            "ERR reading not accepted");
 }
 
 TEST_F(RemoteTest, GroupsListsRegisteredGroups) {
@@ -80,34 +113,30 @@ TEST_F(RemoteTest, GroupsListsRegisteredGroups) {
                   .AddGroup("extra",
                             *core::MakeEngine(core::AlgorithmId::kAverage, 2))
                   .ok());
-  RemoteVoterClient client = MustConnect();
-  auto groups = client.Groups();
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(*groups, (std::vector<std::string>{"extra", "lights"}));
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "GROUPS"), "GROUPS 2 extra lights");
 }
 
 TEST_F(RemoteTest, MultipleConcurrentClients) {
-  constexpr int kClients = 4;
   constexpr int kRounds = 20;
   std::vector<std::thread> feeders;
-  // Each client plays one module; rounds complete when all three modules
-  // of a round arrived (module 2 is fed by the main thread).
+  // Each connection plays one module; rounds complete when all three
+  // modules of a round arrived (module 2 is fed by the main thread).
   for (int m = 0; m < 2; ++m) {
     feeders.emplace_back([this, m] {
-      auto client = RemoteVoterClient::Connect("127.0.0.1", server_->port());
-      ASSERT_TRUE(client.ok());
+      auto connection = TcpConnection::Connect("127.0.0.1", server_->port());
+      ASSERT_TRUE(connection.ok());
       for (int r = 0; r < kRounds; ++r) {
-        ASSERT_TRUE(client
-                        ->Submit("lights", static_cast<size_t>(m),
-                                 static_cast<size_t>(r), 10.0 + m)
-                        .ok());
+        ASSERT_EQ(Exchange(*connection,
+                           StrFormat("SUBMIT lights %d %d %d", m, r, 10 + m)),
+                  "OK");
       }
     });
   }
-  RemoteVoterClient main_client = MustConnect();
+  TcpConnection main_connection = MustConnect();
   for (int r = 0; r < kRounds; ++r) {
-    ASSERT_TRUE(main_client.Submit("lights", 2, static_cast<size_t>(r), 12.0)
-                    .ok());
+    ASSERT_EQ(Exchange(main_connection, StrFormat("SUBMIT lights 2 %d 12", r)),
+              "OK");
   }
   for (std::thread& feeder : feeders) feeder.join();
   // Give the last in-flight round a moment to fuse.
@@ -117,37 +146,30 @@ TEST_F(RemoteTest, MultipleConcurrentClients) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ((*sink)->output_count(), static_cast<size_t>(kRounds));
-  (void)kClients;
 }
 
 TEST_F(RemoteTest, MalformedRequestsYieldErrors) {
-  auto raw = TcpConnection::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(raw->SendLine("SUBMIT lights notanumber 0 1.0").ok());
-  auto response = raw->ReceiveLine();
-  ASSERT_TRUE(response.ok());
-  EXPECT_TRUE(response->rfind("ERR", 0) == 0) << *response;
-  ASSERT_TRUE(raw->SendLine("FROBNICATE").ok());
-  response = raw->ReceiveLine();
-  ASSERT_TRUE(response.ok());
-  EXPECT_TRUE(response->rfind("ERR", 0) == 0);
-  ASSERT_TRUE(raw->SendLine("QUIT").ok());
-  response = raw->ReceiveLine();
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(*response, "BYE");
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "SUBMIT lights notanumber 0 1.0"),
+            "ERR bad module index");
+  EXPECT_EQ(Exchange(connection, "FROBNICATE"),
+            "ERR unknown verb 'FROBNICATE'");
+  // A malformed line costs only its own reply; the connection lives on.
+  EXPECT_EQ(Exchange(connection, "PING"), "PONG");
+  EXPECT_EQ(Exchange(connection, "QUIT"), "BYE");
 }
 
 TEST_F(RemoteTest, ServerStopsCleanlyWithConnectedClients) {
-  RemoteVoterClient client = MustConnect();
-  ASSERT_TRUE(client.Ping().ok());
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "PING"), "PONG");
   server_->Stop();  // must not hang with the client still connected
   SUCCEED();
 }
 
 TEST_F(RemoteTest, RequestsServedCounts) {
-  RemoteVoterClient client = MustConnect();
-  ASSERT_TRUE(client.Ping().ok());
-  ASSERT_TRUE(client.Ping().ok());
+  TcpConnection connection = MustConnect();
+  EXPECT_EQ(Exchange(connection, "PING"), "PONG");
+  EXPECT_EQ(Exchange(connection, "PING"), "PONG");
   EXPECT_GE(server_->requests_served(), 2u);
 }
 

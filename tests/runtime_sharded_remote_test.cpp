@@ -16,6 +16,7 @@
 #include "core/algorithms.h"
 #include "obs/metrics.h"
 #include "runtime/sim_net.h"
+#include "util/strings.h"
 
 namespace avoc::runtime {
 namespace {
@@ -26,6 +27,14 @@ std::unique_ptr<Transport> MustConnect(SimWorld& world, uint16_t port) {
   auto transport = world.Connect(port);
   EXPECT_TRUE(transport.ok()) << transport.status().ToString();
   return std::move(*transport);
+}
+
+/// Sends one request line and returns the reply line.
+std::string Exchange(Transport& connection, const std::string& line) {
+  EXPECT_TRUE(connection.SendLine(line).ok());
+  auto reply = connection.ReceiveLine();
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() ? *reply : "<" + reply.status().ToString() + ">";
 }
 
 std::vector<BatchReading> MakeReadings(size_t n, uint64_t round = 0) {
@@ -71,9 +80,9 @@ class ShardedSimTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
-  RemoteVoterClient MustClient(bool binary) {
+  RemoteVoterClient MustClient() {
     auto client =
-        RemoteVoterClient::FromTransport(MustConnect(*world_, kPort), binary);
+        RemoteVoterClient::FromTransport(MustConnect(*world_, kPort));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -122,7 +131,7 @@ TEST_F(ShardedSimTest, FirstGroupRequestMigratesToOwningShard) {
   // The first accepted connection lands on shard 0 (round-robin start);
   // submitting to a group owned elsewhere must migrate it.
   const std::string group = GroupOwnedBy(2, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   auto accepted = client.SubmitBatch(group, MakeReadings(3));
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(*accepted, 3u);
@@ -147,7 +156,7 @@ TEST_F(ShardedSimTest, ForeignGroupRequestsForwardWithRepliesInOrder) {
   // discriminate local (2) from forwarded (3) replies, so any reply
   // reordering under pipelining is visible to the client.
   StartSharded(23, 3, kGroups, {}, {}, {{"group-1", 2}});
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   const std::string home = "group-1";  // shard 1 (pinned by golden test)
   const std::string away = GroupOwnedBy(2, kGroups);
   ASSERT_EQ(server_->shard_of(home), 1u);
@@ -185,23 +194,27 @@ TEST_F(ShardedSimTest, MixedProtocolsOnDifferentShardsConcurrently) {
   const std::string binary_group = GroupOwnedBy(1, kGroups);
   const std::string legacy_group = GroupOwnedBy(2, kGroups);
 
-  RemoteVoterClient binary = MustClient(/*binary=*/true);
-  RemoteVoterClient legacy = MustClient(/*binary=*/false);
+  RemoteVoterClient binary = MustClient();
+  std::unique_ptr<Transport> line = MustConnect(*world_, kPort);
 
   // Interleave requests so both connections are live at once, each
   // migrated to (and served by) a different shard in its own protocol.
   ASSERT_TRUE(binary.SubmitBatch(binary_group, MakeReadings(3)).ok());
-  for (uint64_t m = 0; m < 3; ++m) {
-    ASSERT_TRUE(legacy.Submit(legacy_group, m, 0, 30.0 + m).ok());
+  for (int m = 0; m < 3; ++m) {
+    ASSERT_EQ(Exchange(*line, StrFormat("SUBMIT %s %d 0 %d",
+                                        legacy_group.c_str(), m, 30 + m)),
+              "OK");
   }
   ASSERT_TRUE(binary.SubmitBatch(binary_group, MakeReadings(3, 1)).ok());
-  ASSERT_TRUE(legacy.CloseRound(legacy_group, 0).ok());
+  ASSERT_EQ(Exchange(*line, "CLOSE " + legacy_group + " 0"), "OK");
 
   auto binary_value = binary.Query(binary_group);
   ASSERT_TRUE(binary_value.ok()) << binary_value.status().ToString();
-  auto legacy_value = legacy.Query(legacy_group);
-  ASSERT_TRUE(legacy_value.ok()) << legacy_value.status().ToString();
-  EXPECT_NEAR(*legacy_value, 31.0, 1.5);
+  const std::string legacy_value = Exchange(*line, "QUERY " + legacy_group);
+  const auto fused = (*server_->sink(legacy_group))->last_value();
+  ASSERT_TRUE(fused.has_value());
+  EXPECT_EQ(legacy_value, StrFormat("VALUE %.17g", *fused));
+  EXPECT_NEAR(*fused, 31.0, 1.5);
   EXPECT_GE(server_->migrations(), 2u);
 
   // Cross-protocol isolation: each group fused on its own shard only.
@@ -212,7 +225,7 @@ TEST_F(ShardedSimTest, MixedProtocolsOnDifferentShardsConcurrently) {
 TEST_F(ShardedSimTest, DedupReplayWorksAfterMigration) {
   StartSharded(25, 3, kGroups);
   const std::string group = GroupOwnedBy(2, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
 
   auto first = client.SubmitBatchSeq("edge-7", 1, group, MakeReadings(3));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -229,7 +242,7 @@ TEST_F(ShardedSimTest, DedupReplayWorksAfterMigration) {
 
 TEST_F(ShardedSimTest, FanOutVerbsSeeEveryShard) {
   StartSharded(26, 3, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   // Pin the connection to a non-zero shard so the fan-out answers below
   // provably cross shards.
   ASSERT_TRUE(client.SubmitBatch(GroupOwnedBy(1, kGroups), MakeReadings(3))
@@ -264,7 +277,7 @@ TEST_F(ShardedSimTest, FanOutVerbsSeeEveryShard) {
 
 TEST_F(ShardedSimTest, ShardScopedMetricsCountMigrationsAndForwards) {
   StartSharded(27, 3, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   ASSERT_TRUE(client.SubmitBatch(GroupOwnedBy(1, kGroups), MakeReadings(3))
                   .ok());
   ASSERT_TRUE(client.SubmitBatch(GroupOwnedBy(2, kGroups), MakeReadings(3))
@@ -303,8 +316,8 @@ TEST_F(ShardedSimTest, RoundRobinHandoffSpreadsFreshConnections) {
   StartSharded(28, 2, kGroups);
   // Two ping-only clients: neither ever pins, so they stay where the
   // acceptor handed them — one on each shard.
-  RemoteVoterClient a = MustClient(/*binary=*/true);
-  RemoteVoterClient b = MustClient(/*binary=*/true);
+  RemoteVoterClient a = MustClient();
+  RemoteVoterClient b = MustClient();
   ASSERT_TRUE(a.Ping().ok());
   ASSERT_TRUE(b.Ping().ok());
   EXPECT_EQ(server_->migrations(), 0u);
@@ -318,7 +331,7 @@ TEST_F(ShardedSimTest, RoundRobinHandoffSpreadsFreshConnections) {
 
 TEST_F(ShardedSimTest, SingleShardDegradesToPlainServer) {
   StartSharded(29, 1, {"lights"});
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   auto accepted = client.SubmitBatch("lights", MakeReadings(3));
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(*accepted, 3u);
@@ -366,8 +379,7 @@ TEST_F(ShardedSimTest, MultiShardRunsReplayDeterministically) {
     {
       auto transport = world.Connect(kPort);
       EXPECT_TRUE(transport.ok());
-      auto client =
-          RemoteVoterClient::FromTransport(std::move(*transport), true);
+      auto client = RemoteVoterClient::FromTransport(std::move(*transport));
       EXPECT_TRUE(client.ok());
       for (const std::string& g : kGroups) {
         (void)client->SubmitBatch(g, MakeReadings(3));

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "runtime/framing.h"
 #include "runtime/remote.h"
+#include "util/strings.h"
 
 namespace avoc::runtime {
 namespace {
@@ -206,9 +207,9 @@ class SimServerTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
-  RemoteVoterClient MustClient(bool binary) {
-    auto client = RemoteVoterClient::FromTransport(
-        MustConnect(*world_, kPort), binary);
+  RemoteVoterClient MustClient() {
+    auto client =
+        RemoteVoterClient::FromTransport(MustConnect(*world_, kPort));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -221,7 +222,7 @@ class SimServerTest : public ::testing::Test {
 
 TEST_F(SimServerTest, BinarySubmitBatchReachesSinkSingleThreaded) {
   StartWorld(11);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   std::vector<BatchReading> readings;
   for (uint64_t m = 0; m < 3; ++m) readings.push_back({m, 0, 20.0 + m});
   auto accepted = client.SubmitBatch("lights", readings);
@@ -236,18 +237,28 @@ TEST_F(SimServerTest, BinarySubmitBatchReachesSinkSingleThreaded) {
 
 TEST_F(SimServerTest, LegacyLineProtocolWorksOverSim) {
   StartWorld(12);
-  RemoteVoterClient client = MustClient(/*binary=*/false);
-  for (uint64_t m = 0; m < 3; ++m) {
-    ASSERT_TRUE(client.Submit("lights", m, 0, 20.0 + m).ok());
+  std::unique_ptr<Transport> line = MustConnect(*world_, kPort);
+  for (int m = 0; m < 3; ++m) {
+    ASSERT_TRUE(line->SendLine(StrFormat("SUBMIT lights %d 0 %d", m, 20 + m))
+                    .ok());
+    auto reply = line->ReceiveLine();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(*reply, "OK");
   }
-  auto value = client.Query("lights");
-  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  ASSERT_TRUE(line->SendLine("QUERY lights").ok());
+  auto reply = line->ReceiveLine();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto sink = manager_->sink("lights");
+  ASSERT_TRUE(sink.ok());
+  const auto value = (*sink)->last_value();
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(*reply, StrFormat("VALUE %.17g", *value));
   EXPECT_NEAR(*value, 21.0, 1.5);
 }
 
 TEST_F(SimServerTest, DuplicateSeqIsAnsweredFromDedupCache) {
   StartWorld(13);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   std::vector<BatchReading> readings;
   for (uint64_t m = 0; m < 3; ++m) readings.push_back({m, 0, 20.0 + m});
 
@@ -279,7 +290,7 @@ TEST_F(SimServerTest, IdleTimeoutFiresOnVirtualClock) {
   RemoteServerOptions server_options;
   server_options.idle_timeout_ms = 50;
   StartWorld(14, {}, server_options);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   ASSERT_TRUE(client.Ping().ok());
 
   world_->RunFor(500);  // idle well past the timeout, in virtual time only
@@ -292,7 +303,7 @@ TEST_F(SimServerTest, LargeResponseDrainsThroughTinyPipe) {
   SimWorld::Options options;
   options.pipe_capacity_bytes = 256;
   StartWorld(15, options);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   std::vector<BatchReading> readings;
   for (uint64_t m = 0; m < 3; ++m) readings.push_back({m, 0, 20.0 + m});
   ASSERT_TRUE(client.SubmitBatch("lights", readings).ok());

@@ -133,8 +133,7 @@ RecoveryRun RunSchedule(uint64_t seed) {
     RECOVERY_CHECK(server.ok(), "phase1 start");
     auto transport = world.Connect(kPort);
     RECOVERY_CHECK(transport.ok(), "phase1 connect");
-    auto client =
-        RemoteVoterClient::FromTransport(std::move(*transport), true);
+    auto client = RemoteVoterClient::FromTransport(std::move(*transport));
     RECOVERY_CHECK(client.ok(), "phase1 client");
 
     Rng values(seed ^ 0xDA7A5EEDull);
@@ -256,8 +255,7 @@ RecoveryRun RunSchedule(uint64_t seed) {
     RECOVERY_CHECK(server.ok(), "phase2 start");
     auto transport = world.Connect(kPort);
     RECOVERY_CHECK(transport.ok(), "phase2 connect");
-    auto client =
-        RemoteVoterClient::FromTransport(std::move(*transport), true);
+    auto client = RemoteVoterClient::FromTransport(std::move(*transport));
     RECOVERY_CHECK(client.ok(), "phase2 client");
     Rng values(seed ^ 0xF2E5E5ull);
     for (size_t r = 0; r < phase2_rounds; ++r) {

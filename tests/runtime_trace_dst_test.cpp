@@ -168,8 +168,7 @@ TraceRun RunScenario(uint64_t seed, const std::string& dir) {
   run.local_dump = tracer.DumpText();
   auto transport = world.Connect(kPort);
   if (!transport.ok()) return fail("dump connect failed");
-  auto dump_client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto dump_client = RemoteVoterClient::FromTransport(std::move(*transport));
   if (!dump_client.ok()) return fail("dump client failed");
   if (!dump_client->SetRequestTimeoutMs(1000).ok()) {
     return fail("dump timeout set failed");
@@ -429,8 +428,7 @@ TEST_F(TraceDstTest, UntracedServerStillAnswersAndRejectsTraceDump) {
 
   auto transport = world.Connect(kPort);
   ASSERT_TRUE(transport.ok());
-  auto dump_client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto dump_client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(dump_client.ok());
   ASSERT_TRUE(dump_client->SetRequestTimeoutMs(500).ok());
   const auto dump = dump_client->TraceDump();

@@ -96,7 +96,9 @@ TEST(SensorModelTest, DeterministicForSameSeed) {
     const auto ra = a.Sample(r, 50.0);
     const auto rb = b.Sample(r, 50.0);
     ASSERT_EQ(ra.has_value(), rb.has_value());
-    if (ra.has_value()) EXPECT_DOUBLE_EQ(*ra, *rb);
+    if (ra.has_value()) {
+      EXPECT_DOUBLE_EQ(*ra, *rb);
+    }
   }
 }
 

@@ -55,7 +55,9 @@ void Populate(StorageEngine& engine, avoc::Rng& rng) {
     }
     ASSERT_TRUE(engine.AppendTrace(name, points).ok());
   }
-  if (rng.UniformInt(3) == 0) ASSERT_TRUE(engine.Compact().ok());
+  if (rng.UniformInt(3) == 0) {
+    ASSERT_TRUE(engine.Compact().ok());
+  }
 }
 
 void CorruptFile(const fs::path& path, avoc::Rng& rng) {
