@@ -40,6 +40,10 @@ std::vector<double> MakeRound(size_t modules, avoc::Rng& rng) {
   return round;
 }
 
+avoc::core::Round ToRound(const std::vector<double>& values) {
+  return avoc::core::Round(values.begin(), values.end());
+}
+
 void BM_StatelessVote(benchmark::State& state) {
   const size_t modules = static_cast<size_t>(state.range(0));
   avoc::Rng rng(1);
@@ -63,7 +67,7 @@ void BM_HistoryAwareRound(benchmark::State& state) {
   avoc::Rng rng(2);
   for (auto _ : state) {
     state.PauseTiming();
-    const std::vector<double> round = MakeRound(modules, rng);
+    const avoc::core::Round round = ToRound(MakeRound(modules, rng));
     state.ResumeTiming();
     auto result = engine->CastVote(round);
     benchmark::DoNotOptimize(result);
@@ -89,7 +93,7 @@ void BM_ClusteringOnlyRound(benchmark::State& state) {
   avoc::Rng rng(3);
   for (auto _ : state) {
     state.PauseTiming();
-    const std::vector<double> round = MakeRound(modules, rng);
+    const avoc::core::Round round = ToRound(MakeRound(modules, rng));
     state.ResumeTiming();
     auto result = engine->CastVote(round);
     benchmark::DoNotOptimize(result);
@@ -110,7 +114,7 @@ void BM_HistoryAwareRoundWithMemoryStore(benchmark::State& state) {
   avoc::Rng rng(4);
   for (auto _ : state) {
     state.PauseTiming();
-    const std::vector<double> round = MakeRound(modules, rng);
+    const avoc::core::Round round = ToRound(MakeRound(modules, rng));
     state.ResumeTiming();
     // Read-modify-write against the store, as the voter service does.
     auto snapshot = store.Get("group");
@@ -149,7 +153,7 @@ void BM_HistoryAwareRoundWithFileStore(benchmark::State& state) {
   avoc::Rng rng(5);
   for (auto _ : state) {
     state.PauseTiming();
-    const std::vector<double> round = MakeRound(modules, rng);
+    const avoc::core::Round round = ToRound(MakeRound(modules, rng));
     state.ResumeTiming();
     auto snapshot = store->Get("group");
     if (snapshot.ok()) {
@@ -260,7 +264,7 @@ bool RunPercentilePass(const std::string& path) {
     avoc::Rng rng(11 + c);
     avoc::obs::LatencyHistogram histogram;
     for (size_t r = 0; r < kPercentileWarmup + kPercentileRounds; ++r) {
-      const std::vector<double> round = MakeRound(config.modules, rng);
+      const avoc::core::Round round = ToRound(MakeRound(config.modules, rng));
       const auto start = std::chrono::steady_clock::now();
       auto result = engine->CastVote(round);
       const auto stop = std::chrono::steady_clock::now();

@@ -2,8 +2,8 @@
 // voter group per shelf, hundreds of shelves per store).
 //
 // Four modes over the identical per-group workload:
-//   legacy               one-VoteResult-per-round allocation path
-//                        (core::RunOverTableLegacy), single thread
+//   legacy               one VotingEngine::CastVote(Round) call per round
+//                        (a VoteResult allocated per round), single thread
 //   columnar             group-major SoA block (MultiGroupTrace), single
 //                        thread, trace reused across repeats
 //   columnar-instrumented columnar with a live obs::Registry and
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,21 +101,24 @@ int main(int argc, char** argv) {
 
   // --- legacy: per-round VoteResult allocations, fresh engines ------------
   ModeResult legacy{"legacy", "per-round", 1};
-  std::vector<avoc::core::LegacyBatchResult> legacy_results;
+  using Outputs = std::vector<std::optional<double>>;
+  std::vector<Outputs> legacy_results;
   for (size_t it = 0; it < repeat; ++it) {
-    std::vector<avoc::core::LegacyBatchResult> results;
-    results.reserve(groups);
+    std::vector<Outputs> results(groups);
     const auto start = std::chrono::steady_clock::now();
     for (size_t g = 0; g < groups; ++g) {
       auto engine = avoc::core::VotingEngine::Create(modules, config);
       if (!engine.ok()) return 1;
-      auto batch = avoc::core::RunOverTableLegacy(*engine, tables[g]);
-      if (!batch.ok()) {
-        std::fprintf(stderr, "legacy: %s\n",
-                     batch.status().ToString().c_str());
-        return 1;
+      results[g].reserve(rounds);
+      for (size_t r = 0; r < rounds; ++r) {
+        auto result = engine->CastVote(tables[g].MaterializeRound(r));
+        if (!result.ok()) {
+          std::fprintf(stderr, "legacy: %s\n",
+                       result.status().ToString().c_str());
+          return 1;
+        }
+        results[g].push_back(result->value);
       }
-      results.push_back(std::move(batch).value());
     }
     const double seconds = SecondsSince(start);
     if (it == 0 || seconds < legacy.seconds) legacy.seconds = seconds;
@@ -215,7 +219,7 @@ int main(int argc, char** argv) {
     const avoc::core::TraceView par_view = par_trace.group(g);
     const avoc::core::TraceView instr_view = instr_trace.group(g);
     for (size_t r = 0; r < rounds; ++r) {
-      const auto& legacy_output = legacy_results[g].outputs[r];
+      const auto& legacy_output = legacy_results[g][r];
       if (seq_view.output(r) != legacy_output ||
           par_view.output(r) != legacy_output ||
           instr_view.output(r) != legacy_output) {

@@ -9,6 +9,9 @@
 // for the per-stage ns/round breakdown (agreement / exclusion / average
 // / other) — the observed pass pays the hook overhead, so the totals
 // come from the bare pass and the breakdown shows *where* rounds spend.
+// The observed pass is also a check of hook dispatch: its trace must be
+// bit-identical to the bare pass's and every stage bucket must have
+// collected time, or the bench exits 1.
 //
 // The "standard-abs" rows run binary agreement over an absolute margin,
 // the mode where the kernel layer dispatches the O(N log N) sorted-
@@ -22,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,8 +87,6 @@ class StageTimer final : public avoc::core::StageObserver {
       other_ns += ns;
     }
   }
-  bool wants_vote_result() const override { return false; }
-
   double agreement_ns = 0.0;
   double exclusion_ns = 0.0;
   double average_ns = 0.0;
@@ -94,6 +96,37 @@ class StageTimer final : public avoc::core::StageObserver {
   using Clock = std::chrono::steady_clock;
   Clock::time_point prev_{};
 };
+
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// Whether two traces hold the same bits in every column.
+bool SameTrace(const avoc::core::TraceColumns& a,
+               const avoc::core::TraceColumns& b) {
+  if (a.rounds != b.rounds || a.modules != b.modules ||
+      a.errors.size() != b.errors.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.errors.size(); ++i) {
+    if (a.errors[i].round != b.errors[i].round ||
+        a.errors[i].status.code() != b.errors[i].status.code()) {
+      return false;
+    }
+  }
+  return SameBytes(a.values, b.values) && SameBytes(a.engaged, b.engaged) &&
+         SameBytes(a.outcomes, b.outcomes) &&
+         SameBytes(a.used_clustering, b.used_clustering) &&
+         SameBytes(a.had_majority, b.had_majority) &&
+         SameBytes(a.present_counts, b.present_counts) &&
+         SameBytes(a.weights, b.weights) &&
+         SameBytes(a.agreement, b.agreement) &&
+         SameBytes(a.history, b.history) &&
+         SameBytes(a.excluded, b.excluded) &&
+         SameBytes(a.eliminated, b.eliminated);
+}
 
 }  // namespace
 
@@ -140,6 +173,7 @@ int main(int argc, char** argv) {
   std::vector<Row> json_rows;
   size_t cross_rounds = 0;
   size_t cross_mismatches = 0;
+  size_t observed_failures = 0;  ///< observed pass differs or missed a stage
 
   std::printf("=== redundancy scaling: %zu rounds, 20%% faulty modules "
               "(+25%% bias) ===\n",
@@ -179,7 +213,20 @@ int main(int argc, char** argv) {
           avoc::core::MakeEngine(config.id, modules, config.params);
       if (!observed.ok()) continue;
       observed->set_observer(&timer);
-      if (!avoc::core::RunOverTable(*observed, table).ok()) continue;
+      auto observed_batch = avoc::core::RunOverTable(*observed, table);
+      if (!observed_batch.ok() ||
+          !SameTrace(observed_batch->view().columns(),
+                     batch->view().columns())) {
+        std::fprintf(stderr, "FAILED: %zu modules %s: observed trace differs "
+                     "from the bare trace\n", modules, config.label);
+        ++observed_failures;
+      }
+      if (timer.agreement_ns <= 0.0 || timer.exclusion_ns <= 0.0 ||
+          timer.average_ns <= 0.0 || timer.other_ns <= 0.0) {
+        std::fprintf(stderr, "FAILED: %zu modules %s: a stage bucket read 0 "
+                     "(hooks not dispatched)\n", modules, config.label);
+        ++observed_failures;
+      }
 
       avoc::stats::RunningStats err;
       for (size_t r = 0; r < batch->round_count(); ++r) {
@@ -233,6 +280,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nsorted-vs-pairwise cross-check: %zu rounds, %zu mismatches\n",
       cross_rounds, cross_mismatches);
+  std::printf("observed-vs-bare cross-check: %zu failures\n",
+              observed_failures);
   std::printf(
       "(average absorbs the faulty camp's bias at every size; history-\n"
       " aware voting shrinks the error as redundancy grows, at a per-round\n"
@@ -255,8 +304,10 @@ int main(int argc, char** argv) {
                  "  \"breakdown_source\": \"instrumented-pass\",\n"
                  "  \"sorted_cross_check\": {\"rounds\": %zu, "
                  "\"mismatches\": %zu},\n"
+                 "  \"observed_cross_check_failures\": %zu,\n"
                  "  \"results\": [\n",
-                 rounds, repeat, cross_rounds, cross_mismatches);
+                 rounds, repeat, cross_rounds, cross_mismatches,
+                 observed_failures);
     for (size_t i = 0; i < json_rows.size(); ++i) {
       const Row& row = json_rows[i];
       std::fprintf(
@@ -275,5 +326,5 @@ int main(int argc, char** argv) {
     std::fclose(json);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return cross_mismatches == 0 ? 0 : 1;
+  return cross_mismatches == 0 && observed_failures == 0 ? 0 : 1;
 }

@@ -40,7 +40,7 @@ int main() {
   }
 
   // Five redundant light sensors; the last one is broken.
-  const double rounds[][5] = {
+  const avoc::core::Round rounds[] = {
       {18400, 18520, 18470, 18390, 24800},
       {18410, 18530, 18480, 18400, 24790},
       {18430, 18510, 18500, 18410, 24810},

@@ -4,7 +4,10 @@
 //
 //   auto spec  = avoc::vdx::Spec::Parse(definition_json);
 //   auto voter = avoc::vdx::MakeVoter(*spec, modules);
-//   auto fused = voter->CastVote(readings);
+//   auto fused = voter->CastVote(avoc::core::Round{18.4, 18.5, 18.3});
+//
+// CastVote is the single-round convenience; batch callers hand whole
+// blocks of rounds to CastVoteBlock (or core::RunOverTable) instead.
 //
 // Fine-grained headers remain available for targeted includes; this one
 // exists so applications and quick experiments need exactly one line.

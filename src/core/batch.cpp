@@ -30,21 +30,4 @@ Result<BatchTrace> RunAlgorithm(AlgorithmId id, const data::RoundTable& table,
   return RunOverTable(engine, table);
 }
 
-Result<LegacyBatchResult> RunOverTableLegacy(VotingEngine& engine,
-                                             const data::RoundTable& table) {
-  if (table.module_count() != engine.module_count()) {
-    return InvalidArgumentError("table/engine module count mismatch");
-  }
-  LegacyBatchResult batch;
-  batch.rounds.reserve(table.round_count());
-  batch.outputs.reserve(table.round_count());
-  for (size_t r = 0; r < table.round_count(); ++r) {
-    const Round round = table.MaterializeRound(r);
-    AVOC_ASSIGN_OR_RETURN(VoteResult result, engine.CastVote(round));
-    batch.outputs.push_back(result.value);
-    batch.rounds.push_back(std::move(result));
-  }
-  return batch;
-}
-
 }  // namespace avoc::core

@@ -4,16 +4,11 @@
 // pre-recorded data for reproducibility purposes"): every algorithm sees
 // the identical table of raw readings and produces one output series.
 //
-// The result path is columnar: each round flows RoundTable::View →
-// CastVote(RoundSpan, VoteSink) → BatchTrace, so the hot loop performs no
-// per-round Round materialization and no VoteResult allocation.  The
-// legacy one-VoteResult-per-round path survives as RunOverTableLegacy —
-// the bit-parity baseline the golden tests and bench_multi_group's
-// "legacy" mode compare against.
+// The result path is columnar: the whole table goes to
+// VotingEngine::CastVoteBlock as one RoundBlock and every round lands in a
+// BatchTrace, so the hot loop performs no per-round Round materialization
+// and no VoteResult allocation.
 #pragma once
-
-#include <optional>
-#include <vector>
 
 #include "core/algorithms.h"
 #include "core/engine.h"
@@ -40,16 +35,5 @@ Result<BatchTrace> RunOverTable(VotingEngine& engine,
 /// Convenience: fresh preset engine over the table.
 Result<BatchTrace> RunAlgorithm(AlgorithmId id, const data::RoundTable& table,
                                 const PresetParams& params = {});
-
-/// Pre-refactor result shape: one heap-allocated VoteResult per round.
-struct LegacyBatchResult {
-  std::vector<VoteResult> rounds;
-  std::vector<std::optional<double>> outputs;
-};
-
-/// The pre-refactor per-round-allocation path, kept verbatim as the
-/// correctness and throughput baseline of the columnar trace.
-Result<LegacyBatchResult> RunOverTableLegacy(VotingEngine& engine,
-                                             const data::RoundTable& table);
 
 }  // namespace avoc::core

@@ -3,9 +3,10 @@
 //
 // EngineConfig composes the per-step parameters (quorum, exclusion,
 // clustering gate, agreement, elimination, weighting, collation, history)
-// that the stage pipeline (core/stages.h) compiles into a fixed chain of
-// VoteStage objects.  Kept separate from engine.h so the stages can see
-// the configuration without depending on the engine itself.
+// that CompileRoundPlan (core/stages.h) lowers into the per-stage
+// constants of the fixed nine-stage chain.  Kept separate from engine.h
+// so the stages can see the configuration without depending on the
+// engine itself.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/trace.h"
 #include "util/strings.h"
 
 namespace avoc::core {
@@ -9,7 +10,7 @@ namespace avoc::core {
 VotingEngine::VotingEngine(size_t module_count, const EngineConfig& config)
     : module_count_(module_count),
       config_(config),
-      pipeline_(StagePipeline::Compile(module_count, config)),
+      plan_(CompileRoundPlan(module_count, config)),
       ledger_(module_count, config.history) {}
 
 Result<VotingEngine> VotingEngine::Create(size_t module_count,
@@ -31,7 +32,7 @@ Status ArityError(size_t readings, size_t modules) {
 
 }  // namespace
 
-RoundScalars VotingEngine::EmitColumns(VoteSink& sink, RoundColumns* columns) {
+RoundScalars VotingEngine::EmitColumns(VoteSink& sink, RoundColumns& columns) {
   RoundColumns cols = sink.BeginRound(module_count_);
   RoundScalars scalars;
   scalars.present_count = static_cast<uint32_t>(scratch_.present_count);
@@ -114,39 +115,8 @@ RoundScalars VotingEngine::EmitColumns(VoteSink& sink, RoundColumns* columns) {
     scalars.eliminated_count = eliminated_count;
   }
   sink.EndRound(scalars);
-  if (columns != nullptr) *columns = cols;
+  columns = cols;
   return scalars;
-}
-
-Status VotingEngine::FinishRound(VoteSink& sink) {
-  ++round_index_;
-  const bool stage_hooks =
-      observer_ != nullptr && observer_->stage_hooks_enabled();
-  if (stage_hooks) {
-    observer_->OnRoundBegin(round_index_, scratch_);
-    for (const auto& stage : pipeline_->stages()) {
-      AVOC_RETURN_IF_ERROR(stage->Run(scratch_));
-      observer_->OnStageDone(stage->name(), scratch_);
-      if (scratch_.faulted()) break;
-    }
-  } else {
-    // No per-stage observation wanted: the compiled plan runs the same
-    // stage bodies without virtual dispatch between them.
-    AVOC_RETURN_IF_ERROR(pipeline_->RunRound(scratch_));
-  }
-  RoundColumns columns;
-  const RoundScalars scalars = EmitColumns(sink, &columns);
-  if (!scratch_.faulted()) last_output_ = *scratch_.output;
-  if (observer_ != nullptr) {
-    observer_->OnRoundCommitted(round_index_, columns, scalars);
-    if (observer_wants_result_) {
-      // Legacy-shaped observers speak VoteResult; materialize only for
-      // them — hot-path observers opt out and stay allocation-free.
-      observer_->OnRoundEnd(round_index_,
-                            MaterializeVoteResult(columns, scalars));
-    }
-  }
-  return Status::Ok();
 }
 
 Status VotingEngine::CastVoteBlock(RoundBlock block, VoteSink& sink) {
@@ -156,65 +126,36 @@ Status VotingEngine::CastVoteBlock(RoundBlock block, VoteSink& sink) {
     return ArityError(block.modules, module_count_);
   }
   const size_t rounds = block.round_count();
-  if (observer_ == nullptr) {
-    // Observer-free batch loop: compiled plan + column emit, with the
-    // dispatch decisions hoisted out of the round loop.  Mirrors
-    // FinishRound's ordering exactly (round counter, stages, emit,
-    // last-output update).
-    const StagePipeline& pipeline = *pipeline_;
-    for (size_t r = 0; r < rounds; ++r) {
-      scratch_.Begin(block.round(r), config_, ledger_, last_output_);
-      ++round_index_;
-      AVOC_RETURN_IF_ERROR(pipeline.RunRound(scratch_));
-      EmitColumns(sink, nullptr);
-      if (!scratch_.faulted()) last_output_ = *scratch_.output;
-    }
-    return Status::Ok();
-  }
-  // Observed batches keep the full per-round hook protocol (sampling
-  // observers may toggle stage hooks between rounds).
   for (size_t r = 0; r < rounds; ++r) {
-    scratch_.Begin(block.round(r), config_, ledger_, last_output_);
-    AVOC_RETURN_IF_ERROR(FinishRound(sink));
+    scratch_.Begin(block.round(r), plan_, ledger_, last_output_);
+    ++round_index_;
+    AVOC_RETURN_IF_ERROR(RunRound(plan_, scratch_, observer_, round_index_));
+    RoundColumns columns;
+    const RoundScalars scalars = EmitColumns(sink, columns);
+    if (!scratch_.faulted()) last_output_ = *scratch_.output;
+    if (observer_ != nullptr) {
+      observer_->OnRoundCommitted(round_index_, columns, scalars);
+    }
   }
   return Status::Ok();
 }
 
-Status VotingEngine::CastVote(RoundSpan round, VoteSink& sink) {
-  if (round.size() != module_count_ ||
-      round.present.size() != module_count_) {
-    return ArityError(round.size(), module_count_);
-  }
-  scratch_.Begin(round, config_, ledger_, last_output_);
-  return FinishRound(sink);
-}
-
-Status VotingEngine::CastVote(const Round& round, VoteSink& sink) {
+Result<VoteResult> VotingEngine::CastVote(const Round& round) {
   if (round.size() != module_count_) {
     return ArityError(round.size(), module_count_);
   }
-  scratch_.Begin(round, config_, ledger_, last_output_);
-  return FinishRound(sink);
-}
-
-Status VotingEngine::CastVote(std::span<const double> values, VoteSink& sink) {
-  if (values.size() != module_count_) {
-    return ArityError(values.size(), module_count_);
+  std::vector<double> values(module_count_, 0.0);
+  std::vector<uint8_t> present(module_count_, 0);
+  for (size_t m = 0; m < module_count_; ++m) {
+    if (round[m].has_value()) {
+      values[m] = *round[m];
+      present[m] = 1;
+    }
   }
-  scratch_.Begin(values, config_, ledger_, last_output_);
-  return FinishRound(sink);
-}
-
-Result<VoteResult> VotingEngine::CastVote(std::span<const double> values) {
-  VoteResultSink sink;
-  AVOC_RETURN_IF_ERROR(CastVote(values, sink));
-  return sink.TakeResult();
-}
-
-Result<VoteResult> VotingEngine::CastVote(const Round& round) {
-  VoteResultSink sink;
-  AVOC_RETURN_IF_ERROR(CastVote(round, sink));
-  return sink.TakeResult();
+  BatchTrace trace(module_count_);
+  AVOC_RETURN_IF_ERROR(
+      CastVoteBlock(RoundBlock{values, present, module_count_}, trace));
+  return trace.MaterializeRound(0);
 }
 
 Status VotingEngine::RestoreHistory(std::span<const double> records,

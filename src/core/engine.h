@@ -1,10 +1,10 @@
 // VotingEngine: the paper's voting pipeline as a policy composition.
 //
 // One engine instance owns the state of one logical sensor group: the
-// per-module history ledger and the last accepted output.  Each call to
-// CastVote consumes one Round and threads a VoteContext through the
-// stage chain StagePipeline::Compile lowered from the EngineConfig (see
-// core/stages.h), in VDX's declared order:
+// per-module history ledger and the last accepted output.  CastVoteBlock
+// consumes a block of rounds and runs each one through RunRound over the
+// RoundPlan compiled from the EngineConfig (see core/stages.h), in VDX's
+// declared order:
 //
 //   quorum check → value exclusion → clustering (bootstrap/fallback/always)
 //   → agreement scoring → module elimination → round weighting → collation
@@ -38,56 +38,25 @@ class VotingEngine {
   size_t module_count() const { return module_count_; }
   const EngineConfig& config() const { return config_; }
 
-  /// The compiled stage chain this engine runs (shared, immutable).
-  const StagePipeline& stage_pipeline() const { return *pipeline_; }
-
   /// Attaches a non-owning observer receiving per-stage hooks for every
   /// subsequent round; nullptr detaches.  The observer must outlive its
   /// attachment and must not mutate the engine from within a hook.
-  void set_observer(StageObserver* observer) {
-    observer_ = observer;
-    // Cached once: answering this per round would cost a virtual call on
-    // the hot path for a property that never changes mid-attachment.
-    observer_wants_result_ =
-        observer != nullptr && observer->wants_vote_result();
-  }
+  void set_observer(StageObserver* observer) { observer_ = observer; }
   StageObserver* observer() const { return observer_; }
 
-  /// Consumes one round.  Always returns a VoteResult describing what
-  /// happened; hard errors (arity mismatch) surface as a non-OK Result.
-  /// Allocates one VoteResult per call — batch hot loops should use the
-  /// VoteSink overloads below instead.
-  Result<VoteResult> CastVote(const Round& round);
-
-  /// Convenience overload for fully-populated rounds.
-  Result<VoteResult> CastVote(std::span<const double> values);
-
-  // --- Columnar (zero-allocation) result path -------------------------------
-  //
-  // The engine writes the round's outputs straight into the caller-owned
-  // sink (flat columns, see core/vote_sink.h): no VoteResult, no per-round
-  // vectors.  Outcomes that the legacy overloads report as a VoteResult
-  // (kNoOutput, kRevertedLast, kError) are committed to the sink the same
-  // way; only hard errors (arity mismatch, stage failure) return non-OK —
-  // then nothing was written.
-
-  /// Zero-copy round: contiguous values + present-bitmask (a
-  /// data::RoundTable::View), written into `sink`.
-  Status CastVote(RoundSpan round, VoteSink& sink);
-
-  /// Many-rounds batch entry: consumes every round of the contiguous
-  /// block (a whole RoundTable, or one worker's slice of it) in one call.
-  /// The arity check, observer dispatch decision, and compiled-plan
-  /// lookup are hoisted out of the per-round loop, so the rounds run back
-  /// to back through one instruction stream.  Identical results to
-  /// calling CastVote(RoundSpan, sink) per round, bit for bit.
+  /// The engine's one round loop: consumes every round of the contiguous
+  /// block (a whole RoundTable, one worker's slice of it, or one round)
+  /// and writes each round's outputs straight into the caller-owned sink
+  /// (flat columns, see core/vote_sink.h), with no per-round allocation.
+  /// Outcomes kNoOutput, kRevertedLast and kError are committed to the
+  /// sink like voted rounds; only hard errors (arity mismatch, stage
+  /// failure) return non-OK, and then the failing round was not written.
   Status CastVoteBlock(RoundBlock block, VoteSink& sink);
 
-  /// Legacy-shaped round, written into `sink`.
-  Status CastVote(const Round& round, VoteSink& sink);
-
-  /// Fully-populated round, written into `sink`.
-  Status CastVote(std::span<const double> values, VoteSink& sink);
+  /// Single-round convenience: runs `round` as a one-round block and
+  /// returns the committed round as a VoteResult (which allocates; batch
+  /// loops should use CastVoteBlock).
+  Result<VoteResult> CastVote(const Round& round);
 
   /// Last accepted output (from a kVoted round), if any.
   const std::optional<double>& last_output() const { return last_output_; }
@@ -119,22 +88,17 @@ class VotingEngine {
  private:
   VotingEngine(size_t module_count, const EngineConfig& config);
 
-  /// Runs the compiled stage chain over the Begin-initialized scratch and
-  /// commits the round into `sink`.  Shared tail of every CastVote.
-  Status FinishRound(VoteSink& sink);
-
   /// Writes the scratch state into one sink round; returns the committed
-  /// scalars (for the observer hook).
-  RoundScalars EmitColumns(VoteSink& sink, RoundColumns* columns);
+  /// scalars and columns (for the observer hook).
+  RoundScalars EmitColumns(VoteSink& sink, RoundColumns& columns);
 
   size_t module_count_;
   EngineConfig config_;
-  StagePipeline::Ptr pipeline_;
+  RoundPlan plan_;
   HistoryLedger ledger_;
   std::optional<double> last_output_;
   size_t round_index_ = 0;
   StageObserver* observer_ = nullptr;
-  bool observer_wants_result_ = false;  ///< cached observer_->wants_vote_result()
   /// Reused round scratch state (see VoteContext); reset by Begin.
   VoteContext scratch_;
 };

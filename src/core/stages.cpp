@@ -24,9 +24,7 @@ cluster::GroupingOptions MirroredGroupingOptions(
 // --- Stage bodies -----------------------------------------------------------
 //
 // Each stage's work is one free function over (context, compiled
-// constants).  The virtual VoteStage chain (the observed path) and
-// StagePipeline::RunRound (the batch path) both call these, so the two
-// execution paths are bit-identical by construction.
+// constants); RunStage below maps a position in kStageNames to its body.
 
 // Quorum.
 Status RunQuorumStage(VoteContext& context, size_t module_count,
@@ -206,13 +204,14 @@ Status RunMajorityStage(VoteContext& context, const AgreementParams& params,
 }
 
 // History update.
-Status RunHistoryStage(VoteContext& context, const AgreementParams& params) {
+Status RunHistoryStage(VoteContext& context, const AgreementParams& params,
+                       HistoryRule rule) {
   // Every *present* module is scored against the voted output, including
   // excluded and eliminated ones ("even if discarded in the voting
   // itself"), so discarded modules can rehabilitate.  The scores come out
   // of the dense pivot kernel, then scatter to module positions.
   context.output_agreement.assign(context.module_count, 0.0);
-  if (context.config->history.rule == HistoryRule::kNone) {
+  if (rule == HistoryRule::kNone) {
     // Stateless presets: the ledger ignores the agreement column, so the
     // pivot scores are dead work — keep the Update call (round counting
     // and arity check), skip the scoring.
@@ -234,168 +233,46 @@ Status RunHistoryStage(VoteContext& context, const AgreementParams& params) {
       std::span<const uint8_t>(context.present.data(), context.module_count));
 }
 
-// --- Virtual stage wrappers -------------------------------------------------
-
-class QuorumStage final : public VoteStage {
- public:
-  QuorumStage(size_t module_count, size_t required, NoQuorumPolicy policy)
-      : module_count_(module_count), required_(required), policy_(policy) {}
-
-  std::string_view name() const override { return "quorum"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunQuorumStage(context, module_count_, required_, policy_);
+// Runs stage `stage` (its position in kStageNames) of `plan`.
+Status RunStage(size_t stage, const RoundPlan& plan, VoteContext& context) {
+  switch (stage) {
+    case 0:
+      return RunQuorumStage(context, plan.module_count, plan.quorum_required,
+                            plan.on_no_quorum);
+    case 1:
+      return RunExclusionStage(context, plan.exclusion);
+    case 2:
+      return RunClusteringStage(context, plan.clustering, plan.grouping);
+    case 3:
+      return RunAgreementStage(context, plan.agreement);
+    case 4:
+      return RunEliminationStage(context, plan.module_elimination,
+                                 plan.elimination_margin);
+    case 5:
+      return RunWeightingStage(context, plan.weighting, plan.clustering,
+                               plan.grouping);
+    case 6:
+      return RunCollationStage(context, plan.collation);
+    case 7:
+      return RunMajorityStage(context, plan.agreement, plan.on_no_majority);
+    default:
+      return RunHistoryStage(context, plan.agreement, plan.history_rule);
   }
-
- private:
-  size_t module_count_;
-  size_t required_;
-  NoQuorumPolicy policy_;
-};
-
-class ExclusionStage final : public VoteStage {
- public:
-  explicit ExclusionStage(const ExclusionParams& params) : params_(params) {}
-
-  std::string_view name() const override { return "exclusion"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunExclusionStage(context, params_);
-  }
-
- private:
-  ExclusionParams params_;
-};
-
-class ClusteringStage final : public VoteStage {
- public:
-  ClusteringStage(ClusteringMode mode, const cluster::GroupingOptions& options)
-      : mode_(mode), options_(options) {}
-
-  std::string_view name() const override { return "clustering"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunClusteringStage(context, mode_, options_);
-  }
-
- private:
-  ClusteringMode mode_;
-  cluster::GroupingOptions options_;
-};
-
-class AgreementStage final : public VoteStage {
- public:
-  explicit AgreementStage(const AgreementParams& params) : params_(params) {}
-
-  std::string_view name() const override { return "agreement"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunAgreementStage(context, params_);
-  }
-
- private:
-  AgreementParams params_;
-};
-
-class EliminationStage final : public VoteStage {
- public:
-  EliminationStage(bool enabled, double margin)
-      : enabled_(enabled), margin_(margin) {}
-
-  std::string_view name() const override { return "elimination"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunEliminationStage(context, enabled_, margin_);
-  }
-
- private:
-  bool enabled_;
-  double margin_;
-};
-
-class WeightingStage final : public VoteStage {
- public:
-  WeightingStage(RoundWeighting weighting, ClusteringMode clustering,
-                 const cluster::GroupingOptions& options)
-      : weighting_(weighting), clustering_(clustering), options_(options) {}
-
-  std::string_view name() const override { return "weighting"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunWeightingStage(context, weighting_, clustering_, options_);
-  }
-
- private:
-  RoundWeighting weighting_;
-  ClusteringMode clustering_;
-  cluster::GroupingOptions options_;
-};
-
-class CollationStage final : public VoteStage {
- public:
-  explicit CollationStage(Collation method) : method_(method) {}
-
-  std::string_view name() const override { return "collation"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunCollationStage(context, method_);
-  }
-
- private:
-  Collation method_;
-};
-
-class MajorityStage final : public VoteStage {
- public:
-  MajorityStage(const AgreementParams& params, NoMajorityPolicy policy)
-      : params_(params), policy_(policy) {}
-
-  std::string_view name() const override { return "majority"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunMajorityStage(context, params_, policy_);
-  }
-
- private:
-  AgreementParams params_;
-  NoMajorityPolicy policy_;
-};
-
-class HistoryUpdateStage final : public VoteStage {
- public:
-  explicit HistoryUpdateStage(const AgreementParams& params)
-      : params_(params) {}
-
-  std::string_view name() const override { return "history"; }
-
-  Status Run(VoteContext& context) const override {
-    return RunHistoryStage(context, params_);
-  }
-
- private:
-  AgreementParams params_;
-};
+}
 
 }  // namespace
 
-void VoteContext::Begin(const Round& round, const EngineConfig& engine_config,
+void VoteContext::Begin(RoundSpan round, const RoundPlan& round_plan,
                         HistoryLedger& engine_ledger,
                         std::optional<double> previous) {
-  BeginCommon(round.size(), engine_config, engine_ledger, previous);
-  for (size_t i = 0; i < module_count; ++i) {
-    if (round[i].has_value()) {
-      present[i] = 1;
-      present_index.push_back(i);
-      present_values.push_back(*round[i]);
-    }
-  }
-  present_count = present_index.size();
-}
+  plan = &round_plan;
+  ledger = &engine_ledger;
+  module_count = round.size();
+  previous_output = previous;
 
-void VoteContext::Begin(RoundSpan round, const EngineConfig& engine_config,
-                        HistoryLedger& engine_ledger,
-                        std::optional<double> previous) {
-  BeginCommon(round.size(), engine_config, engine_ledger, previous);
+  present_index.clear();
+  present_values.clear();
+  present.assign(module_count, uint8_t{0});
   for (size_t i = 0; i < module_count; ++i) {
     if (round.present[i] != 0) {
       present[i] = 1;
@@ -404,34 +281,6 @@ void VoteContext::Begin(RoundSpan round, const EngineConfig& engine_config,
     }
   }
   present_count = present_index.size();
-}
-
-void VoteContext::Begin(std::span<const double> values,
-                        const EngineConfig& engine_config,
-                        HistoryLedger& engine_ledger,
-                        std::optional<double> previous) {
-  BeginCommon(values.size(), engine_config, engine_ledger, previous);
-  present.assign(module_count, uint8_t{1});
-  for (size_t i = 0; i < module_count; ++i) {
-    present_index.push_back(i);
-    present_values.push_back(values[i]);
-  }
-  present_count = module_count;
-}
-
-void VoteContext::BeginCommon(size_t modules,
-                              const EngineConfig& engine_config,
-                              HistoryLedger& engine_ledger,
-                              std::optional<double> previous) {
-  config = &engine_config;
-  ledger = &engine_ledger;
-  module_count = modules;
-  previous_output = previous;
-
-  present_index.clear();
-  present_values.clear();
-  present.assign(module_count, uint8_t{0});
-  present_count = 0;
 
   excluded_present.clear();
   included_index.clear();
@@ -487,11 +336,8 @@ void StageTraceObserver::OnStageDone(std::string_view stage,
   entries_.push_back(std::move(entry));
 }
 
-StagePipeline::Ptr StagePipeline::Compile(size_t module_count,
-                                          const EngineConfig& config) {
-  auto pipeline = std::shared_ptr<StagePipeline>(new StagePipeline());
-
-  RoundPlan& plan = pipeline->plan_;
+RoundPlan CompileRoundPlan(size_t module_count, const EngineConfig& config) {
+  RoundPlan plan;
   plan.module_count = module_count;
   plan.quorum_required = std::max<size_t>(
       config.quorum.min_count,
@@ -508,60 +354,22 @@ StagePipeline::Ptr StagePipeline::Compile(size_t module_count,
   plan.weighting = config.weighting;
   plan.collation = config.collation;
   plan.on_no_majority = config.on_no_majority;
-
-  auto& stages = pipeline->stages_;
-  stages.reserve(9);
-  stages.push_back(std::make_unique<QuorumStage>(
-      module_count, plan.quorum_required, plan.on_no_quorum));
-  stages.push_back(std::make_unique<ExclusionStage>(plan.exclusion));
-  stages.push_back(
-      std::make_unique<ClusteringStage>(plan.clustering, plan.grouping));
-  stages.push_back(std::make_unique<AgreementStage>(plan.agreement));
-  stages.push_back(std::make_unique<EliminationStage>(
-      plan.module_elimination, plan.elimination_margin));
-  stages.push_back(std::make_unique<WeightingStage>(
-      plan.weighting, plan.clustering, plan.grouping));
-  stages.push_back(std::make_unique<CollationStage>(plan.collation));
-  stages.push_back(
-      std::make_unique<MajorityStage>(plan.agreement, plan.on_no_majority));
-  stages.push_back(std::make_unique<HistoryUpdateStage>(plan.agreement));
-  return pipeline;
+  plan.history_rule = config.history.rule;
+  return plan;
 }
 
-Status StagePipeline::RunRound(VoteContext& context) const {
-  // The same nine bodies stages() dispatches virtually, inlined into one
-  // call frame with the fault short-circuit between steps.
-  const RoundPlan& plan = plan_;
-  AVOC_RETURN_IF_ERROR(RunQuorumStage(context, plan.module_count,
-                                      plan.quorum_required,
-                                      plan.on_no_quorum));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(RunExclusionStage(context, plan.exclusion));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(
-      RunClusteringStage(context, plan.clustering, plan.grouping));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(RunAgreementStage(context, plan.agreement));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(RunEliminationStage(context, plan.module_elimination,
-                                           plan.elimination_margin));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(RunWeightingStage(context, plan.weighting,
-                                         plan.clustering, plan.grouping));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(RunCollationStage(context, plan.collation));
-  if (context.faulted()) return Status::Ok();
-  AVOC_RETURN_IF_ERROR(
-      RunMajorityStage(context, plan.agreement, plan.on_no_majority));
-  if (context.faulted()) return Status::Ok();
-  return RunHistoryStage(context, plan.agreement);
-}
-
-std::vector<std::string_view> StagePipeline::StageNames() const {
-  std::vector<std::string_view> names;
-  names.reserve(stages_.size());
-  for (const auto& stage : stages_) names.push_back(stage->name());
-  return names;
+Status RunRound(const RoundPlan& plan, VoteContext& context,
+                StageObserver* observer, size_t round_index) {
+  if (observer != nullptr && !observer->stage_hooks_enabled()) {
+    observer = nullptr;
+  }
+  if (observer != nullptr) observer->OnRoundBegin(round_index, context);
+  for (size_t stage = 0; stage < kStageNames.size(); ++stage) {
+    AVOC_RETURN_IF_ERROR(RunStage(stage, plan, context));
+    if (observer != nullptr) observer->OnStageDone(kStageNames[stage], context);
+    if (context.faulted()) break;  // later stages are skipped, unreported
+  }
+  return Status::Ok();
 }
 
 }  // namespace avoc::core

@@ -1,17 +1,15 @@
 // The voting round as an explicit stage pipeline.
 //
-// Every §4 algorithm is a composition of the same ordered steps; here each
-// step is one VoteStage object and a round is one pass of a VoteContext
-// through the fixed chain
+// Every §4 algorithm is a composition of the same ordered steps; a round
+// is one pass of a VoteContext through the fixed chain
 //
 //   quorum → exclusion → clustering → agreement → elimination
 //          → weighting → collation → majority → history
 //
-// StagePipeline::Compile lowers an EngineConfig into that chain exactly
-// once per engine: per-stage constants (the quorum count, the mirrored
-// clustering threshold, ...) are resolved at compile time, and the round
-// hot path only threads the context through.  The chain is immutable and
-// stateless across rounds, so engine copies share one compiled pipeline.
+// CompileRoundPlan lowers an EngineConfig into the per-stage constants of
+// that chain exactly once per engine (the quorum count, the mirrored
+// clustering threshold, ...), and RunRound, the one stage executor,
+// threads the context through the nine stage bodies with those constants.
 //
 // StageObserver is the extension seam: tracing, metrics and debugging
 // attach from the outside (VotingEngine::set_observer) without touching
@@ -19,9 +17,7 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,10 +33,11 @@ namespace avoc::core {
 
 struct RoundColumns;  // core/vote_sink.h
 struct RoundScalars;  // core/vote_sink.h
+struct RoundPlan;     // below
 
 /// The nine stage names in execution order — the contract between
-/// StagePipeline::Compile and everything that keys per-stage data (the
-/// stage trace renderer, the metrics observer, the tests).
+/// RunRound and everything that keys per-stage data (the stage trace
+/// renderer, the metrics observer, the tests).
 inline constexpr std::array<std::string_view, 9> kStageNames = {
     "quorum",     "exclusion", "clustering",
     "agreement",  "elimination", "weighting",
@@ -51,7 +48,7 @@ inline constexpr std::array<std::string_view, 9> kStageNames = {
 /// hot path performs no per-round vector allocations once warmed up.
 struct VoteContext {
   // --- round inputs (set by Begin) -----------------------------------------
-  const EngineConfig* config = nullptr;
+  const RoundPlan* plan = nullptr;
   HistoryLedger* ledger = nullptr;
   size_t module_count = 0;
   /// Last accepted output before this round (MNN tie-break, clustering
@@ -102,17 +99,9 @@ struct VoteContext {
   std::optional<RoundOutcome> fault;
   Status fault_status;
 
-  /// Resets the context for a new round and gathers the present candidates.
-  void Begin(const Round& round, const EngineConfig& engine_config,
-             HistoryLedger& engine_ledger, std::optional<double> previous);
-
-  /// Zero-copy Begin: the round arrives as contiguous values plus a
-  /// present-bitmask (data::RoundTable::View), no Round vector involved.
-  void Begin(RoundSpan round, const EngineConfig& engine_config,
-             HistoryLedger& engine_ledger, std::optional<double> previous);
-
-  /// Fully-populated Begin: every module present.
-  void Begin(std::span<const double> values, const EngineConfig& engine_config,
+  /// Resets the context for a new round and gathers the present
+  /// candidates of `round` (contiguous values plus a present-bitmask).
+  void Begin(RoundSpan round, const RoundPlan& round_plan,
              HistoryLedger& engine_ledger, std::optional<double> previous);
 
   bool faulted() const { return fault.has_value(); }
@@ -124,28 +113,6 @@ struct VoteContext {
   /// the winning group.  Shared by the clustering stage and the weighting
   /// stage's zero-weight fallback.
   Status ApplyClustering(const cluster::GroupingOptions& options);
-
- private:
-  /// Shared reset of everything but the presence scan.
-  void BeginCommon(size_t modules, const EngineConfig& engine_config,
-                   HistoryLedger& engine_ledger,
-                   std::optional<double> previous);
-};
-
-/// One step of the voting round.  Stages are immutable after compilation
-/// and hold no per-round state, so a compiled chain is safe to share
-/// between engine copies and across threads (each engine brings its own
-/// context and ledger).
-class VoteStage {
- public:
-  virtual ~VoteStage() = default;
-
-  /// Stable lower-case stage name ("quorum", "exclusion", ...).
-  virtual std::string_view name() const = 0;
-
-  /// Advances the context.  Non-OK only on hard errors (these surface as
-  /// a non-OK CastVote result); policy outcomes go through context.Fault.
-  virtual Status Run(VoteContext& context) const = 0;
 };
 
 /// Observation seam for tracing/metrics.  Hooks are no-ops by default;
@@ -163,30 +130,24 @@ class StageObserver {
   virtual void OnStageDone(std::string_view /*stage*/,
                            const VoteContext& /*context*/) {}
 
-  /// With the committed sink columns and scalars, before CastVote
-  /// returns.  This is the allocation-free hook: it fires identically on
-  /// the legacy and columnar result paths and hands over the same flat
-  /// columns the sink received (valid until the sink's next BeginRound).
+  /// With the committed sink columns and scalars, after every round
+  /// (sampled or not).  The allocation-free hook: it hands over the same
+  /// flat columns the sink received (valid until the sink's next
+  /// BeginRound).
   virtual void OnRoundCommitted(size_t /*round_index*/,
                                 const RoundColumns& /*columns*/,
                                 const RoundScalars& /*scalars*/) {}
 
-  /// With the assembled result, before CastVote returns.  Fires on both
-  /// result paths, but materializing the VoteResult costs one set of
-  /// per-round allocations — hot-path observers should override
-  /// wants_vote_result() to false and use OnRoundCommitted instead.
-  virtual void OnRoundEnd(size_t /*round_index*/,
-                          const VoteResult& /*result*/) {}
+  /// Not read by the engine, which hands observers no VoteResult.  Kept
+  /// only so observers that still override it keep compiling.
+  virtual bool wants_vote_result() const { return false; }
 
-  /// Whether the engine should materialize a VoteResult for OnRoundEnd.
-  virtual bool wants_vote_result() const { return true; }
-
-  /// Inline gate the engine reads once per round (before OnRoundBegin)
-  /// to decide whether the per-round tracing hooks — OnRoundBegin and the
+  /// Inline gate RunRound reads once per round (before OnRoundBegin) to
+  /// decide whether the per-round tracing hooks — OnRoundBegin and the
   /// nine OnStageDone calls — are dispatched at all.  A sampling observer
   /// clears the flag from OnRoundCommitted for the rounds it does not
   /// time, shrinking an untimed round to a single virtual call; the
-  /// committed/end hooks always fire, so counting stays exact.
+  /// committed hook always fires, so counting stays exact.
   bool stage_hooks_enabled() const { return stage_hooks_enabled_; }
 
  protected:
@@ -221,10 +182,8 @@ class StageTraceObserver : public StageObserver {
   std::vector<StageTraceEntry> entries_;
 };
 
-/// The fully-resolved per-stage constants of one compiled pipeline — what
-/// Compile lowers an EngineConfig into.  The virtual stage objects and
-/// the non-virtual StagePipeline::RunRound batch path both execute the
-/// *same* stage bodies from this plan, so the two paths cannot diverge.
+/// The fully-resolved per-stage constants of one engine — what
+/// CompileRoundPlan lowers an EngineConfig into and RunRound executes.
 struct RoundPlan {
   size_t module_count = 0;
   size_t quorum_required = 0;
@@ -238,38 +197,19 @@ struct RoundPlan {
   RoundWeighting weighting = RoundWeighting::kUniform;
   Collation collation = Collation::kWeightedAverage;
   NoMajorityPolicy on_no_majority = NoMajorityPolicy::kAccept;
+  HistoryRule history_rule = HistoryRule::kCumulativeRatio;
 };
 
-/// The compiled, immutable stage chain for one EngineConfig.
-class StagePipeline {
- public:
-  using Ptr = std::shared_ptr<const StagePipeline>;
+/// Lowers `config` (assumed validated) for a `module_count`-ary round.
+RoundPlan CompileRoundPlan(size_t module_count, const EngineConfig& config);
 
-  /// Lowers `config` (assumed validated) for a `module_count`-ary round
-  /// into the fixed nine-stage chain (and the equivalent RoundPlan).
-  static Ptr Compile(size_t module_count, const EngineConfig& config);
-
-  std::span<const std::unique_ptr<VoteStage>> stages() const {
-    return stages_;
-  }
-  size_t size() const { return stages_.size(); }
-
-  const RoundPlan& plan() const { return plan_; }
-
-  /// Runs one round through the compiled plan without virtual dispatch or
-  /// per-stage observer boundaries — the batch hot path.  Bit-identical
-  /// to threading the context through stages() (both call the same stage
-  /// bodies); engines pick this path when no stage hooks are attached.
-  Status RunRound(VoteContext& context) const;
-
-  /// Stage names in execution order.
-  std::vector<std::string_view> StageNames() const;
-
- private:
-  StagePipeline() = default;
-
-  std::vector<std::unique_ptr<VoteStage>> stages_;
-  RoundPlan plan_;
-};
+/// Runs one Begin-initialized round through the nine stages of `plan`,
+/// stopping after the stage that faults.  When `observer` is non-null
+/// and its stage_hooks_enabled() gate is up, OnRoundBegin(round_index)
+/// fires first and OnStageDone after every stage that ran; the stage
+/// bodies and their results are the same either way.  Non-OK only on
+/// hard errors; policy outcomes go through context.Fault.
+Status RunRound(const RoundPlan& plan, VoteContext& context,
+                StageObserver* observer, size_t round_index);
 
 }  // namespace avoc::core

@@ -1,9 +1,8 @@
-// VoteSink: the zero-allocation result seam of CastVote.
+// VoteSink: the zero-allocation result seam of VotingEngine::CastVoteBlock.
 //
-// The legacy CastVote materializes one VoteResult per round — six
-// heap-backed vectors every time, which makes large batch runs
-// allocator-bound rather than compute-bound.  VoteSink inverts the
-// ownership: the *caller* owns flat, reusable column storage and the
+// A VoteResult per round costs six heap-backed vectors, which makes large
+// batch runs allocator-bound rather than compute-bound.  VoteSink inverts
+// the ownership: the *caller* owns flat, reusable column storage and the
 // engine writes each round's outputs straight into it.  A round is two
 // virtual calls:
 //
@@ -11,14 +10,13 @@
 //   ... engine fills the per-module columns in place ...
 //   sink.EndRound(scalars);                             // commit scalars
 //
-// BatchTrace (core/trace.h) is the canonical SoA sink; VoteResultSink
-// adapts the seam back to a single legacy VoteResult for the
-// compatibility overloads and for explain/tests.
+// BatchTrace (core/trace.h) is the canonical SoA sink; its
+// MaterializeRound turns a committed round back into a VoteResult for the
+// single-round CastVote convenience and for explain/tests.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/types.h"
 #include "util/status.h"
@@ -53,7 +51,7 @@ struct RoundScalars {
   const Status* status = nullptr;
 };
 
-/// Caller-owned columnar receiver for CastVote outputs.
+/// Caller-owned columnar receiver for CastVoteBlock outputs.
 class VoteSink {
  public:
   virtual ~VoteSink() = default;
@@ -63,28 +61,6 @@ class VoteSink {
 
   /// Commits the round after the columns were filled.
   virtual void EndRound(const RoundScalars& scalars) = 0;
-};
-
-/// Builds a legacy VoteResult from a filled round (columns are read back,
-/// mask bytes become vector<bool>).  The substrate of every
-/// trace-to-VoteResult materializer.
-VoteResult MaterializeVoteResult(const RoundColumns& columns,
-                                 const RoundScalars& scalars);
-
-/// Adapter sink producing one legacy VoteResult per round — the
-/// compatibility bridge for the allocating CastVote overloads.
-class VoteResultSink final : public VoteSink {
- public:
-  RoundColumns BeginRound(size_t module_count) override;
-  void EndRound(const RoundScalars& scalars) override;
-
-  const VoteResult& result() const { return result_; }
-  VoteResult TakeResult() { return std::move(result_); }
-
- private:
-  VoteResult result_;
-  std::vector<uint8_t> excluded_;
-  std::vector<uint8_t> eliminated_;
 };
 
 }  // namespace avoc::core

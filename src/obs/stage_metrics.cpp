@@ -1,6 +1,5 @@
 #include "obs/stage_metrics.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/events.h"
@@ -86,16 +85,7 @@ void MetricsObserver::OnRoundBegin(size_t round_index,
   // engine skips both this hook and the nine OnStageDone calls when the
   // gate is down — an untimed round costs one virtual call total.
   (void)round_index;
-  if (!quorum_required_known_) {
-    // Mirrors QuorumStage's threshold; constant for the engine's lifetime.
-    quorum_required_known_ = true;
-    const core::QuorumParams& quorum = context.config->quorum;
-    quorum_required_ = std::max<size_t>(
-        quorum.min_count,
-        static_cast<size_t>(std::ceil(
-            quorum.fraction * static_cast<double>(context.module_count) -
-            1e-9)));
-  }
+  quorum_required_ = context.plan->quorum_required;
   sampling_round_ = options_.sample_every != 0;
   if (sampling_round_) {
     stage_cursor_ = 0;
@@ -108,17 +98,7 @@ void MetricsObserver::OnStageDone(std::string_view stage,
                                   const core::VoteContext& context) {
   (void)context;
   if (!sampling_round_) return;  // engine gate off, or foreign dispatch
-  // Stages fire in pipeline order; the cursor makes the histogram lookup
-  // O(1) with a name check, falling back to a scan for custom pipelines.
-  size_t index = stage_cursor_;
-  if (index >= core::kStageNames.size() ||
-      core::kStageNames[index] != stage) {
-    const auto* it =
-        std::find(core::kStageNames.begin(), core::kStageNames.end(), stage);
-    if (it == core::kStageNames.end()) return;  // unknown stage: skip
-    index = static_cast<size_t>(it - core::kStageNames.begin());
-  }
-  stage_cursor_ = index + 1;
+  const size_t index = stage_cursor_++;
 
   const Clock::time_point now = Clock::now();
   stage_latency_[index]->Record(

@@ -78,7 +78,6 @@ class MetricsObserver final : public core::StageObserver {
   void OnRoundCommitted(size_t round_index,
                         const core::RoundColumns& columns,
                         const core::RoundScalars& scalars) override;
-  bool wants_vote_result() const override { return false; }
 
   /// Publishes the locally accumulated counts to the registry now.
   void Flush();
@@ -144,10 +143,11 @@ class MetricsObserver final : public core::StageObserver {
   size_t rounds_since_flush_ = 0;
   size_t rounds_since_sample_ = 0;
   bool sampling_round_ = false;
-  /// Quorum threshold, mirrored from the engine config on first round;
+  /// Quorum threshold of the engine's plan, read on every sampled round;
   /// attributes non-voted outcomes to the quorum vs majority stage.
   size_t quorum_required_ = 0;
-  bool quorum_required_known_ = false;
+  /// Position in kStageNames of the next OnStageDone (stages report in
+  /// chain order).
   size_t stage_cursor_ = 0;
   Clock::time_point round_start_{};
   Clock::time_point stage_mark_{};

@@ -559,7 +559,11 @@ Result<Frame> ParseRequestLine(std::string_view line) {
                                FrameType::kQuit}) {
     if (verb == FrameTypeName(type)) return Frame{type, {}};
   }
-  return InvalidArgumentError("unknown verb '" + verb + "'");
+  // Echo at most a short prefix: the verb is whatever the client sent.
+  constexpr size_t kVerbEcho = 32;
+  return InvalidArgumentError(
+      "unknown verb '" + verb.substr(0, kVerbEcho) +
+      (verb.size() > kVerbEcho ? "...'" : "'"));
 }
 
 std::string RenderLineReply(const Frame& frame) {

@@ -457,9 +457,20 @@ bool RemoteVoterServer::OverHighWater(const Connection& c) const {
   return c.outbuf.size() - c.out_pos > options_.write_high_water_bytes;
 }
 
-Result<Frame> RemoteVoterServer::NextRequest(Connection& c) {
+Result<Frame> RemoteVoterServer::NextRequest(Connection& c) const {
   if (c.mode == Connection::Mode::kBinary) return c.decoder.Next();
   const size_t newline = c.inbuf.find('\n', c.line_pos);
+  const size_t line_end =
+      newline == std::string::npos ? c.inbuf.size() : newline;
+  if (line_end - c.line_pos > options_.max_frame_bytes) {
+    // Longer than any frame body may be, newline or not: like an
+    // oversized binary frame it is a protocol violation, and its bytes
+    // are dropped instead of buffered.
+    c.inbuf.clear();
+    c.line_pos = 0;
+    return OutOfRangeError(StrFormat("request line exceeds limit %zu",
+                                     options_.max_frame_bytes));
+  }
   if (newline == std::string::npos) {
     c.inbuf.erase(0, c.line_pos);
     c.line_pos = 0;
@@ -480,7 +491,8 @@ void RemoteVoterServer::ProcessRequests(int fd) {
     auto frame = NextRequest(c);
     if (!frame.ok()) {
       if (frame.status().code() == ErrorCode::kNotFound) break;
-      if (c.mode == Connection::Mode::kLine) {
+      if (c.mode == Connection::Mode::kLine &&
+          frame.status().code() != ErrorCode::kOutOfRange) {
         // A malformed line costs only its own reply: line boundaries
         // survive, so the connection carries on.
         ++requests_;

@@ -289,8 +289,9 @@ class RemoteVoterServer {
   void ProcessInput(int fd);
   /// The one request source: the next frame, decoded or translated from
   /// a request line.  NotFound = need more bytes; a malformed line fails
-  /// with its reply reason; a decoder error means the stream is poisoned.
-  static Result<Frame> NextRequest(Connection& c);
+  /// with its reply reason; a decoder error or OutOfRange (a line longer
+  /// than max_frame_bytes) means the stream is poisoned.
+  Result<Frame> NextRequest(Connection& c) const;
   /// Routes every complete request: HEALTH fan-out, connection migration
   /// or shard forwarding, else local execution.
   void ProcessRequests(int fd);

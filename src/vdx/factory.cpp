@@ -168,16 +168,6 @@ Result<core::VotingEngine> MakeVoter(const Spec& spec, size_t modules) {
   return core::VotingEngine::Create(modules, config);
 }
 
-Result<core::StagePipeline::Ptr> CompileStagePipeline(const Spec& spec,
-                                                      size_t modules) {
-  if (modules == 0) {
-    return InvalidArgumentError("stage pipeline needs at least one module");
-  }
-  AVOC_ASSIGN_OR_RETURN(const core::EngineConfig config, ToEngineConfig(spec));
-  AVOC_RETURN_IF_ERROR(config.Validate());
-  return core::StagePipeline::Compile(modules, config);
-}
-
 Result<core::CategoricalConfig> ToCategoricalConfig(
     const Spec& spec, core::CategoricalDistance distance) {
   AVOC_RETURN_IF_ERROR(spec.Validate(distance != nullptr));

@@ -19,13 +19,6 @@ Result<core::EngineConfig> ToEngineConfig(const Spec& spec);
 /// Builds a ready numeric voting engine for `modules` sensors.
 Result<core::VotingEngine> MakeVoter(const Spec& spec, size_t modules);
 
-/// Lowers a numeric Spec straight to the compiled stage chain — what a
-/// spec *means* operationally, without instantiating engine state.
-/// Useful for spec tooling (showing the stage order a document compiles
-/// to) and for sharing one chain across many engines.
-Result<core::StagePipeline::Ptr> CompileStagePipeline(const Spec& spec,
-                                                      size_t modules);
-
 /// Lowers a categorical Spec (value_type CATEGORICAL).  The optional
 /// distance metric relaxes the capability matrix per §6.
 Result<core::CategoricalConfig> ToCategoricalConfig(

@@ -109,7 +109,7 @@ TEST(AlgorithmsTest, MakeEngineBuildsWorkingVoter) {
     auto engine = MakeEngine(id, 5);
     ASSERT_TRUE(engine.ok()) << AlgorithmName(id);
     auto result =
-        engine->CastVote(std::vector<double>{10.0, 10.1, 9.9, 10.05, 10.2});
+        engine->CastVote(Round{10.0, 10.1, 9.9, 10.05, 10.2});
     ASSERT_TRUE(result.ok()) << AlgorithmName(id);
     EXPECT_EQ(result->outcome, RoundOutcome::kVoted);
     EXPECT_NEAR(*result->value, 10.05, 0.2) << AlgorithmName(id);

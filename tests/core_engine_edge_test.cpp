@@ -28,7 +28,7 @@ TEST(EngineEdgeTest, ExclusionRunsBeforeClustering) {
   config.exclusion.threshold = 1.5;
   VotingEngine engine = MustCreate(5, config);
   auto result =
-      engine.CastVote(std::vector<double>{10.0, 10.1, 9.9, 10.05, 500.0});
+      engine.CastVote(Round{10.0, 10.1, 9.9, 10.05, 500.0});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->excluded[4]);
   EXPECT_TRUE(result->used_clustering);  // bootstrap still gates round 1
@@ -44,7 +44,7 @@ TEST(EngineEdgeTest, AgreementWeightingIgnoresHistory) {
   VotingEngine engine = MustCreate(3, config);
   // The outlier's agreement score is 0 -> zero weight on round ONE, even
   // though its record is still 1.
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 50.0});
+  auto result = engine.CastVote(Round{10.0, 10.1, 50.0});
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->weights[2], 0.0);
   EXPECT_NEAR(*result->value, 10.05, 0.1);
@@ -57,7 +57,7 @@ TEST(EngineEdgeTest, CombinedWeightingMultipliesHistoryAndAgreement) {
   config.collation = Collation::kWeightedAverage;
   VotingEngine engine = MustCreate(2, config);
   // With two modules, each agrees fully with the other or not at all.
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1});
+  auto result = engine.CastVote(Round{10.0, 10.1});
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->weights[0], 1.0);  // h=1 * s=1
 }
@@ -69,7 +69,7 @@ TEST(EngineEdgeTest, WeightedMedianPreset) {
   ASSERT_TRUE(engine.ok());
   // Median is robust to one wild value even without history.
   auto result =
-      engine->CastVote(std::vector<double>{10.0, 10.1, 9.9, 10.05, 500.0});
+      engine->CastVote(Round{10.0, 10.1, 9.9, 10.05, 500.0});
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(*result->value, 10.05, 0.2);
 }
@@ -93,7 +93,7 @@ TEST(EngineEdgeTest, IdenticalValuesEverywhere) {
     auto engine = MakeEngine(id, 4);
     ASSERT_TRUE(engine.ok());
     for (int r = 0; r < 3; ++r) {
-      auto result = engine->CastVote(std::vector<double>(4, 7.25));
+      auto result = engine->CastVote(Round(4, 7.25));
       ASSERT_TRUE(result.ok()) << AlgorithmName(id);
       EXPECT_DOUBLE_EQ(*result->value, 7.25) << AlgorithmName(id);
     }
@@ -108,7 +108,7 @@ TEST(EngineEdgeTest, NegativeValuesEverywhere) {
     params.error = 5.0;
     auto engine = MakeEngine(id, 3, params);
     ASSERT_TRUE(engine.ok());
-    auto result = engine->CastVote(std::vector<double>{-70.0, -72.0, -71.0});
+    auto result = engine->CastVote(Round{-70.0, -72.0, -71.0});
     ASSERT_TRUE(result.ok()) << AlgorithmName(id);
     EXPECT_GE(*result->value, -72.0) << AlgorithmName(id);
     EXPECT_LE(*result->value, -70.0) << AlgorithmName(id);
@@ -119,7 +119,7 @@ TEST(EngineEdgeTest, ZeroCrossingValuesWithRelativeThreshold) {
   // Values straddling zero: the relative floor keeps margins sane.
   auto engine = MakeEngine(AlgorithmId::kAvoc, 3);
   ASSERT_TRUE(engine.ok());
-  auto result = engine->CastVote(std::vector<double>{-0.01, 0.0, 0.02});
+  auto result = engine->CastVote(Round{-0.01, 0.0, 0.02});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, RoundOutcome::kVoted);
 }
@@ -158,7 +158,7 @@ TEST(EngineEdgeTest, IntermittentOutageAndRecovery) {
   ASSERT_TRUE(engine.ok());
   for (int r = 0; r < 5; ++r) {
     ASSERT_TRUE(
-        engine->CastVote(std::vector<double>{10.0, 10.1, 10.05}).ok());
+        engine->CastVote(Round{10.0, 10.1, 10.05}).ok());
   }
   for (int r = 0; r < 5; ++r) {
     Round round = {10.0, 10.1, std::nullopt};
@@ -167,7 +167,7 @@ TEST(EngineEdgeTest, IntermittentOutageAndRecovery) {
     EXPECT_EQ(result->outcome, RoundOutcome::kVoted);
   }
   EXPECT_DOUBLE_EQ(engine->history().record(2), 1.0);  // untouched
-  auto back = engine->CastVote(std::vector<double>{10.0, 10.1, 10.05});
+  auto back = engine->CastVote(Round{10.0, 10.1, 10.05});
   ASSERT_TRUE(back.ok());
   EXPECT_GT(back->weights[2], 0.0);
 }
@@ -189,7 +189,7 @@ TEST(EngineEdgeTest, RoundIndexCountsFaultedRounds) {
   VotingEngine engine = MustCreate(2, config);
   Round starved = {1.0, std::nullopt};
   ASSERT_TRUE(engine.CastVote(starved).ok());
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{1.0, 1.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{1.0, 1.0}).ok());
   EXPECT_EQ(engine.round_index(), 2u);
 }
 

@@ -57,13 +57,13 @@ TEST(EngineTest, CreateRejectsZeroModules) {
 
 TEST(EngineTest, CastVoteRejectsArityMismatch) {
   VotingEngine engine = MustCreate(3, AverageConfig());
-  const std::vector<double> two = {1.0, 2.0};
+  const Round two = {1.0, 2.0};
   EXPECT_FALSE(engine.CastVote(two).ok());
 }
 
 TEST(EngineTest, PlainAverageOfCleanRound) {
   VotingEngine engine = MustCreate(3, AverageConfig());
-  const std::vector<double> values = {10.0, 20.0, 30.0};
+  const Round values = {10.0, 20.0, 30.0};
   auto result = engine.CastVote(values);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, RoundOutcome::kVoted);
@@ -90,7 +90,7 @@ TEST(EngineTest, QuorumFailureRevertsToLastOutput) {
   config.on_no_quorum = NoQuorumPolicy::kRevertLast;
   VotingEngine engine = MustCreate(4, config);
 
-  const std::vector<double> good = {1.0, 1.0, 1.0, 1.0};
+  const Round good = {1.0, 1.0, 1.0, 1.0};
   ASSERT_TRUE(engine.CastVote(good).ok());
 
   Round starved = {5.0, std::nullopt, std::nullopt, std::nullopt};
@@ -130,7 +130,7 @@ TEST(EngineTest, QuorumEmitNothingPolicy) {
   config.quorum.fraction = 1.0;
   config.on_no_quorum = NoQuorumPolicy::kEmitNothing;
   VotingEngine engine = MustCreate(2, config);
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{1.0, 1.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{1.0, 1.0}).ok());
   Round starved = {5.0, std::nullopt};
   auto result = engine.CastVote(starved);
   ASSERT_TRUE(result.ok());
@@ -143,7 +143,7 @@ TEST(EngineTest, ValueExclusionPrunesBeforeVoting) {
   config.exclusion.mode = ExclusionMode::kStdDev;
   config.exclusion.threshold = 1.5;
   VotingEngine engine = MustCreate(5, config);
-  const std::vector<double> values = {10.0, 10.2, 9.8, 10.1, 100.0};
+  const Round values = {10.0, 10.2, 9.8, 10.1, 100.0};
   auto result = engine.CastVote(values);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->excluded[4]);
@@ -165,9 +165,9 @@ TEST(EngineTest, ModuleEliminationZeroWeightsBadHistory) {
       MakeConfig(AlgorithmId::kModuleElimination, AbsoluteHalf());
   VotingEngine engine = MustCreate(3, config);
   // Round 1: mean 10.4; module 2 (11.0) is 0.6 away -> record drops.
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{10.0, 10.2, 11.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{10.0, 10.2, 11.0}).ok());
   // Round 2: module 2 must be eliminated (record below mean).
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.2, 11.0});
+  auto result = engine.CastVote(Round{10.0, 10.2, 11.0});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->eliminated[2]);
   EXPECT_DOUBLE_EQ(result->weights[2], 0.0);
@@ -178,22 +178,22 @@ TEST(EngineTest, EliminatedModuleHistoryStillUpdates) {
   EngineConfig config =
       MakeConfig(AlgorithmId::kModuleElimination, AbsoluteHalf());
   VotingEngine engine = MustCreate(3, config);
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{10.0, 10.2, 11.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{10.0, 10.2, 11.0}).ok());
   const double damaged = engine.history().record(2);
   // The faulty module recovers by submitting good values, even while
   // eliminated ("even if discarded in the voting itself").
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(engine.CastVote(std::vector<double>{10.0, 10.1, 10.05}).ok());
+    ASSERT_TRUE(engine.CastVote(Round{10.0, 10.1, 10.05}).ok());
   }
   EXPECT_GT(engine.history().record(2), damaged);
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 10.05});
+  auto result = engine.CastVote(Round{10.0, 10.1, 10.05});
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->weights[2], 0.0);  // re-admitted
 }
 
 TEST(EngineTest, AvocBootstrapClustersFirstRound) {
   VotingEngine engine = MustCreate(5, AvocConfig());
-  const std::vector<double> values = {100.0, 101.0, 99.0, 100.5, 500.0};
+  const Round values = {100.0, 101.0, 99.0, 100.5, 500.0};
   auto result = engine.CastVote(values);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->used_clustering);
@@ -205,7 +205,7 @@ TEST(EngineTest, AvocBootstrapClustersFirstRound) {
 
 TEST(EngineTest, AvocBootstrapStopsOnceHistoryDiverges) {
   VotingEngine engine = MustCreate(5, AvocConfig());
-  const std::vector<double> values = {100.0, 101.0, 99.0, 100.5, 500.0};
+  const Round values = {100.0, 101.0, 99.0, 100.5, 500.0};
   ASSERT_TRUE(engine.CastVote(values).ok());
   // After round 1 the outlier's record < 1 -> records are no longer all
   // equal -> no more clustering ("the clustering is only used once").
@@ -224,13 +224,13 @@ TEST(EngineTest, AvocFallbackWhenAllRecordsCollapse) {
   config.collation = Collation::kWeightedAverage;
   VotingEngine engine = MustCreate(3, config);
   // Round 1 clusters (all-1 records); the outlier's record drops to 0.
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{10.0, 10.1, 50.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{10.0, 10.1, 50.0}).ok());
   // A three-way split: the average agrees with nobody, all records hit 0.
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{1.0, 40.0, 90.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{1.0, 40.0, 90.0}).ok());
   ASSERT_TRUE(engine.history().AllRecordsAre(0.0));
   // All-0 records trigger the clustering fallback ("indicating a failure
   // of the system or an extreme data spike").
-  auto result = engine.CastVote(std::vector<double>{20.0, 20.1, 90.0});
+  auto result = engine.CastVote(Round{20.0, 20.1, 90.0});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->used_clustering);
   ASSERT_TRUE(result->value.has_value());
@@ -241,7 +241,7 @@ TEST(EngineTest, ClusteringAlwaysModeClustersEveryRound) {
   EngineConfig config = MakeConfig(AlgorithmId::kClusteringOnly);
   VotingEngine engine = MustCreate(3, config);
   for (int i = 0; i < 5; ++i) {
-    auto result = engine.CastVote(std::vector<double>{10.0, 10.2, 80.0});
+    auto result = engine.CastVote(Round{10.0, 10.2, 80.0});
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->used_clustering);
     EXPECT_NEAR(*result->value, 10.1, 1e-9);
@@ -253,7 +253,7 @@ TEST(EngineTest, NoMajorityDetectedOnSplitVote) {
   config.on_no_majority = NoMajorityPolicy::kAccept;
   VotingEngine engine = MustCreate(4, config);
   // Two camps of two: largest agreement group is not a strict majority.
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 90.0, 90.1});
+  auto result = engine.CastVote(Round{10.0, 10.1, 90.0, 90.1});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->had_majority);
   EXPECT_EQ(result->outcome, RoundOutcome::kVoted);  // accepted anyway
@@ -264,8 +264,8 @@ TEST(EngineTest, NoMajorityRevertPolicy) {
   config.on_no_majority = NoMajorityPolicy::kRevertLast;
   VotingEngine engine = MustCreate(4, config);
   ASSERT_TRUE(
-      engine.CastVote(std::vector<double>{10.0, 10.0, 10.0, 10.0}).ok());
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 90.0, 90.1});
+      engine.CastVote(Round{10.0, 10.0, 10.0, 10.0}).ok());
+  auto result = engine.CastVote(Round{10.0, 10.1, 90.0, 90.1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, RoundOutcome::kRevertedLast);
   EXPECT_DOUBLE_EQ(*result->value, 10.0);
@@ -275,7 +275,7 @@ TEST(EngineTest, NoMajorityRaisePolicy) {
   EngineConfig config = AverageConfig();
   config.on_no_majority = NoMajorityPolicy::kRaise;
   VotingEngine engine = MustCreate(4, config);
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 90.0, 90.1});
+  auto result = engine.CastVote(Round{10.0, 10.1, 90.0, 90.1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, RoundOutcome::kError);
   EXPECT_EQ(result->status.code(), ErrorCode::kNoMajority);
@@ -283,7 +283,7 @@ TEST(EngineTest, NoMajorityRaisePolicy) {
 
 TEST(EngineTest, MajorityPresentWithClearConsensus) {
   VotingEngine engine = MustCreate(3, AverageConfig());
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 90.0});
+  auto result = engine.CastVote(Round{10.0, 10.1, 90.0});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->had_majority);
 }
@@ -291,7 +291,7 @@ TEST(EngineTest, MajorityPresentWithClearConsensus) {
 TEST(EngineTest, LastOutputTracksVotedRounds) {
   VotingEngine engine = MustCreate(2, AverageConfig());
   EXPECT_FALSE(engine.last_output().has_value());
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{4.0, 6.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{4.0, 6.0}).ok());
   ASSERT_TRUE(engine.last_output().has_value());
   EXPECT_DOUBLE_EQ(*engine.last_output(), 5.0);
   EXPECT_EQ(engine.round_index(), 1u);
@@ -299,7 +299,7 @@ TEST(EngineTest, LastOutputTracksVotedRounds) {
 
 TEST(EngineTest, ResetForgetsEverything) {
   VotingEngine engine = MustCreate(2, MakeConfig(AlgorithmId::kHybrid));
-  ASSERT_TRUE(engine.CastVote(std::vector<double>{1.0, 500.0}).ok());
+  ASSERT_TRUE(engine.CastVote(Round{1.0, 500.0}).ok());
   EXPECT_FALSE(engine.history().AllRecordsAre(1.0));
   engine.Reset();
   EXPECT_TRUE(engine.history().AllRecordsAre(1.0));
@@ -312,14 +312,14 @@ TEST(EngineTest, RestoreHistorySeedsRecords) {
   const std::vector<double> records = {1.0, 1.0, 0.0};
   ASSERT_TRUE(engine.RestoreHistory(records, 100).ok());
   // The zero-record module is eliminated immediately.
-  auto result = engine.CastVote(std::vector<double>{10.0, 10.1, 10.05});
+  auto result = engine.CastVote(Round{10.0, 10.1, 10.05});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->eliminated[2]);
 }
 
 TEST(EngineTest, HistoryVectorInResultMatchesLedger) {
   VotingEngine engine = MustCreate(2, MakeConfig(AlgorithmId::kStandard));
-  auto result = engine.CastVote(std::vector<double>{5.0, 500.0});
+  auto result = engine.CastVote(Round{5.0, 500.0});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->history.size(), 2u);
   EXPECT_DOUBLE_EQ(result->history[0], engine.history().record(0));

@@ -44,7 +44,7 @@ TEST(ExplainTest, TableListsEveryModuleWithFlags) {
 TEST(ExplainTest, TableFallsBackToIndexNames) {
   auto engine = MakeEngine(AlgorithmId::kAverage, 2);
   ASSERT_TRUE(engine.ok());
-  auto result = engine->CastVote(std::vector<double>{1.0, 2.0});
+  auto result = engine->CastVote(Round{1.0, 2.0});
   ASSERT_TRUE(result.ok());
   Round round = {1.0, 2.0};
   const std::string table = ExplainResult(*result, round);
@@ -69,7 +69,7 @@ TEST(ExplainTest, FaultOutcomesRendered) {
 TEST(ExplainTest, EliminationFlagged) {
   auto engine = MakeEngine(AlgorithmId::kHybrid, 3);
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine->CastVote(std::vector<double>{10.0, 10.1, 90.0}).ok());
+  ASSERT_TRUE(engine->CastVote(Round{10.0, 10.1, 90.0}).ok());
   Round round = {10.0, 10.1, 90.0};
   auto result = engine->CastVote(round);
   ASSERT_TRUE(result.ok());

@@ -17,24 +17,23 @@ const std::vector<std::string> kExpectedOrder = {
     "weighting",  "collation", "majority",   "history"};
 
 TEST(StagePipelineTest, CompilesNineStagesInDeclaredOrder) {
-  auto engine = MakeEngine(AlgorithmId::kAvoc, 3);
-  ASSERT_TRUE(engine.ok());
-  const StagePipeline& pipeline = engine->stage_pipeline();
-  EXPECT_EQ(pipeline.size(), 9u);
-  const auto names = pipeline.StageNames();
-  ASSERT_EQ(names.size(), kExpectedOrder.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(names[i], kExpectedOrder[i]) << "stage " << i;
+  ASSERT_EQ(kStageNames.size(), kExpectedOrder.size());
+  for (size_t i = 0; i < kStageNames.size(); ++i) {
+    EXPECT_EQ(kStageNames[i], kExpectedOrder[i]) << "stage " << i;
   }
-}
-
-TEST(StagePipelineTest, EngineCopiesShareTheCompiledChain) {
-  auto engine = MakeEngine(AlgorithmId::kHybrid, 4);
-  ASSERT_TRUE(engine.ok());
-  const VotingEngine copy = *engine;
-  // The chain is immutable and stateless, so a copy reuses it instead of
-  // recompiling.
-  EXPECT_EQ(&copy.stage_pipeline(), &engine->stage_pipeline());
+  // The plan resolves the per-stage constants once per engine: the quorum
+  // count is max(min_count, ceil(fraction * modules)).
+  EngineConfig config;
+  config.quorum.min_count = 0;
+  config.quorum.fraction = 0.5;
+  EXPECT_EQ(CompileRoundPlan(3, config).quorum_required, 2u);
+  config.quorum.fraction = 1.0;
+  EXPECT_EQ(CompileRoundPlan(3, config).quorum_required, 3u);
+  config.quorum.min_count = 5;
+  const RoundPlan plan = CompileRoundPlan(4, config);
+  EXPECT_EQ(plan.quorum_required, 5u);
+  EXPECT_EQ(plan.module_count, 4u);
+  EXPECT_EQ(plan.history_rule, config.history.rule);
 }
 
 TEST(StageObserverTest, SeesEveryStageOfACleanRound) {
@@ -42,7 +41,7 @@ TEST(StageObserverTest, SeesEveryStageOfACleanRound) {
   ASSERT_TRUE(engine.ok());
   StageTraceObserver trace;
   engine->set_observer(&trace);
-  auto result = engine->CastVote(std::vector<double>{10.0, 10.1, 9.9});
+  auto result = engine->CastVote(Round{10.0, 10.1, 9.9});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, RoundOutcome::kVoted);
   EXPECT_EQ(trace.round_index(), 1u);
@@ -55,7 +54,7 @@ TEST(StageObserverTest, SeesEveryStageOfACleanRound) {
   EXPECT_GT(trace.entries()[5].weight_sum, 0.0);
   // Detaching stops observation.
   engine->set_observer(nullptr);
-  ASSERT_TRUE(engine->CastVote(std::vector<double>{10.0, 10.1, 9.9}).ok());
+  ASSERT_TRUE(engine->CastVote(Round{10.0, 10.1, 9.9}).ok());
   EXPECT_EQ(trace.round_index(), 1u);
 }
 
@@ -87,17 +86,18 @@ TEST(StageObserverTest, RoundLifecycleHooksFire) {
     void OnStageDone(std::string_view, const VoteContext&) override {
       ++stages;
     }
-    void OnRoundEnd(size_t, const VoteResult& result) override {
+    void OnRoundCommitted(size_t, const RoundColumns&,
+                          const RoundScalars& scalars) override {
       ++ends;
-      last_outcome = result.outcome;
+      last_outcome = scalars.outcome;
     }
   };
   auto engine = MakeEngine(AlgorithmId::kAverage, 2);
   ASSERT_TRUE(engine.ok());
   CountingObserver observer;
   engine->set_observer(&observer);
-  ASSERT_TRUE(engine->CastVote(std::vector<double>{1.0, 1.2}).ok());
-  ASSERT_TRUE(engine->CastVote(std::vector<double>{1.1, 1.3}).ok());
+  ASSERT_TRUE(engine->CastVote(Round{1.0, 1.2}).ok());
+  ASSERT_TRUE(engine->CastVote(Round{1.1, 1.3}).ok());
   EXPECT_EQ(observer.begins, 2u);
   EXPECT_EQ(observer.ends, 2u);
   EXPECT_EQ(observer.stages, 2 * kExpectedOrder.size());
@@ -110,7 +110,7 @@ TEST(StageObserverTest, FormatStageTraceRendersEveryRow) {
   ASSERT_TRUE(engine.ok());
   StageTraceObserver trace;
   engine->set_observer(&trace);
-  ASSERT_TRUE(engine->CastVote(std::vector<double>{5.0, 5.1, 4.9}).ok());
+  ASSERT_TRUE(engine->CastVote(Round{5.0, 5.1, 4.9}).ok());
   const std::string rendered = FormatStageTrace(trace.entries());
   for (const std::string& name : kExpectedOrder) {
     EXPECT_NE(rendered.find(name), std::string::npos) << name;
@@ -125,7 +125,7 @@ TEST(HistoryRestoreTest, RestoredLedgerDoesNotRetriggerBootstrap) {
   // AVOC gates clustering on a pristine ledger (all records 1: "new set").
   auto engine = MakeEngine(AlgorithmId::kAvoc, 3);
   ASSERT_TRUE(engine.ok());
-  auto fresh = engine->CastVote(std::vector<double>{10.0, 10.1, 9.9});
+  auto fresh = engine->CastVote(Round{10.0, 10.1, 9.9});
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(fresh->used_clustering) << "bootstrap round must cluster";
 
@@ -134,7 +134,7 @@ TEST(HistoryRestoreTest, RestoredLedgerDoesNotRetriggerBootstrap) {
   const std::vector<double> records = {0.9, 0.7, 0.8};
   ASSERT_TRUE(engine->RestoreHistory(records, /*rounds=*/25).ok());
   EXPECT_EQ(engine->history().round_count(), 25u);
-  auto restored = engine->CastVote(std::vector<double>{10.0, 10.1, 9.9});
+  auto restored = engine->CastVote(Round{10.0, 10.1, 9.9});
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->outcome, RoundOutcome::kVoted);
   EXPECT_FALSE(restored->used_clustering)
@@ -143,7 +143,7 @@ TEST(HistoryRestoreTest, RestoredLedgerDoesNotRetriggerBootstrap) {
   // Reset forgets the deployment: the next round bootstraps again.
   engine->Reset();
   EXPECT_EQ(engine->round_index(), 0u);
-  auto reset_round = engine->CastVote(std::vector<double>{10.0, 10.1, 9.9});
+  auto reset_round = engine->CastVote(Round{10.0, 10.1, 9.9});
   ASSERT_TRUE(reset_round.ok());
   EXPECT_TRUE(reset_round->used_clustering)
       << "reset must re-arm the bootstrap gate";
@@ -156,7 +156,7 @@ TEST(HistoryRestoreTest, RestoreRoundTripsThroughStoreSnapshot) {
   ASSERT_TRUE(source.ok());
   for (int r = 0; r < 10; ++r) {
     ASSERT_TRUE(
-        source->CastVote(std::vector<double>{10.0, 10.2, 12.0}).ok());
+        source->CastVote(Round{10.0, 10.2, 12.0}).ok());
   }
   const std::vector<double> snapshot(source->history().records().begin(),
                                      source->history().records().end());
@@ -168,8 +168,8 @@ TEST(HistoryRestoreTest, RestoreRoundTripsThroughStoreSnapshot) {
           ->RestoreHistory(snapshot, source->history().round_count())
           .ok());
   // Seed the previous-output dependence identically before comparing.
-  auto a = source->CastVote(std::vector<double>{10.1, 10.3, 12.1});
-  auto b = restored->CastVote(std::vector<double>{10.1, 10.3, 12.1});
+  auto a = source->CastVote(Round{10.1, 10.3, 12.1});
+  auto b = restored->CastVote(Round{10.1, 10.3, 12.1});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(a->value.has_value());

@@ -197,29 +197,5 @@ TEST(TraceViewTest, ViewIsNonOwningWindowOverTrace) {
   EXPECT_EQ(view.columns().engaged[0], 1);
 }
 
-TEST(VoteResultSinkTest, AdaptsSeamToLegacyResult) {
-  VoteResultSink sink;
-  RoundScalars scalars = VotedScalars(11.0, 3);
-  scalars.used_clustering = true;
-  RoundColumns cols = sink.BeginRound(3);
-  for (size_t m = 0; m < 3; ++m) {
-    cols.weights[m] = static_cast<double>(m);
-    cols.agreement[m] = 0.5;
-    cols.history[m] = 1.0;
-    cols.excluded[m] = 0;
-    cols.eliminated[m] = 0;
-  }
-  cols.excluded[2] = 1;
-  sink.EndRound(scalars);
-
-  const VoteResult result = sink.TakeResult();
-  ASSERT_TRUE(result.value.has_value());
-  EXPECT_DOUBLE_EQ(*result.value, 11.0);
-  EXPECT_TRUE(result.used_clustering);
-  EXPECT_EQ(result.present_count, 3u);
-  EXPECT_EQ(result.weights, (std::vector<double>{0.0, 1.0, 2.0}));
-  EXPECT_EQ(result.excluded, (std::vector<bool>{false, false, true}));
-}
-
 }  // namespace
 }  // namespace avoc::core

@@ -4,13 +4,18 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/algorithms.h"
+#include "core/batch.h"
 #include "core/engine.h"
 #include "core/vote_sink.h"
 #include "obs/metrics.h"
+#include "sim/ble.h"
+#include "sim/light.h"
 
 namespace avoc::obs {
 namespace {
@@ -38,6 +43,23 @@ class DiscardSink final : public core::VoteSink {
   std::vector<uint8_t> eliminated_;
 };
 
+/// One round through the block entry point, as a one-round block.
+Status CastRound(core::VotingEngine& engine, const core::Round& round,
+                 core::VoteSink& sink) {
+  std::vector<double> values(round.size(), 0.0);
+  std::vector<uint8_t> present(round.size(), 0);
+  for (size_t m = 0; m < round.size(); ++m) {
+    if (round[m].has_value()) {
+      values[m] = *round[m];
+      present[m] = 1;
+    }
+  }
+  return engine.CastVoteBlock(core::RoundBlock{values, present, round.size()},
+                              sink);
+}
+
+const core::Round kSteadyRound = {20.0, 20.1, 19.9};
+
 MetricsObserverOptions EveryRound(const char* scope) {
   MetricsObserverOptions options;
   options.scope = scope;
@@ -60,8 +82,7 @@ TEST(ObsObserverTest, CountsVotedRoundsAndSamplesLatency) {
   engine.set_observer(&observer);
   DiscardSink sink;
   for (int r = 0; r < 10; ++r) {
-    const std::array<double, kModules> values = {20.0, 20.1, 19.9};
-    ASSERT_TRUE(engine.CastVote(values, sink).ok());
+    ASSERT_TRUE(CastRound(engine, kSteadyRound, sink).ok());
   }
   observer.Flush();
   EXPECT_EQ(observer.rounds_total().Value(), 10u);
@@ -79,8 +100,8 @@ TEST(ObsObserverTest, CountsVotedRoundsAndSamplesLatency) {
 }
 
 TEST(ObsObserverTest, LegacyAndColumnarPathsUpdateMetricsIdentically) {
-  // Satellite pin: the observer hooks fire identically whether rounds go
-  // through the legacy VoteResult path or the columnar sink path.
+  // The observer hooks fire identically whether rounds go through the
+  // single-round VoteResult convenience or the columnar block path.
   Registry legacy_registry;
   Registry columnar_registry;
   MetricsObserver legacy_observer(legacy_registry, EveryRound("g"));
@@ -101,8 +122,8 @@ TEST(ObsObserverTest, LegacyAndColumnarPathsUpdateMetricsIdentically) {
                      : core::Reading{20.0 + (m == 0 ? 3.0 : 0.1 * r)};
     }
     if (r == 13) round[0] = core::Reading{};
-    ASSERT_TRUE(legacy_engine.CastVote(round).ok());      // legacy path
-    ASSERT_TRUE(columnar_engine.CastVote(round, sink).ok());  // columnar
+    ASSERT_TRUE(legacy_engine.CastVote(round).ok());             // convenience
+    ASSERT_TRUE(CastRound(columnar_engine, round, sink).ok());  // block
   }
   legacy_observer.Flush();
   columnar_observer.Flush();
@@ -142,7 +163,7 @@ TEST(ObsObserverTest, QuorumShortRoundAttributedToQuorumStage) {
   // (revert-last with no prior output degrades to no-output).
   const core::Round round = {core::Reading{20.0}, core::Reading{},
                              core::Reading{}};
-  ASSERT_TRUE(engine.CastVote(round, sink).ok());
+  ASSERT_TRUE(CastRound(engine, round, sink).ok());
   observer.Flush();
   EXPECT_EQ(observer.voted_total().Value(), 0u);
   EXPECT_EQ(observer.no_output_total().Value(), 1u);
@@ -159,8 +180,7 @@ TEST(ObsObserverTest, SamplingPeriodLimitsLatencyRecords) {
   engine.set_observer(&observer);
   DiscardSink sink;
   for (int r = 0; r < 16; ++r) {
-    const std::array<double, kModules> values = {20.0, 20.1, 19.9};
-    ASSERT_TRUE(engine.CastVote(values, sink).ok());
+    ASSERT_TRUE(CastRound(engine, kSteadyRound, sink).ok());
   }
   observer.Flush();
   // Counters are exact on every round; the clock is only sampled on the
@@ -206,22 +226,117 @@ TEST(ObsObserverTest, StageHooksGateFollowsSamplingSchedule) {
   options.sample_every = 8;
   MetricsObserver observer(registry, options);
   // The constructor leaves the gate up so the first round is timed (and
-  // the quorum mirror runs); OnRoundCommitted lowers it until the next
-  // scheduled sample.
+  // the plan's quorum threshold is read); OnRoundCommitted lowers it until
+  // the next scheduled sample.
   EXPECT_TRUE(observer.stage_hooks_enabled());
-  EXPECT_FALSE(observer.wants_vote_result());
 
   core::VotingEngine engine = MustMakeEngine();
   engine.set_observer(&observer);
   DiscardSink sink;
-  const std::array<double, kModules> values = {20.0, 20.1, 19.9};
-  ASSERT_TRUE(engine.CastVote(values, sink).ok());
+  ASSERT_TRUE(CastRound(engine, kSteadyRound, sink).ok());
   EXPECT_FALSE(observer.stage_hooks_enabled());
   for (int r = 0; r < 7; ++r) {
-    ASSERT_TRUE(engine.CastVote(values, sink).ok());
+    ASSERT_TRUE(CastRound(engine, kSteadyRound, sink).ok());
   }
   // Eight unsampled rounds have passed: the gate is up for the ninth.
   EXPECT_TRUE(observer.stage_hooks_enabled());
+}
+
+template <typename T>
+void ExpectSameBytes(std::span<const T> observed, std::span<const T> bare,
+                     const char* column) {
+  ASSERT_EQ(observed.size(), bare.size()) << column;
+  if (observed.empty()) return;
+  EXPECT_EQ(std::memcmp(observed.data(), bare.data(), observed.size_bytes()),
+            0)
+      << column;
+}
+
+/// Runs `table` as one block through an engine with a MetricsObserver
+/// sampling every third round and through a bare engine, then checks the
+/// two traces byte for byte and the observer's hook and fault counts.
+/// Reports the number of faulted rounds through `fault_count`.
+void ExpectObservedBlockMatchesBare(const data::RoundTable& table,
+                                    const core::PresetParams& params,
+                                    uint64_t* fault_count) {
+  const size_t modules = table.module_count();
+  auto observed = core::MakeEngine(core::AlgorithmId::kAvoc, modules, params);
+  auto bare = core::MakeEngine(core::AlgorithmId::kAvoc, modules, params);
+  ASSERT_TRUE(observed.ok());
+  ASSERT_TRUE(bare.ok());
+  Registry registry;
+  MetricsObserverOptions options = EveryRound("g");
+  options.sample_every = 3;
+  MetricsObserver observer(registry, options);
+  observed->set_observer(&observer);
+
+  auto observed_trace = core::RunOverTable(*observed, table);
+  auto bare_trace = core::RunOverTable(*bare, table);
+  ASSERT_TRUE(observed_trace.ok());
+  ASSERT_TRUE(bare_trace.ok());
+  const core::TraceColumns a = observed_trace->view().columns();
+  const core::TraceColumns b = bare_trace->view().columns();
+  ASSERT_EQ(a.rounds, table.round_count());
+  ASSERT_EQ(a.rounds, b.rounds);
+  ASSERT_EQ(a.modules, b.modules);
+  ExpectSameBytes(a.values, b.values, "values");
+  ExpectSameBytes(a.engaged, b.engaged, "engaged");
+  ExpectSameBytes(a.outcomes, b.outcomes, "outcomes");
+  ExpectSameBytes(a.used_clustering, b.used_clustering, "used_clustering");
+  ExpectSameBytes(a.had_majority, b.had_majority, "had_majority");
+  ExpectSameBytes(a.present_counts, b.present_counts, "present_counts");
+  ExpectSameBytes(a.weights, b.weights, "weights");
+  ExpectSameBytes(a.agreement, b.agreement, "agreement");
+  ExpectSameBytes(a.history, b.history, "history");
+  ExpectSameBytes(a.excluded, b.excluded, "excluded");
+  ExpectSameBytes(a.eliminated, b.eliminated, "eliminated");
+  EXPECT_EQ(a.errors.size(), b.errors.size());
+
+  // The gate is up for the first round and every third after it.  A
+  // sampled round reports all nine stages unless its quorum stage faults
+  // (the only fault policy these presets can fire), which stops it after
+  // one.
+  uint64_t faults = 0;
+  uint64_t sampled = 0;
+  uint64_t sampled_clean = 0;
+  for (size_t r = 0; r < a.rounds; ++r) {
+    const bool faulted = a.outcomes[r] != core::RoundOutcome::kVoted;
+    faults += faulted ? 1 : 0;
+    if (r % 3 == 0) {
+      ++sampled;
+      sampled_clean += faulted ? 0 : 1;
+    }
+  }
+  observer.Flush();
+  EXPECT_EQ(observer.rounds_total().Value(), a.rounds);
+  EXPECT_EQ(observer.round_latency().count(), sampled);
+  EXPECT_EQ(observer.stage_latency(0).count(), sampled);
+  for (size_t s = 1; s < core::kStageNames.size(); ++s) {
+    EXPECT_EQ(observer.stage_latency(s).count(), sampled_clean)
+        << core::kStageNames[s];
+  }
+  EXPECT_EQ(observer.quorum_failures_total().Value(), faults);
+  EXPECT_EQ(observer.majority_failures_total().Value(), 0u);
+  *fault_count = faults;
+}
+
+TEST(ObsObserverTest, ObservedBlockMatchesBareBlockOnUseCaseFixtures) {
+  sim::LightScenarioParams light;
+  light.rounds = 300;
+  uint64_t faults = 0;
+  ExpectObservedBlockMatchesBare(sim::LightScenario(light).MakeFaultyTable(),
+                                 {}, &faults);
+
+  // UC-2: BLE stacks with missing readings, so some rounds miss quorum.
+  const auto ble = sim::BleScenario().Generate();
+  core::PresetParams absolute;
+  absolute.scale = core::ThresholdScale::kAbsolute;
+  absolute.error = 6.0;
+  for (const data::RoundTable* stack : {&ble.stack_a, &ble.stack_b}) {
+    uint64_t stack_faults = 0;
+    ExpectObservedBlockMatchesBare(*stack, absolute, &stack_faults);
+    EXPECT_GT(stack_faults, 0u) << "the fixture must exercise the fault path";
+  }
 }
 
 }  // namespace

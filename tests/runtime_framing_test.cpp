@@ -455,6 +455,11 @@ TEST(LineCodecTest, MalformedLinesKeepTheirErrorText) {
     EXPECT_EQ(frame.status().code(), ErrorCode::kInvalidArgument) << c.line;
     EXPECT_EQ(RenderParseError(frame.status()), c.reply) << c.line;
   }
+  // An unknown verb is echoed only as a short prefix.
+  auto frame = ParseRequestLine(std::string(4096, 'X') + " x");
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(RenderParseError(frame.status()),
+            "ERR unknown verb '" + std::string(32, 'X') + "...'");
 }
 
 TEST(LineCodecTest, ReplyFramesRenderTheLineText) {

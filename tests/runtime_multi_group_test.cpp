@@ -53,15 +53,6 @@ TEST(MultiGroupEngineTest, CreateValidates) {
   EXPECT_EQ(engine->module_count(), 3u);
 }
 
-TEST(MultiGroupEngineTest, GroupsShareOneCompiledPipeline) {
-  auto engine = MultiGroupEngine::Create(8, 3, AvocConfig());
-  ASSERT_TRUE(engine.ok());
-  for (size_t g = 1; g < engine->group_count(); ++g) {
-    EXPECT_EQ(&engine->group(g).stage_pipeline(),
-              &engine->group(0).stage_pipeline());
-  }
-}
-
 TEST(MultiGroupEngineTest, RunBatchRejectsShapeMismatches) {
   auto engine = MultiGroupEngine::Create(4, 3, AvocConfig());
   ASSERT_TRUE(engine.ok());

@@ -173,5 +173,32 @@ TEST_F(RemoteTest, RequestsServedCounts) {
   EXPECT_GE(server_->requests_served(), 2u);
 }
 
+// A request line longer than max_frame_bytes, with or without its newline,
+// is a protocol violation like an oversized binary frame: one short ERR,
+// then the server hangs up instead of buffering the rest.
+TEST(RemoteLineOptionsTest, OverlongLineGetsOneErrorAndClose) {
+  VoterGroupManager manager;
+  ASSERT_TRUE(
+      manager.AddGroup("g", *core::MakeEngine(core::AlgorithmId::kAverage, 2))
+          .ok());
+  RemoteServerOptions options;
+  options.max_frame_bytes = 1024;
+  auto server = RemoteVoterServer::StartWithOptions(&manager, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  auto raw = TcpConnection::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->SetReceiveTimeoutMs(5000).ok());
+  // 64 KiB of one unterminated "verb".  The server may hang up before it
+  // read every byte, so a failed send is not an error here.
+  (void)raw->SendAll(std::string(64 * 1024, 'A'));
+  auto reply = raw->ReceiveLine();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->rfind("ERR ", 0), 0u) << *reply;
+  EXPECT_LT(reply->size(), 128u);
+  EXPECT_FALSE(raw->ReceiveLine().ok()) << "connection must be closed";
+  (*server)->Stop();
+}
+
 }  // namespace
 }  // namespace avoc::runtime

@@ -1,9 +1,11 @@
-// Golden parity: the columnar result path (RoundView → CastVote(RoundSpan,
-// VoteSink) → BatchTrace) must reproduce the legacy per-round-allocation
-// path (RunOverTableLegacy) bit for bit — every scalar, every per-module
-// column, on the paper's UC-1 and UC-2 fixtures and on degenerate
-// all-suppressed batches.
+// Golden parity: the whole-table batch path (RunOverTable → CastVoteBlock
+// → BatchTrace) must reproduce the per-round path (one CastVote(Round)
+// call per table round, each materialized as a VoteResult) bit for bit —
+// every scalar, every per-module column, on the paper's UC-1 and UC-2
+// fixtures and on degenerate all-suppressed batches.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/algorithms.h"
 #include "core/batch.h"
@@ -38,21 +40,34 @@ void ExpectBitIdentical(const VoteResult& legacy, const VoteResult& trace,
   EXPECT_EQ(legacy.eliminated, trace.eliminated) << "round " << round;
 }
 
+/// The per-round reference: one single-round CastVote per table round.
+std::vector<VoteResult> RunPerRound(core::VotingEngine& engine,
+                                    const data::RoundTable& table) {
+  std::vector<VoteResult> rounds;
+  rounds.reserve(table.round_count());
+  for (size_t r = 0; r < table.round_count(); ++r) {
+    auto result = engine.CastVote(table.MaterializeRound(r));
+    EXPECT_TRUE(result.ok()) << "round " << r;
+    if (!result.ok()) break;
+    rounds.push_back(std::move(*result));
+  }
+  return rounds;
+}
+
 void ExpectParity(AlgorithmId id, const data::RoundTable& table,
                   const core::PresetParams& params = {}) {
   auto legacy_engine = core::MakeEngine(id, table.module_count(), params);
   auto trace_engine = core::MakeEngine(id, table.module_count(), params);
   ASSERT_TRUE(legacy_engine.ok());
   ASSERT_TRUE(trace_engine.ok());
-  auto legacy = core::RunOverTableLegacy(*legacy_engine, table);
+  const auto legacy = RunPerRound(*legacy_engine, table);
   auto trace = core::RunOverTable(*trace_engine, table);
-  ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(trace.ok());
-  ASSERT_EQ(legacy->rounds.size(), trace->round_count());
+  ASSERT_EQ(legacy.size(), trace->round_count());
   for (size_t r = 0; r < trace->round_count(); ++r) {
-    ExpectBitIdentical(legacy->rounds[r], trace->MaterializeRound(r), r);
+    ExpectBitIdentical(legacy[r], trace->MaterializeRound(r), r);
     // The outputs column agrees with the materialized value too.
-    EXPECT_EQ(legacy->outputs[r], trace->output(r)) << "round " << r;
+    EXPECT_EQ(legacy[r].value, trace->output(r)) << "round " << r;
   }
 }
 
@@ -87,8 +102,8 @@ TEST(TraceParityTest, FortyEightModuleTableAllAlgorithms) {
   // Dozens-of-sensors regime (§1): 48 modules puts every preset well past
   // the sorted-agreement cutover and drives the batched block entry with
   // wide rounds.  Missing readings and duplicated values exercise the
-  // presence gather and the sort's tie handling; the legacy per-round
-  // path must stay bit-identical through all of it.
+  // presence gather and the sort's tie handling; the per-round path must
+  // stay bit-identical through all of it.
   constexpr size_t kModules = 48;
   Rng rng(11);
   data::RoundTable table = data::RoundTable::WithModuleCount(kModules);
@@ -139,14 +154,13 @@ TEST(TraceParityTest, AllSuppressedBatch) {
     auto trace_engine = core::VotingEngine::Create(3, config);
     ASSERT_TRUE(legacy_engine.ok());
     ASSERT_TRUE(trace_engine.ok());
-    auto legacy = core::RunOverTableLegacy(*legacy_engine, table);
+    const auto legacy = RunPerRound(*legacy_engine, table);
     auto trace = core::RunOverTable(*trace_engine, table);
-    ASSERT_TRUE(legacy.ok());
     ASSERT_TRUE(trace.ok());
-    ASSERT_EQ(legacy->rounds.size(), trace->round_count());
+    ASSERT_EQ(legacy.size(), trace->round_count());
     EXPECT_EQ(trace->voted_rounds(), 0u);
     for (size_t r = 0; r < trace->round_count(); ++r) {
-      ExpectBitIdentical(legacy->rounds[r], trace->MaterializeRound(r), r);
+      ExpectBitIdentical(legacy[r], trace->MaterializeRound(r), r);
     }
   }
 }
@@ -168,12 +182,12 @@ TEST(TraceParityTest, RevertPolicyWithHistoryThenStarvation) {
   auto trace_engine = core::VotingEngine::Create(3, config);
   ASSERT_TRUE(legacy_engine.ok());
   ASSERT_TRUE(trace_engine.ok());
-  auto legacy = core::RunOverTableLegacy(*legacy_engine, table);
+  const auto legacy = RunPerRound(*legacy_engine, table);
   auto trace = core::RunOverTable(*trace_engine, table);
-  ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(trace.ok());
+  ASSERT_EQ(legacy.size(), trace->round_count());
   for (size_t r = 0; r < trace->round_count(); ++r) {
-    ExpectBitIdentical(legacy->rounds[r], trace->MaterializeRound(r), r);
+    ExpectBitIdentical(legacy[r], trace->MaterializeRound(r), r);
   }
   EXPECT_EQ(trace->outcome(2), core::RoundOutcome::kRevertedLast);
 }

@@ -28,7 +28,7 @@ TEST(UmbrellaTest, EndToEndThroughTheUmbrellaOnly) {
   auto voter = avoc::vdx::MakeVoter(*spec, 5);
   ASSERT_TRUE(voter.ok());
   auto result = voter->CastVote(
-      std::vector<double>{18400, 18520, 18470, 18390, 24800});
+      avoc::core::Round{18400.0, 18520.0, 18470.0, 18390.0, 24800.0});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->used_clustering);
   EXPECT_NEAR(*result->value, 18450.0, 80.0);

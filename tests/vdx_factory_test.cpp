@@ -126,7 +126,7 @@ TEST(VdxFactoryTest, MakeVoterVotes) {
   auto voter = MakeVoter(Listing1(), 5);
   ASSERT_TRUE(voter.ok());
   auto result =
-      voter->CastVote(std::vector<double>{10.0, 10.1, 9.9, 10.05, 60.0});
+      voter->CastVote(core::Round{10.0, 10.1, 9.9, 10.05, 60.0});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->used_clustering);
   EXPECT_NEAR(*result->value, 10.0, 0.2);
@@ -197,22 +197,6 @@ TEST(VdxExportTest, ExportedSpecMatchesPresetBehaviour) {
       }
     }
   }
-}
-
-TEST(VdxFactoryTest, CompileStagePipelineLowersSpecToStageChain) {
-  const Spec spec = ExportSpec(core::AlgorithmId::kAvoc);
-  auto pipeline = CompileStagePipeline(spec, 5);
-  ASSERT_TRUE(pipeline.ok());
-  EXPECT_EQ((*pipeline)->size(), 9u);
-  const auto names = (*pipeline)->StageNames();
-  ASSERT_FALSE(names.empty());
-  EXPECT_EQ(names.front(), "quorum");
-  EXPECT_EQ(names.back(), "history");
-  // Invalid inputs are rejected before compilation.
-  EXPECT_FALSE(CompileStagePipeline(spec, 0).ok());
-  Spec categorical = spec;
-  categorical.value_type = ValueKind::kCategorical;
-  EXPECT_FALSE(CompileStagePipeline(categorical, 5).ok());
 }
 
 TEST(VdxExportTest, AvocExportMatchesListing1Semantics) {

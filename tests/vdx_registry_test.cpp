@@ -126,7 +126,7 @@ TEST(RegistryTest, BuiltinSpecsBuildWorkingVoters) {
     ASSERT_TRUE(spec.ok());
     auto voter = MakeVoter(*spec, 4);
     ASSERT_TRUE(voter.ok()) << name << ": " << voter.status().ToString();
-    auto result = voter->CastVote(std::vector<double>{5.0, 5.1, 4.9, 5.05});
+    auto result = voter->CastVote(core::Round{5.0, 5.1, 4.9, 5.05});
     ASSERT_TRUE(result.ok()) << name;
     EXPECT_NEAR(*result->value, 5.0, 0.2) << name;
   }
