@@ -187,8 +187,8 @@ std::vector<avoc::storage::TracePoint> MakeTrace(size_t points) {
 }
 
 // Gorilla chunk codec, per point: the seal cost a group pays every
-// `chunk_max_points` appends, and the decode cost QUERY_RANGE pays for
-// every point of every chunk its window overlaps.
+// `chunk_max_points` appends, and the whole-chunk decode every sealed
+// entry gets once when the store opens.
 void BM_ChunkEncode(benchmark::State& state) {
   const auto trace = MakeTrace(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -216,6 +216,33 @@ void BM_ChunkDecode(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ChunkDecode)->Arg(512)->Arg(8192);
+
+// QUERY_RANGE's shape: a 256-round window over an 8192-point chunk, at
+// the chunk's start (one segment), across the mark in its middle (two
+// segments) and at its end (one segment).  The argument is the window's
+// first point; items are the points returned.
+void BM_ChunkQueryRange(benchmark::State& state) {
+  constexpr size_t kPoints = 8192;
+  constexpr uint64_t kWindow = 256;
+  const auto trace = MakeTrace(kPoints);
+  const avoc::storage::SealedChunk chunk =
+      avoc::storage::SealChunk(0, trace);
+  const uint64_t lo = trace[static_cast<size_t>(state.range(0))].round;
+  std::vector<avoc::storage::TracePoint> decoded;
+  for (auto _ : state) {
+    decoded.clear();
+    const avoc::Status status =
+        avoc::storage::DecodeChunkRange(chunk, lo, lo + kWindow - 1, &decoded);
+    if (!status.ok() || decoded.size() != kWindow) {
+      state.SkipWithError("range decode failed or returned a short window");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kWindow));
+}
+BENCHMARK(BM_ChunkQueryRange)->Arg(0)->Arg(3968)->Arg(7936);
 
 // One percentile-pass config: an algorithm preset at a round width.
 struct PercentileConfig {

@@ -1389,7 +1389,17 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
           }
         });
       }
-      return EncodeFrame(FrameType::kRangeResult, EncodeRangeResult(points));
+      // A reply the client's frame decoder would refuse would poison the
+      // connection; refuse it here instead, so the client can narrow the
+      // window and keep the connection.
+      std::string reply = EncodeRangeResult(points);
+      if (reply.size() + 1 > options_.max_frame_bytes) {
+        return error(OutOfRangeError(StrFormat(
+            "QUERY_RANGE window holds %zu points, a %zu-byte reply over "
+            "the %zu-byte frame limit; narrow the window",
+            points.size(), reply.size() + 1, options_.max_frame_bytes)));
+      }
+      return EncodeFrame(FrameType::kRangeResult, reply);
     }
     case FrameType::kHistoryGet: {
       VerbTimer timer(history_get_requests_, history_get_latency_);

@@ -50,6 +50,9 @@ class BitWriter {
   }
   void WriteBit(uint32_t bit) { WriteBits(bit, 1); }
 
+  /// Bits written so far, i.e. the position of the next bit.
+  size_t bits_written() const { return bytes_.size() * 8 + used_; }
+
   /// Pads the final partial byte with zero bits and returns the buffer.
   /// No further writes afterwards.
   std::string Finish();
@@ -94,6 +97,17 @@ class BitReader {
     return word >> (64 - count);
   }
   uint32_t ReadBit() { return static_cast<uint32_t>(ReadBits(1)); }
+
+  /// Moves the cursor to bit `pos`.  A position past the end fails the
+  /// reader, as a read past the end does.
+  void Seek(size_t pos) {
+    if (pos > bytes_.size() * 8) {
+      failed_ = true;
+      pos = bytes_.size() * 8;
+    }
+    pos_ = pos;
+  }
+  size_t position() const { return pos_; }
 
   bool ok() const { return !failed_; }
   /// ParseError once any read has run past the end.

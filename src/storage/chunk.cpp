@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
+#include <utility>
 
 #include "storage/bits.h"
 
@@ -61,11 +63,15 @@ int64_t ReadDod(BitReader& bits) {
   return UnZigZag(bits.ReadBits(64));
 }
 
-}  // namespace
-
-std::string EncodeChunk(std::span<const TracePoint> points) {
+std::string Encode(std::span<const TracePoint> points,
+                   std::vector<ChunkMark>* marks) {
   BitWriter bits;
+  marks->clear();
   if (points.empty()) return bits.Finish();
+
+  // Segment 0 starts at bit 0 from the initial state.  Each mark's
+  // round range is filled in when its segment closes.
+  marks->emplace_back();
 
   // First point: raw round, raw value bits, engaged bit.
   bits.WriteBits(points[0].round, 64);
@@ -79,9 +85,22 @@ std::string EncodeChunk(std::span<const TracePoint> points) {
   uint64_t prev_bits = DoubleBits(points[0].value);
   unsigned window_lead = 64;  // 64 = no reusable XOR window yet
   unsigned window_len = 0;
+  uint64_t min_round = prev_round;
+  uint64_t max_round = prev_round;
 
   for (size_t i = 1; i < points.size(); ++i) {
     const TracePoint& p = points[i];
+    if (i % kChunkSegmentPoints == 0) {
+      marks->back().min_round = min_round;
+      marks->back().max_round = max_round;
+      marks->push_back(ChunkMark{bits.bits_written(), prev_round, prev_delta,
+                                 prev_bits, 0, 0,
+                                 static_cast<uint8_t>(window_lead),
+                                 static_cast<uint8_t>(window_len)});
+      min_round = max_round = p.round;
+    }
+    min_round = std::min(min_round, p.round);
+    max_round = std::max(max_round, p.round);
 
     // Round: delta-of-delta.
     const uint64_t delta = p.round - prev_round;
@@ -117,7 +136,164 @@ std::string EncodeChunk(std::span<const TracePoint> points) {
 
     bits.WriteBit(p.engaged ? 1 : 0);
   }
+  marks->back().min_round = min_round;
+  marks->back().max_round = max_round;
   return bits.Finish();
+}
+
+// The one decode loop, behind DecodeChunk and DecodeChunkRange.
+//
+// With `rebuilt` set it reads the body from bit 0, segment after
+// segment, and records each segment's mark.  Without it, it seeks
+// through `chunk.marks` to the segments whose round range meets
+// [lo, hi] and checks each one it decodes against its mark.  Either way
+// it appends the decoded points whose round lies in [lo, hi], in append
+// order, and every decoded segment must end where the next one starts
+// (the last one within a byte, on zero padding).
+Status DecodeSegments(const SealedChunk& chunk, uint64_t lo, uint64_t hi,
+                      std::vector<ChunkMark>* rebuilt,
+                      std::vector<TracePoint>* out) {
+  const uint64_t count = chunk.count;
+  if (count == 0) return ParseError("chunk holds no points");
+  if (count > chunk.body.size() * 8) {
+    // Cheap sanity bound: every point costs >= 3 bits.
+    return ParseError("chunk count exceeds encoded capacity");
+  }
+  const uint64_t segments =
+      (count + kChunkSegmentPoints - 1) / kChunkSegmentPoints;
+  if (rebuilt != nullptr) {
+    rebuilt->clear();
+    rebuilt->reserve(static_cast<size_t>(segments));
+    out->reserve(out->size() + static_cast<size_t>(count));
+  } else if (chunk.marks.size() != segments) {
+    return ParseError("chunk seek marks do not match its count");
+  }
+
+  // Callers pass lo <= hi, so a round lies in [lo, hi] exactly when
+  // round - lo <= hi - lo (unsigned): one compare per point.
+  const uint64_t span = hi - lo;
+  BitReader bits(chunk.body);
+  ChunkMark next;  // rebuilding: the state the next segment starts from
+  for (uint64_t s = 0; s < segments; ++s) {
+    ChunkMark mark = rebuilt != nullptr ? next : chunk.marks[s];
+    if (rebuilt != nullptr) {
+      mark.bit_offset = bits.position();
+    } else {
+      if (mark.max_round < lo || mark.min_round > hi) continue;
+      if (mark.window_lead + mark.window_len > 64) {
+        return ParseError("chunk seek mark holds an impossible XOR window");
+      }
+      bits.Seek(mark.bit_offset);
+    }
+
+    uint64_t prev_round = mark.prev_round;
+    uint64_t prev_delta = mark.prev_delta;
+    uint64_t prev_bits = mark.prev_bits;
+    unsigned window_lead = mark.window_lead;
+    unsigned window_len = mark.window_len;
+    uint64_t i = s * kChunkSegmentPoints;
+    const uint64_t end = std::min(count, i + kChunkSegmentPoints);
+
+    uint64_t min_round = UINT64_MAX;
+    uint64_t max_round = 0;
+
+    // A read past the end yields zeros and latches the reader's error,
+    // so each point checks `bits.ok()` once, after all of its fields.
+    if (i == 0) {
+      // First point: raw round, raw value bits, engaged bit.
+      prev_round = bits.ReadBits(64);
+      prev_bits = bits.ReadBits(64);
+      const uint32_t engaged = bits.ReadBit();
+      AVOC_RETURN_IF_ERROR(bits.status());
+      min_round = max_round = prev_round;
+      if (prev_round - lo <= span) {
+        out->push_back(
+            TracePoint{prev_round, BitsToDouble(prev_bits), engaged != 0});
+      }
+      ++i;
+    }
+
+    for (; i < end; ++i) {
+      const uint64_t delta = prev_delta + static_cast<uint64_t>(ReadDod(bits));
+      const uint64_t round = prev_round + delta;
+      prev_delta = delta;
+      prev_round = round;
+
+      if (bits.ReadBit() != 0) {
+        if (bits.ReadBit() == 0) {
+          if (window_len == 0) {
+            return ParseError("chunk reuses XOR window before defining one");
+          }
+          prev_bits ^= bits.ReadBits(window_len)
+                       << (64 - window_lead - window_len);
+        } else {
+          const auto lead = static_cast<unsigned>(bits.ReadBits(6));
+          const auto len = static_cast<unsigned>(bits.ReadBits(6)) + 1;
+          if (lead + len > 64) {
+            return ParseError("chunk XOR window exceeds 64 bits");
+          }
+          prev_bits ^= bits.ReadBits(len) << (64 - lead - len);
+          window_lead = lead;
+          window_len = len;
+        }
+      }
+
+      const uint32_t engaged = bits.ReadBit();
+      if (!bits.ok()) return bits.status();
+      min_round = std::min(min_round, round);
+      max_round = std::max(max_round, round);
+      if (round - lo <= span) {
+        out->push_back(
+            TracePoint{round, BitsToDouble(prev_bits), engaged != 0});
+      }
+    }
+
+    if (rebuilt != nullptr) {
+      mark.min_round = min_round;
+      mark.max_round = max_round;
+      rebuilt->push_back(mark);
+      next.prev_round = prev_round;
+      next.prev_delta = prev_delta;
+      next.prev_bits = prev_bits;
+      next.window_lead = static_cast<uint8_t>(window_lead);
+      next.window_len = static_cast<uint8_t>(window_len);
+    } else if (min_round != mark.min_round || max_round != mark.max_round) {
+      return ParseError("chunk segment rounds disagree with its seek mark");
+    }
+
+    if (s + 1 < segments) {
+      if (rebuilt == nullptr &&
+          bits.position() != chunk.marks[s + 1].bit_offset) {
+        return ParseError("chunk segment does not end at the next seek mark");
+      }
+    } else {
+      // The encoder pads only the last byte, with zeros; anything else
+      // means the header's count does not describe this body.
+      const size_t padding = bits.bits_remaining();
+      if (padding >= 8 || bits.ReadBits(static_cast<unsigned>(padding)) != 0) {
+        return ParseError("chunk body continues past its last point");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+// The min and max round over the segments `marks` describe.
+std::pair<uint64_t, uint64_t> MarkedRounds(std::span<const ChunkMark> marks) {
+  uint64_t min_round = UINT64_MAX;
+  uint64_t max_round = 0;
+  for (const ChunkMark& mark : marks) {
+    min_round = std::min(min_round, mark.min_round);
+    max_round = std::max(max_round, mark.max_round);
+  }
+  return {min_round, max_round};
+}
+
+}  // namespace
+
+std::string EncodeChunk(std::span<const TracePoint> points) {
+  std::vector<ChunkMark> marks;
+  return Encode(points, &marks);
 }
 
 SealedChunk SealChunk(uint64_t base_index,
@@ -125,87 +301,28 @@ SealedChunk SealChunk(uint64_t base_index,
   SealedChunk chunk;
   chunk.base_index = base_index;
   chunk.count = points.size();
-  const auto [lo, hi] = std::minmax_element(
-      points.begin(), points.end(),
-      [](const TracePoint& a, const TracePoint& b) {
-        return a.round < b.round;
-      });
-  chunk.first_round = lo->round;
-  chunk.last_round = hi->round;
-  chunk.body = EncodeChunk(points);
+  chunk.body = Encode(points, &chunk.marks);
+  std::tie(chunk.first_round, chunk.last_round) = MarkedRounds(chunk.marks);
   return chunk;
 }
 
-Status DecodeChunk(const SealedChunk& chunk, std::vector<TracePoint>* out) {
+Status DecodeChunk(const SealedChunk& chunk, std::vector<TracePoint>* out,
+                   std::vector<ChunkMark>* marks) {
   out->clear();
-  const uint64_t count = chunk.count;
-  if (count == 0) return ParseError("chunk holds no points");
-  if (count > chunk.body.size() * 8) {
-    // Cheap sanity bound: every point costs >= 3 bits.
-    return ParseError("chunk count exceeds encoded capacity");
-  }
-  BitReader bits(chunk.body);
-  out->reserve(static_cast<size_t>(count));
-
-  // A read past the end yields zeros and latches the reader's error, so
-  // each point checks `bits.ok()` once, after all of its fields.
-  const uint64_t first_round = bits.ReadBits(64);
-  const uint64_t first_bits = bits.ReadBits(64);
-  const uint32_t first_engaged = bits.ReadBit();
-  AVOC_RETURN_IF_ERROR(bits.status());
-  out->push_back(
-      TracePoint{first_round, BitsToDouble(first_bits), first_engaged != 0});
-
-  uint64_t prev_delta = 0;
-  uint64_t prev_round = first_round;
-  uint64_t prev_bits = first_bits;
-  uint64_t min_round = first_round;
-  uint64_t max_round = first_round;
-  unsigned window_lead = 64;
-  unsigned window_len = 0;
-
-  for (uint64_t i = 1; i < count; ++i) {
-    const uint64_t delta = prev_delta + static_cast<uint64_t>(ReadDod(bits));
-    const uint64_t round = prev_round + delta;
-    prev_delta = delta;
-    prev_round = round;
-
-    if (bits.ReadBit() != 0) {
-      if (bits.ReadBit() == 0) {
-        if (window_len == 0) {
-          return ParseError("chunk reuses XOR window before defining one");
-        }
-        prev_bits ^= bits.ReadBits(window_len)
-                     << (64 - window_lead - window_len);
-      } else {
-        const auto lead = static_cast<unsigned>(bits.ReadBits(6));
-        const auto len = static_cast<unsigned>(bits.ReadBits(6)) + 1;
-        if (lead + len > 64) {
-          return ParseError("chunk XOR window exceeds 64 bits");
-        }
-        prev_bits ^= bits.ReadBits(len) << (64 - lead - len);
-        window_lead = lead;
-        window_len = len;
-      }
-    }
-
-    const uint32_t engaged = bits.ReadBit();
-    if (!bits.ok()) return bits.status();
-    min_round = std::min(min_round, round);
-    max_round = std::max(max_round, round);
-    out->push_back(TracePoint{round, BitsToDouble(prev_bits), engaged != 0});
-  }
-
-  // The encoder pads only the last byte, with zeros; anything else means
-  // the header's count does not describe this body.
-  const size_t padding = bits.bits_remaining();
-  if (padding >= 8 || bits.ReadBits(static_cast<unsigned>(padding)) != 0) {
-    return ParseError("chunk body continues past its last point");
-  }
-  if (min_round != chunk.first_round || max_round != chunk.last_round) {
+  std::vector<ChunkMark> local;
+  std::vector<ChunkMark>& rebuilt = marks != nullptr ? *marks : local;
+  AVOC_RETURN_IF_ERROR(DecodeSegments(chunk, 0, UINT64_MAX, &rebuilt, out));
+  if (MarkedRounds(rebuilt) !=
+      std::pair(chunk.first_round, chunk.last_round)) {
     return ParseError("chunk rounds disagree with its header");
   }
   return Status::Ok();
+}
+
+Status DecodeChunkRange(const SealedChunk& chunk, uint64_t lo, uint64_t hi,
+                        std::vector<TracePoint>* out) {
+  if (hi < lo) return Status::Ok();
+  return DecodeSegments(chunk, lo, hi, nullptr, out);
 }
 
 }  // namespace avoc::storage

@@ -217,6 +217,7 @@ Status StorageEngine::LoadChunksLocked() {
   const std::string& data = *contents;
   size_t pos = 0;
   std::vector<TracePoint> decoded;
+  std::vector<ChunkMark> marks;
   while (pos + kChunkMagic.size() <= data.size()) {
     if (std::string_view(data).substr(pos, kChunkMagic.size()) !=
         kChunkMagic) {
@@ -263,6 +264,7 @@ Status StorageEngine::LoadChunksLocked() {
     // The CRC covers only the body, so the header is checked against
     // it: the entry must continue its group's sealed run, and the body
     // must decode to exactly `count` points spanning the header's rounds.
+    // The same pass rebuilds the seek marks QueryTraceRange reads.
     // The run may skip ahead only to an entry that ends at or below the
     // snapshot's tail base (tail_base is still the snapshot's here, 0
     // without one).  Sealed indices up to there decide nothing: trimming,
@@ -276,7 +278,8 @@ Status StorageEngine::LoadChunksLocked() {
         chunk.base_index == sealed_end ||
         (chunk.base_index > sealed_end && chunk.base_index <= snapshot_base &&
          chunk.count <= snapshot_base - chunk.base_index);
-    if (!continues || !DecodeChunk(chunk, &decoded).ok()) break;
+    if (!continues || !DecodeChunk(chunk, &decoded, &marks).ok()) break;
+    chunk.marks = std::move(marks);
 
     GroupTrace& trace = traces_[group];
     trace.sealed.push_back(std::move(chunk));
@@ -603,15 +606,9 @@ Result<std::vector<TracePoint>> StorageEngine::QueryTraceRange(
   std::vector<TracePoint> out;
   const auto it = traces_.find(group);
   if (it == traces_.end()) return out;
-  std::vector<TracePoint> decoded;
   for (const SealedChunk& chunk : it->second.sealed) {
     if (chunk.last_round < lo_round || chunk.first_round > hi_round) continue;
-    AVOC_RETURN_IF_ERROR(DecodeChunk(chunk, &decoded));
-    for (const TracePoint& point : decoded) {
-      if (point.round >= lo_round && point.round <= hi_round) {
-        out.push_back(point);
-      }
-    }
+    AVOC_RETURN_IF_ERROR(DecodeChunkRange(chunk, lo_round, hi_round, &out));
   }
   for (const TracePoint& point : it->second.tail) {
     if (point.round >= lo_round && point.round <= hi_round) {

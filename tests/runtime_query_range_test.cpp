@@ -81,7 +81,8 @@ void ExpectBitIdentical(std::span<const RangePoint> want,
 
 class QueryRangeTest : public ::testing::Test {
  protected:
-  void Start(bool with_trace_store) {
+  void Start(bool with_trace_store,
+             RemoteServerOptions server_options = RemoteServerOptions{}) {
     if (with_trace_store) {
       dir_ = (std::filesystem::temp_directory_path() /
               ("avoc_query_range_" + std::to_string(::getpid())))
@@ -104,7 +105,7 @@ class QueryRangeTest : public ::testing::Test {
     auto listener = world_->Listen(kPort);
     ASSERT_TRUE(listener.ok()) << listener.status().ToString();
     auto server = RemoteVoterServer::StartOnReactor(
-        manager_.get(), RemoteServerOptions{}, std::move(*listener),
+        manager_.get(), server_options, std::move(*listener),
         world_->reactor(), /*spawn_loop_thread=*/false);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(*server);
@@ -186,6 +187,29 @@ TEST_F(QueryRangeTest, InvalidRangeAndUnknownGroupAreErrors) {
   SubmitRounds(client, 3);
   EXPECT_FALSE(client.QueryRange("lights", 9, 2).ok());
   EXPECT_FALSE(client.QueryRange("no-such-group", 0, 9).ok());
+}
+
+// A reply over the frame limit would make the client's frame decoder
+// reject it and poison the connection.  The server answers with an
+// OutOfRange ERR naming the point count instead, and a narrower window
+// then succeeds on the same connection.
+TEST_F(QueryRangeTest, ReplyOverFrameLimitIsOutOfRangeError) {
+  RemoteServerOptions options;
+  options.max_frame_bytes = 256;  // 40 points need about 400 bytes
+  Start(/*with_trace_store=*/true, options);
+  RemoteVoterClient client = MustClient();
+  SubmitRounds(client, 40);
+  auto too_wide = client.QueryRange("lights", 0, 39);
+  ASSERT_FALSE(too_wide.ok());
+  const std::string& reason = too_wide.status().message();
+  EXPECT_NE(reason.find("out_of_range"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("40 points"), std::string::npos) << reason;
+
+  auto narrow = client.QueryRange("lights", 10, 19);
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  auto sink = manager_->sink("lights");
+  ASSERT_TRUE(sink.ok());
+  ExpectBitIdentical(SinkRange(**sink, 10, 19), *narrow);
 }
 
 TEST_F(QueryRangeTest, HistoryGetMatchesLiveLedger) {

@@ -421,5 +421,178 @@ TEST(ChunkTest, DecodeRejectsHeaderThatDisagreesWithBody) {
   expect_rejected(chunk, "non-zero padding");
 }
 
+// --- range decode through seek marks -----------------------------------------
+
+/// `points` filtered to rounds in [lo, hi]: what DecodeChunkRange must
+/// return.
+std::vector<TracePoint> InWindow(std::span<const TracePoint> points,
+                                 uint64_t lo, uint64_t hi) {
+  std::vector<TracePoint> kept;
+  for (const TracePoint& point : points) {
+    if (point.round >= lo && point.round <= hi) kept.push_back(point);
+  }
+  return kept;
+}
+
+/// Consecutive rounds from 1000 with a drifting value, every seventh
+/// point not engaged, and a signed zero or a NaN with a payload mixed in
+/// so bit-identity covers them too.
+std::vector<TracePoint> SteadyTrace(size_t n) {
+  std::vector<TracePoint> points;
+  double value = 20.0;
+  for (size_t i = 0; i < n; ++i) {
+    value += 0.015625 * static_cast<double>(i % 5) - 0.03125;
+    TracePoint point{1000 + i, value, i % 7 != 3};
+    if (!point.engaged) point.value = 0.0;
+    if (i % 41 == 5) point = Raw(point.round, 0x8000000000000000);  // -0.0
+    if (i % 53 == 9) point = Raw(point.round, 0x7FF8000000000ABC);  // NaN
+    points.push_back(point);
+  }
+  return points;
+}
+
+void ExpectRangeMatchesFilter(const SealedChunk& chunk,
+                              std::span<const TracePoint> points, uint64_t lo,
+                              uint64_t hi) {
+  SCOPED_TRACE(testing::Message() << "window [" << lo << ", " << hi << "]");
+  std::vector<TracePoint> got;
+  const Status status = DecodeChunkRange(chunk, lo, hi, &got);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectBitIdentical(InWindow(points, lo, hi), got);
+}
+
+TEST(ChunkRangeTest, MatchesWholeDecodePlusFilterAcrossChunkSizes) {
+  avoc::Rng rng(20261018);
+  for (const size_t n : {1u, 255u, 256u, 257u, 8192u}) {
+    SCOPED_TRACE(testing::Message() << n << " points");
+    const std::vector<TracePoint> points = SteadyTrace(n);
+    const SealedChunk chunk = SealChunk(0, points);
+    std::vector<TracePoint> whole;
+    ASSERT_TRUE(DecodeChunk(chunk, &whole).ok());
+    ExpectBitIdentical(points, whole);
+
+    const uint64_t first = points.front().round;
+    const uint64_t last = points.back().round;
+    const uint64_t mid = first + n / 2;
+    // The whole chunk, its start, middle and end, windows ending just
+    // before, on and just after each mark, and windows outside it.
+    std::vector<std::pair<uint64_t, uint64_t>> windows{
+        {0, UINT64_MAX},      {first, first},      {first, first + 255},
+        {mid - 128, mid + 127}, {last - 255, last}, {last, last},
+        {0, first - 1},       {last + 1, UINT64_MAX}};
+    for (uint64_t mark = kChunkSegmentPoints; mark < n;
+         mark += kChunkSegmentPoints) {
+      const uint64_t at = first + mark;
+      windows.emplace_back(at - 1, at);
+      windows.emplace_back(at - 10, at - 1);
+      windows.emplace_back(at, at + 10);
+      windows.emplace_back(at - 200, at + 56);
+    }
+    for (int i = 0; i < 40; ++i) {
+      const uint64_t lo = first - 5 + rng.UniformInt(n + 10);
+      windows.emplace_back(lo, lo + rng.UniformInt(600));
+    }
+    for (const auto& [lo, hi] : windows) {
+      ExpectRangeMatchesFilter(chunk, points, lo, hi);
+    }
+  }
+}
+
+// Rounds closed out of order and far apart give segments whose round
+// ranges overlap: a window can meet several segments, and the points
+// must still come back in append order.
+TEST(ChunkRangeTest, OutOfOrderSparseRoundsWithOverlappingSegments) {
+  avoc::Rng rng(0x5EEC);
+  for (int iter = 0; iter < 20; ++iter) {
+    const size_t n = 1 + rng.UniformInt(1500);
+    std::vector<TracePoint> points;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t round = rng.UniformInt(4) == 0
+                                 ? rng.UniformInt(1u << 20)
+                                 : 5000 + i * 3 - rng.UniformInt(700);
+      const bool engaged = rng.UniformInt(6) != 0;
+      points.push_back(
+          TracePoint{round, engaged ? rng.NextDouble() * 50.0 : 0.0, engaged});
+    }
+    const SealedChunk chunk = SealChunk(0, points);
+    for (int w = 0; w < 30; ++w) {
+      const uint64_t lo = rng.UniformInt(10000);
+      ExpectRangeMatchesFilter(chunk, points, lo, lo + rng.UniformInt(2000));
+    }
+    ExpectRangeMatchesFilter(chunk, points, 0, UINT64_MAX);
+  }
+}
+
+TEST(ChunkRangeTest, SealedMarksEqualMarksRebuiltFromTheBody) {
+  std::vector<std::vector<TracePoint>> traces;
+  for (const size_t n : {1u, 255u, 256u, 257u, 1000u, 8192u}) {
+    traces.push_back(SteadyTrace(n));
+  }
+  for (const GoldenChunk& golden : GoldenChunks()) {
+    traces.push_back(golden.points);
+  }
+  for (const std::vector<TracePoint>& points : traces) {
+    SCOPED_TRACE(testing::Message() << points.size() << " points");
+    const SealedChunk chunk = SealChunk(0, points);
+    EXPECT_EQ(chunk.marks.size(),
+              (points.size() + kChunkSegmentPoints - 1) / kChunkSegmentPoints);
+    std::vector<TracePoint> decoded;
+    std::vector<ChunkMark> rebuilt;
+    ASSERT_TRUE(DecodeChunk(chunk, &decoded, &rebuilt).ok());
+    EXPECT_TRUE(rebuilt == chunk.marks);
+  }
+}
+
+// Every decoded segment is checked against its mark, so a mark that
+// does not describe the body fails the decode rather than returning
+// different points.
+TEST(ChunkRangeTest, RejectsMarksThatDisagreeWithTheBody) {
+  const std::vector<TracePoint> points = SteadyTrace(600);
+  const SealedChunk sealed = SealChunk(0, points);
+  ASSERT_EQ(sealed.marks.size(), 3u);
+  const uint64_t first = points.front().round;
+  std::vector<TracePoint> got;
+  const auto expect_rejected = [&](const SealedChunk& chunk, uint64_t lo,
+                                   uint64_t hi, const char* what) {
+    got.clear();
+    EXPECT_EQ(DecodeChunkRange(chunk, lo, hi, &got).code(),
+              ErrorCode::kParseError)
+        << what;
+  };
+
+  SealedChunk chunk = sealed;
+  chunk.marks.pop_back();
+  expect_rejected(chunk, first, first, "too few marks");
+  chunk.marks.clear();
+  expect_rejected(chunk, first, first, "no marks");
+
+  chunk = sealed;
+  chunk.marks[1].bit_offset += 1;  // segment 0 now ends short of it
+  expect_rejected(chunk, first, first, "segment 0 end");
+  chunk = sealed;
+  chunk.marks[2].max_round += 1;
+  expect_rejected(chunk, first + 599, first + 599, "segment 2 max");
+  chunk = sealed;
+  chunk.marks[1].min_round -= 1;
+  expect_rejected(chunk, first + 300, first + 300, "segment 1 min");
+  chunk = sealed;
+  chunk.marks[1].window_lead = 40;
+  chunk.marks[1].window_len = 40;
+  expect_rejected(chunk, first + 300, first + 300, "impossible window");
+  chunk = sealed;
+  chunk.marks[2].bit_offset = chunk.body.size() * 8 + 64;
+  expect_rejected(chunk, first + 599, first + 599, "mark past the end");
+  chunk = sealed;
+  chunk.body.push_back('\0');
+  expect_rejected(chunk, first + 599, first + 599, "trailing byte");
+
+  // A window that skips the bad segment never looks at it.
+  chunk = sealed;
+  chunk.marks[2].max_round += 1;
+  got.clear();
+  EXPECT_TRUE(DecodeChunkRange(chunk, first, first + 10, &got).ok());
+  EXPECT_EQ(got.size(), 11u);
+}
+
 }  // namespace
 }  // namespace avoc::storage

@@ -169,7 +169,9 @@ TEST(StorageCorruptionSoakTest, ChunkDecoderSurvivesMutatedValidBodies) {
   std::vector<TracePoint> decoded;
   for (int iter = 0; iter < 500; ++iter) {
     std::vector<TracePoint> points;
-    const size_t n = 1 + rng.UniformInt(100);
+    // Up to four segments, so range decodes seek through marks into a
+    // mutated body.
+    const size_t n = 1 + rng.UniformInt(4 * kChunkSegmentPoints);
     uint64_t round = 0;
     for (size_t i = 0; i < n; ++i) {
       round += rng.UniformInt(3);
@@ -188,6 +190,23 @@ TEST(StorageCorruptionSoakTest, ChunkDecoderSurvivesMutatedValidBodies) {
     // a decode that succeeds holds exactly the header's count.
     if (DecodeChunk(chunk, &decoded).ok()) {
       EXPECT_EQ(decoded.size(), points.size());
+    }
+    // The seek path keeps the marks SealChunk recorded for the intact
+    // body: a range decode fails with ParseError or returns only
+    // in-window points.
+    for (int w = 0; w < 4; ++w) {
+      const uint64_t lo = rng.UniformInt(round + 2);
+      const uint64_t hi = lo + rng.UniformInt(300);
+      decoded.clear();
+      const Status status = DecodeChunkRange(chunk, lo, hi, &decoded);
+      if (!status.ok()) {
+        EXPECT_EQ(status.code(), ErrorCode::kParseError);
+        continue;
+      }
+      for (const TracePoint& point : decoded) {
+        EXPECT_GE(point.round, lo);
+        EXPECT_LE(point.round, hi);
+      }
     }
   }
 }
