@@ -16,12 +16,18 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/algorithms.h"
+#include "core/batch.h"
 #include "core/engine.h"
+#include "data/round_table.h"
 #include "obs/metrics.h"
 #include "runtime/datastore.h"
+#include "runtime/framing.h"
+#include "runtime/nodes.h"
 #include "storage/chunk.h"
 #include "util/rng.h"
 
@@ -243,6 +249,121 @@ void BM_ChunkQueryRange(benchmark::State& state) {
                           static_cast<int64_t>(kWindow));
 }
 BENCHMARK(BM_ChunkQueryRange)->Arg(0)->Arg(3968)->Arg(7936);
+
+// The per-frame group path around the engine, one layer each, at the
+// batch_wide frame shape (16 modules x 32 rounds) and the one-round
+// iot_mixed shape (5 x 1).  Arguments are modules, rounds per frame;
+// items are readings (encode, decode, hub) or sink rows.
+std::vector<avoc::runtime::ReadingMessage> MakeFrame(size_t modules,
+                                                     size_t rounds,
+                                                     uint64_t first_round) {
+  avoc::Rng rng(5);
+  std::vector<avoc::runtime::ReadingMessage> frame;
+  frame.reserve(modules * rounds);
+  for (uint64_t r = first_round; r < first_round + rounds; ++r) {
+    for (uint64_t m = 0; m < modules; ++m) {
+      frame.push_back({m, r, 18500.0 + rng.Gaussian(0.0, 60.0)});
+    }
+  }
+  return frame;
+}
+
+int64_t FrameItems(const benchmark::State& state) {
+  return static_cast<int64_t>(state.iterations()) * state.range(0) *
+         state.range(1);
+}
+
+void BM_SubmitBatchEncode(benchmark::State& state) {
+  const auto frame = MakeFrame(static_cast<size_t>(state.range(0)),
+                               static_cast<size_t>(state.range(1)), 100000);
+  for (auto _ : state) {
+    std::string payload = avoc::runtime::EncodeSubmitBatch("group-00", frame);
+    benchmark::DoNotOptimize(payload);
+  }
+  state.SetItemsProcessed(FrameItems(state));
+}
+BENCHMARK(BM_SubmitBatchEncode)->Args({16, 32})->Args({5, 1});
+
+void BM_SubmitBatchDecode(benchmark::State& state) {
+  const std::string payload = avoc::runtime::EncodeSubmitBatch(
+      "group-00", MakeFrame(static_cast<size_t>(state.range(0)),
+                            static_cast<size_t>(state.range(1)), 100000));
+  std::string group;
+  std::vector<avoc::runtime::BatchReading> readings;
+  for (auto _ : state) {
+    const avoc::Status status =
+        avoc::runtime::DecodeSubmitBatch(payload, &group, &readings);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(readings.data());
+  }
+  state.SetItemsProcessed(FrameItems(state));
+}
+BENCHMARK(BM_SubmitBatchDecode)->Args({16, 32})->Args({5, 1});
+
+// Hub assembly of complete frames into the closed-round table: every
+// frame's rounds close, so the hub's closed set grows by one run's end
+// and its row pool is reused frame after frame.
+void BM_HubIngest(benchmark::State& state) {
+  const size_t modules = static_cast<size_t>(state.range(0));
+  const size_t rounds = static_cast<size_t>(state.range(1));
+  auto frame = MakeFrame(modules, rounds, 0);
+  avoc::runtime::HubNode hub(modules);
+  std::vector<size_t> closed;
+  avoc::data::RoundTable table =
+      avoc::data::RoundTable::WithModuleCount(modules);
+  for (auto _ : state) {
+    closed.clear();
+    table.Clear();
+    const auto stats = hub.IngestBatch(frame, closed, table);
+    if (stats.rounds_closed != rounds) {
+      state.SkipWithError("a frame did not close all of its rounds");
+      return;
+    }
+    benchmark::DoNotOptimize(table.value_block().data());
+    benchmark::ClobberMemory();
+    for (auto& reading : frame) reading.round += rounds;
+  }
+  state.SetItemsProcessed(FrameItems(state));
+}
+BENCHMARK(BM_HubIngest)->Args({16, 32})->Args({5, 1});
+
+// Sink append of one voted frame's trace rows (no trace store).  The
+// sink is replaced, untimed, every kSinkRows rows to bound memory.
+void BM_SinkAppend(benchmark::State& state) {
+  constexpr size_t kSinkRows = 1 << 9;
+  const size_t modules = static_cast<size_t>(state.range(0));
+  const size_t rounds = static_cast<size_t>(state.range(1));
+  avoc::data::RoundTable table =
+      avoc::data::RoundTable::WithModuleCount(modules);
+  std::vector<size_t> round_numbers;
+  avoc::Rng rng(9);
+  for (size_t r = 0; r < rounds; ++r) {
+    (void)table.AppendRound(MakeRound(modules, rng));
+    round_numbers.push_back(r);
+  }
+  auto engine = avoc::core::MakeEngine(AlgorithmId::kAvoc, modules);
+  avoc::core::BatchTrace trace;
+  if (!engine.ok() || !avoc::core::RunOverTable(*engine, table, trace).ok()) {
+    state.SkipWithError("could not vote the frame");
+    return;
+  }
+  auto sink = std::make_unique<avoc::runtime::SinkNode>();
+  for (auto _ : state) {
+    if (sink->output_count() + rounds > kSinkRows) {
+      state.PauseTiming();
+      sink = std::make_unique<avoc::runtime::SinkNode>();
+      state.ResumeTiming();
+    }
+    sink->Append(round_numbers, trace.view());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(1));
+}
+BENCHMARK(BM_SinkAppend)->Args({16, 32})->Args({5, 1});
 
 // One percentile-pass config: an algorithm preset at a round width.
 struct PercentileConfig {

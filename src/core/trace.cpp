@@ -14,6 +14,23 @@ void ZeroRowTail(RoundColumns& columns, size_t from) {
   std::fill(columns.eliminated.begin() + from, columns.eliminated.end(), 0);
 }
 
+/// Copies `rounds` rows of a (rounds x src_modules) block into a
+/// (rounds x modules) one: one copy when the arities match, otherwise row
+/// by row, truncating wider rows and zeroing the tail of narrower ones.
+template <typename T>
+void CopyBlockRows(std::span<const T> src, size_t src_modules, T* dst,
+                   size_t modules, size_t rounds) {
+  if (src_modules == modules) {
+    std::copy_n(src.data(), rounds * modules, dst);
+    return;
+  }
+  const size_t n = std::min(src_modules, modules);
+  for (size_t r = 0; r < rounds; ++r) {
+    std::copy_n(src.data() + r * src_modules, n, dst + r * modules);
+    std::fill(dst + r * modules + n, dst + (r + 1) * modules, T{});
+  }
+}
+
 }  // namespace
 
 Status TraceView::status(size_t r) const {
@@ -189,32 +206,41 @@ void BatchTrace::Append(const VoteResult& result) {
   EndRound(scalars);
 }
 
-void BatchTrace::AppendFrom(const TraceView& src, size_t r) {
-  if (modules_ == 0) modules_ = src.module_count();
-  RoundColumns columns = BeginRound(modules_);
-  const size_t n = std::min(modules_, src.module_count());
-  if (n < modules_) ZeroRowTail(columns, n);
-  const auto w = src.weights(r);
-  const auto a = src.agreement(r);
-  const auto h = src.history(r);
-  const auto ex = src.excluded(r);
-  const auto el = src.eliminated(r);
-  std::copy_n(w.begin(), n, columns.weights.begin());
-  std::copy_n(a.begin(), n, columns.agreement.begin());
-  std::copy_n(h.begin(), n, columns.history.begin());
-  std::copy_n(ex.begin(), n, columns.excluded.begin());
-  std::copy_n(el.begin(), n, columns.eliminated.begin());
-  RoundScalars scalars;
+void BatchTrace::AppendRows(const TraceView& src) {
   const TraceColumns& c = src.columns();
-  scalars.has_value = c.engaged[r] != 0;
-  scalars.value = c.values[r];
-  scalars.outcome = c.outcomes[r];
-  scalars.used_clustering = c.used_clustering[r] != 0;
-  scalars.had_majority = c.had_majority[r] != 0;
-  scalars.present_count = c.present_counts[r];
-  const Status status = src.status(r);
-  scalars.status = &status;
-  EndRound(scalars);
+  if (c.rounds == 0) return;
+  if (modules_ == 0) modules_ = c.modules;
+  const size_t base = rounds_;
+  const size_t offset = base * modules_;
+  GrowBlocks(offset + c.rounds * modules_);
+  CopyBlockRows(c.weights, c.modules, weights_.data() + offset, modules_,
+                c.rounds);
+  CopyBlockRows(c.agreement, c.modules, agreement_.data() + offset, modules_,
+                c.rounds);
+  CopyBlockRows(c.history, c.modules, history_.data() + offset, modules_,
+                c.rounds);
+  CopyBlockRows(c.excluded, c.modules, excluded_.data() + offset, modules_,
+                c.rounds);
+  CopyBlockRows(c.eliminated, c.modules, eliminated_.data() + offset,
+                modules_, c.rounds);
+  // Scalars as EndRound stores them: flags as 0/1, 0 as the value of a
+  // round that produced none.
+  for (size_t r = 0; r < c.rounds; ++r) {
+    values_.push_back(c.engaged[r] != 0 ? c.values[r] : 0.0);
+    engaged_.push_back(c.engaged[r] != 0 ? 1 : 0);
+    used_clustering_.push_back(c.used_clustering[r] != 0 ? 1 : 0);
+    had_majority_.push_back(c.had_majority[r] != 0 ? 1 : 0);
+  }
+  outcomes_.insert(outcomes_.end(), c.outcomes.begin(), c.outcomes.end());
+  present_counts_.insert(present_counts_.end(), c.present_counts.begin(),
+                         c.present_counts.end());
+  for (const RoundError& error : c.errors) {
+    if (error.round < c.rounds && !error.status.ok()) {
+      errors_.push_back(
+          RoundError{static_cast<uint32_t>(base + error.round), error.status});
+    }
+  }
+  rounds_ += c.rounds;
 }
 
 TraceView BatchTrace::view() const {

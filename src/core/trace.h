@@ -167,11 +167,12 @@ class BatchTrace final : public VoteSink {
   /// Adopts the result's arity when the trace is still empty/unsized.
   void Append(const VoteResult& result);
 
-  /// Copies row `r` of another trace in as one round — the bulk-append
-  /// path of batch-driven sinks, with no intermediate VoteResult (and
-  /// thus no per-round heap vectors).  Adopts the source's arity when the
-  /// trace is still empty/unsized.
-  void AppendFrom(const TraceView& src, size_t r);
+  /// Copies every row of another trace in — the bulk-append path of
+  /// batch-driven sinks: one block copy per per-module column, no
+  /// intermediate VoteResult.  Adopts the source's arity when the trace
+  /// is still empty/unsized; a source of another arity is truncated or
+  /// zero-padded per row.
+  void AppendRows(const TraceView& src);
 
   // --- read surface ---------------------------------------------------------
   size_t round_count() const { return rounds_; }

@@ -49,6 +49,31 @@ Status RoundTable::AppendRound(std::span<const double> readings) {
   return Status::Ok();
 }
 
+Status RoundTable::AppendRound(std::span<const double> values,
+                               std::span<const uint8_t> present) {
+  if (values.size() != module_count() || present.size() != module_count()) {
+    return InvalidArgumentError(
+        StrFormat("round has %zu readings, table has %zu modules",
+                  values.size(), module_count()));
+  }
+  // Same cells as the optional overload: 0 in the slot of an absent one.
+  const size_t offset = values_.size();
+  values_.resize(offset + values.size());
+  presents_.resize(offset + values.size());
+  for (size_t m = 0; m < values.size(); ++m) {
+    values_[offset + m] = present[m] != 0 ? values[m] : 0.0;
+    presents_[offset + m] = present[m] != 0 ? 1 : 0;
+  }
+  ++rounds_;
+  return Status::Ok();
+}
+
+void RoundTable::Clear() {
+  rounds_ = 0;
+  values_.clear();
+  presents_.clear();
+}
+
 RoundView RoundTable::View(size_t r) const {
   if (r >= rounds_) {
     throw std::out_of_range(

@@ -62,6 +62,14 @@ class RoundTable {
   /// Appends a fully populated round.
   Status AppendRound(std::span<const double> readings);
 
+  /// Appends a round given as a value row plus a presence row (both
+  /// module_count() long); values of absent modules are ignored.
+  Status AppendRound(std::span<const double> values,
+                     std::span<const uint8_t> present);
+
+  /// Drops every round, keeping the module names and the capacity.
+  void Clear();
+
   /// Zero-copy view of round r (spans valid until the table is modified).
   RoundView View(size_t r) const;
 

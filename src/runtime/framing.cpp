@@ -1,5 +1,6 @@
 #include "runtime/framing.h"
 
+#include <bit>
 #include <cstring>
 
 #include "runtime/migration.h"
@@ -22,6 +23,122 @@ double DoubleFromBits(uint64_t bits) {
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
+}
+
+/// LEB128 length of `value`: 1 to kMaxVarintBytes bytes.
+size_t VarintSize(uint64_t value) {
+  return static_cast<size_t>(std::bit_width(value | 1) + 6) / 7;
+}
+
+// Pointer writers of the sized encoders: each writes at `out` and returns
+// the position after what it wrote.
+char* PutVarint(char* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<char>((value & 0x7F) | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<char>(value);
+  return out;
+}
+
+// f64 is little-endian on the wire: one 8-byte copy on little-endian
+// hosts (a byte loop is not reliably merged into one load or store).
+char* PutDouble(char* out, double value) {
+  uint64_t bits = DoubleBits(value);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &bits, 8);
+  } else {
+    for (size_t i = 0; i < 8; ++i) {
+      out[i] = static_cast<char>(bits & 0xFF);
+      bits >>= 8;
+    }
+  }
+  return out + 8;
+}
+
+char* PutString(char* out, std::string_view s) {
+  out = PutVarint(out, s.size());
+  if (!s.empty()) std::memcpy(out, s.data(), s.size());
+  return out + s.size();
+}
+
+/// The one varint decoder: reads a LEB128 varint at `p` into `*value`,
+/// advancing `p`; returns nullptr, or the ParseError text when the bytes
+/// end first or the varint runs past kMaxVarintBytes.  Inline: the
+/// SUBMIT_BATCH loop runs it twice per reading.
+inline const char* GetVarint(const uint8_t*& p, const uint8_t* end,
+                             uint64_t* value) {
+  uint64_t decoded = 0;
+  for (size_t i = 0; i < kMaxVarintBytes; ++i) {
+    if (p >= end) return "truncated varint";
+    const uint8_t byte = *p++;
+    if (i == kMaxVarintBytes - 1 && (byte & 0x80) != 0) {
+      return "varint too long";
+    }
+    decoded |= static_cast<uint64_t>(byte & 0x7F) << (7 * i);
+    if ((byte & 0x80) == 0) {
+      *value = decoded;
+      return nullptr;
+    }
+  }
+  return "varint too long";
+}
+
+/// Little-endian f64 at `p` (caller checked that 8 bytes remain).
+double GetDouble(const uint8_t* p) {
+  uint64_t bits = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&bits, p, 8);
+  } else {
+    for (size_t i = 0; i < 8; ++i) {
+      bits |= static_cast<uint64_t>(p[i]) << (8 * i);
+    }
+  }
+  return DoubleFromBits(bits);
+}
+
+/// The trace-context field: u8 version, varint trace_id, varint
+/// parent_span_id, u8 flags.
+char* PutTraceContext(char* out, const WireTraceContext& trace) {
+  *out++ = static_cast<char>(0x01);  // field version
+  out = PutVarint(out, trace.trace_id);
+  out = PutVarint(out, trace.parent_span_id);
+  *out++ = static_cast<char>(trace.flags);
+  return out;
+}
+
+bool HasTrace(const WireTraceContext* trace) {
+  return trace != nullptr && trace->valid();
+}
+
+/// Exact size of a SUBMIT_BATCH payload, trace context included.
+size_t SubmitBatchSize(std::string_view group,
+                       std::span<const BatchReading> readings,
+                       const WireTraceContext* trace) {
+  size_t size = VarintSize(group.size()) + group.size() +
+                VarintSize(readings.size()) + 8 * readings.size();
+  for (const BatchReading& reading : readings) {
+    size += VarintSize(reading.module) + VarintSize(reading.round);
+  }
+  if (HasTrace(trace)) {
+    size += 2 + VarintSize(trace->trace_id) + VarintSize(trace->parent_span_id);
+  }
+  return size;
+}
+
+/// Writes exactly SubmitBatchSize(group, readings, trace) bytes at `out`.
+char* PutSubmitBatch(char* out, std::string_view group,
+                     std::span<const BatchReading> readings,
+                     const WireTraceContext* trace) {
+  out = PutString(out, group);
+  out = PutVarint(out, readings.size());
+  for (const BatchReading& reading : readings) {
+    out = PutVarint(out, reading.module);
+    out = PutVarint(out, reading.round);
+    out = PutDouble(out, reading.value);
+  }
+  if (HasTrace(trace)) out = PutTraceContext(out, *trace);
+  return out;
 }
 
 }  // namespace
@@ -57,19 +174,13 @@ std::string_view FrameTypeName(FrameType type) {
 }
 
 void AppendVarint(std::string& out, uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7F) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
+  char buffer[kMaxVarintBytes];
+  out.append(buffer, PutVarint(buffer, value));
 }
 
 void AppendDouble(std::string& out, double value) {
-  uint64_t bits = DoubleBits(value);
-  for (size_t i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(bits & 0xFF));
-    bits >>= 8;
-  }
+  char buffer[8];
+  out.append(buffer, PutDouble(buffer, value));
 }
 
 void AppendLengthPrefixedString(std::string& out, std::string_view s) {
@@ -87,29 +198,21 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
 }
 
 Result<uint64_t> PayloadReader::ReadVarint() {
+  const auto* begin = reinterpret_cast<const uint8_t*>(data_.data());
+  const uint8_t* p = begin + pos_;
   uint64_t value = 0;
-  int shift = 0;
-  for (size_t i = 0; i < kMaxVarintBytes; ++i) {
-    if (pos_ >= data_.size()) return ParseError("truncated varint");
-    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    if (i == kMaxVarintBytes - 1 && (byte & 0x80) != 0) {
-      return ParseError("varint too long");
-    }
-    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-  return ParseError("varint too long");
+  const char* error = GetVarint(p, begin + data_.size(), &value);
+  pos_ = static_cast<size_t>(p - begin);
+  if (error != nullptr) return ParseError(error);
+  return value;
 }
 
 Result<double> PayloadReader::ReadDouble() {
   if (remaining() < 8) return ParseError("truncated double");
-  uint64_t bits = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
+  const double value =
+      GetDouble(reinterpret_cast<const uint8_t*>(data_.data()) + pos_);
   pos_ += 8;
-  return DoubleFromBits(bits);
+  return value;
 }
 
 Result<std::string_view> PayloadReader::ReadString() {
@@ -179,10 +282,8 @@ Result<Frame> FrameDecoder::Next() {
 }
 
 void AppendTraceContext(std::string& out, const WireTraceContext& trace) {
-  out.push_back(static_cast<char>(0x01));  // field version
-  AppendVarint(out, trace.trace_id);
-  AppendVarint(out, trace.parent_span_id);
-  out.push_back(static_cast<char>(trace.flags));
+  char buffer[2 + 2 * kMaxVarintBytes];
+  out.append(buffer, PutTraceContext(buffer, trace));
 }
 
 Status FinishWithOptionalTraceContext(PayloadReader& reader,
@@ -212,16 +313,8 @@ Status FinishWithOptionalTraceContext(PayloadReader& reader,
 std::string EncodeSubmitBatch(std::string_view group,
                               std::span<const BatchReading> readings,
                               const WireTraceContext* trace) {
-  std::string payload;
-  payload.reserve(group.size() + 4 + readings.size() * 14);
-  AppendLengthPrefixedString(payload, group);
-  AppendVarint(payload, readings.size());
-  for (const BatchReading& reading : readings) {
-    AppendVarint(payload, reading.module);
-    AppendVarint(payload, reading.round);
-    AppendDouble(payload, reading.value);
-  }
-  if (trace != nullptr && trace->valid()) AppendTraceContext(payload, *trace);
+  std::string payload(SubmitBatchSize(group, readings, trace), '\0');
+  PutSubmitBatch(payload.data(), group, readings, trace);
   return payload;
 }
 
@@ -237,28 +330,39 @@ Status DecodeSubmitBatch(std::string_view payload, std::string* group,
     return ParseError("reading count exceeds payload size");
   }
   group->assign(name);
-  readings->clear();
-  readings->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    BatchReading reading;
-    AVOC_ASSIGN_OR_RETURN(reading.module, reader.ReadVarint());
-    AVOC_ASSIGN_OR_RETURN(reading.round, reader.ReadVarint());
-    AVOC_ASSIGN_OR_RETURN(reading.value, reader.ReadDouble());
-    readings->push_back(reading);
+  // Decoded in place: a reused vector of the same length is neither
+  // reallocated nor re-zeroed.  A failed decode keeps the readings that
+  // completed.
+  readings->resize(static_cast<size_t>(count));
+  BatchReading* out = readings->data();
+  const auto* begin = reinterpret_cast<const uint8_t*>(payload.data());
+  const uint8_t* end = begin + payload.size();
+  const uint8_t* p = end - reader.remaining();
+  for (size_t i = 0; i < count; ++i) {
+    const char* error = GetVarint(p, end, &out[i].module);
+    if (error == nullptr) error = GetVarint(p, end, &out[i].round);
+    if (error == nullptr && end - p < 8) error = "truncated double";
+    if (error != nullptr) {
+      readings->resize(i);
+      return ParseError(error);
+    }
+    out[i].value = GetDouble(p);
+    p += 8;
   }
-  return FinishWithOptionalTraceContext(reader, trace);
+  PayloadReader tail(payload.substr(static_cast<size_t>(p - begin)));
+  return FinishWithOptionalTraceContext(tail, trace);
 }
 
 std::string EncodeSubmitBatchSeq(std::string_view client_id, uint64_t seq,
                                  std::string_view group,
                                  std::span<const BatchReading> readings,
                                  const WireTraceContext* trace) {
-  std::string payload;
-  payload.reserve(client_id.size() + group.size() + 12 +
-                  readings.size() * 14);
-  AppendLengthPrefixedString(payload, client_id);
-  AppendVarint(payload, seq);
-  payload += EncodeSubmitBatch(group, readings, trace);
+  const size_t head =
+      VarintSize(client_id.size()) + client_id.size() + VarintSize(seq);
+  std::string payload(head + SubmitBatchSize(group, readings, trace), '\0');
+  char* out = PutString(payload.data(), client_id);
+  out = PutVarint(out, seq);
+  PutSubmitBatch(out, group, readings, trace);
   return payload;
 }
 

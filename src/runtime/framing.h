@@ -76,6 +76,7 @@
 #include <string_view>
 #include <vector>
 
+#include "runtime/reading.h"
 #include "util/status.h"
 
 namespace avoc::runtime {
@@ -234,13 +235,6 @@ Status FinishWithOptionalTraceContext(PayloadReader& reader,
                                       WireTraceContext* trace);
 
 // --- typed messages ----------------------------------------------------------
-
-/// One reading inside a SUBMIT_BATCH frame.
-struct BatchReading {
-  uint64_t module = 0;
-  uint64_t round = 0;
-  double value = 0.0;
-};
 
 std::string EncodeSubmitBatch(std::string_view group,
                               std::span<const BatchReading> readings,

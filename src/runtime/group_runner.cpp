@@ -152,19 +152,41 @@ BatchIngestStats GroupRunner::Pass(std::span<const ReadingMessage> readings,
   }
   obs::ScopedSpan span(options_.tracer, obs::SpanKind::kEngine,
                        "engine.batch", parent);
-  std::vector<size_t> rounds;
-  data::RoundTable table = data::RoundTable::WithModuleCount(module_count());
+  std::unique_ptr<PassScratch> scratch = TakeScratch();
+  std::vector<size_t>& rounds = scratch->rounds;
+  data::RoundTable& table = scratch->table;
   BatchIngestStats stats = hub_->IngestBatch(readings, rounds, table);
   if (close.has_value() && hub_->Close(*close, rounds, table)) {
     ++stats.rounds_closed;
   }
   if (!rounds.empty()) voter_->Vote(rounds, table, *sink_);
+  ReturnScratch(std::move(scratch));
   if (span.active()) {
     span.SetDetailF("group=%s readings=%zu rounds=%zu",
                     options_.group.c_str(), readings.size(),
                     stats.rounds_closed);
   }
   return stats;
+}
+
+std::unique_ptr<GroupRunner::PassScratch> GroupRunner::TakeScratch() {
+  {
+    std::lock_guard<std::mutex> lock(scratch_mutex_);
+    if (!scratch_.empty()) {
+      std::unique_ptr<PassScratch> scratch = std::move(scratch_.back());
+      scratch_.pop_back();
+      scratch->rounds.clear();
+      scratch->table.Clear();
+      return scratch;
+    }
+  }
+  return std::make_unique<PassScratch>(PassScratch{
+      {}, data::RoundTable::WithModuleCount(module_count())});
+}
+
+void GroupRunner::ReturnScratch(std::unique_ptr<PassScratch> scratch) {
+  std::lock_guard<std::mutex> lock(scratch_mutex_);
+  scratch_.push_back(std::move(scratch));
 }
 
 GroupRunner::State GroupRunner::ExportState() const {

@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -148,7 +149,21 @@ class GroupRunner {
   BatchIngestStats Pass(std::span<const ReadingMessage> readings,
                         std::optional<size_t> close);
 
+  /// One pass's output buffers: the rounds it closed and their table.
+  struct PassScratch {
+    std::vector<size_t> rounds;
+    data::RoundTable table;
+  };
+  /// A cleared scratch from the free list (a new one when concurrent
+  /// passes hold them all), and its return after the pass.
+  std::unique_ptr<PassScratch> TakeScratch();
+  void ReturnScratch(std::unique_ptr<PassScratch> scratch);
+
   Options options_;
+  /// Free list of pass scratches: a pass reuses a warmed-up table, and
+  /// its module names, instead of building both.
+  std::mutex scratch_mutex_;
+  std::vector<std::unique_ptr<PassScratch>> scratch_;
   /// Watches the voter engine; must outlive voter_ (declared first so it
   /// destructs last).  Null without a registry.
   std::unique_ptr<obs::MetricsObserver> observer_;

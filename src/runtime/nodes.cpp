@@ -7,6 +7,57 @@
 
 namespace avoc::runtime {
 
+bool ClosedRounds::Contains(uint64_t round) const {
+  if (runs_.empty() || round > runs_.back().last) return false;
+  if (round >= runs_.back().first) return true;
+  // The first run starting past `round`; its predecessor may hold it.
+  const auto next = std::upper_bound(
+      runs_.begin(), runs_.end(), round,
+      [](uint64_t r, const Run& run) { return r < run.first; });
+  return next != runs_.begin() && std::prev(next)->last >= round;
+}
+
+bool ClosedRounds::Insert(uint64_t round) {
+  if (runs_.empty() || round > runs_.back().last) {
+    // In-order close: extend the last run (last < round, so last + 1
+    // cannot wrap).
+    if (!runs_.empty() && runs_.back().last + 1 == round) {
+      runs_.back().last = round;
+    } else {
+      runs_.push_back(Run{round, round});
+    }
+    return true;
+  }
+  const auto next = std::upper_bound(
+      runs_.begin(), runs_.end(), round,
+      [](uint64_t r, const Run& run) { return r < run.first; });
+  const bool has_prev = next != runs_.begin();
+  if (has_prev && std::prev(next)->last >= round) return false;
+  // prev->last < round < next->first: neither +1 below can wrap.
+  const bool joins_prev = has_prev && std::prev(next)->last + 1 == round;
+  const bool joins_next = next != runs_.end() && round + 1 == next->first;
+  if (joins_prev && joins_next) {
+    std::prev(next)->last = next->last;
+    runs_.erase(next);
+  } else if (joins_prev) {
+    std::prev(next)->last = round;
+  } else if (joins_next) {
+    next->first = round;
+  } else {
+    runs_.insert(next, Run{round, round});
+  }
+  return true;
+}
+
+void ClosedRounds::AppendRounds(std::vector<uint64_t>& out) const {
+  for (const Run& run : runs_) {
+    for (uint64_t round = run.first;; ++round) {
+      out.push_back(round);
+      if (round == run.last) break;
+    }
+  }
+}
+
 HubNode::HubNode(size_t module_count, size_t close_at_count,
                  HubTelemetry telemetry)
     : module_count_(module_count),
@@ -15,43 +66,105 @@ HubNode::HubNode(size_t module_count, size_t close_at_count,
                           : std::min(close_at_count, module_count)),
       telemetry_(telemetry) {}
 
+std::vector<HubNode::OpenRound>::iterator HubNode::OpenLowerBoundLocked(
+    size_t round) {
+  // Rounds usually open in ascending order: past the last, no search.
+  if (open_.empty() || round > open_.back().round) return open_.end();
+  return std::lower_bound(
+      open_.begin(), open_.end(), round,
+      [](const OpenRound& open, size_t r) { return open.round < r; });
+}
+
+size_t HubNode::AcquireSlotLocked() {
+  if (!free_slots_.empty()) {
+    const size_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  const size_t slot = present_counts_.size();
+  present_counts_.push_back(0);
+  values_.resize(values_.size() + module_count_);
+  present_.resize(present_.size() + module_count_, 0);
+  return slot;
+}
+
+void HubNode::ReleaseSlotLocked(size_t slot) {
+  std::fill_n(present_.begin() + static_cast<ptrdiff_t>(slot * module_count_),
+              module_count_, uint8_t{0});
+  present_counts_[slot] = 0;
+  free_slots_.push_back(slot);
+  if (cached_slot_ == slot) cached_slot_ = kNoSlot;
+}
+
+size_t HubNode::OpenSlotLocked(size_t round) {
+  auto it = OpenLowerBoundLocked(round);
+  if (it == open_.end() || it->round != round) {
+    it = open_.insert(it, OpenRound{round, AcquireSlotLocked()});
+  }
+  cached_round_ = round;
+  cached_slot_ = it->slot;
+  return it->slot;
+}
+
+void HubNode::CloseSlotLocked(size_t round, size_t slot,
+                              std::vector<size_t>& rounds,
+                              data::RoundTable& table) {
+  const size_t offset = slot * module_count_;
+  (void)table.AppendRound(
+      std::span<const double>(values_).subspan(offset, module_count_),
+      std::span<const uint8_t>(present_).subspan(offset, module_count_));
+  rounds.push_back(round);
+  closed_.Insert(round);
+  ReleaseSlotLocked(slot);
+}
+
 BatchIngestStats HubNode::IngestBatch(
     std::span<const ReadingMessage> readings, std::vector<size_t>& rounds,
     data::RoundTable& table) {
   BatchIngestStats stats;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const ReadingMessage& message : readings) {
-    if (message.module >= module_count_) {
+  for (const ReadingMessage& reading : readings) {
+    if (reading.module >= module_count_) {
       ++stats.rejected;
       continue;
     }
-    if (closed_.count(message.round)) {
-      ++stats.late;
-      if (telemetry_.late_readings != nullptr) {
-        telemetry_.late_readings->Increment();
+    const size_t round = static_cast<size_t>(reading.round);
+    size_t slot = cached_slot_;
+    if (slot == kNoSlot || round != cached_round_) {
+      if (closed_.Contains(round)) {
+        ++stats.late;
+        continue;
       }
-      continue;
+      slot = OpenSlotLocked(round);
     }
     ++stats.accepted;
-    auto it = pending_.try_emplace(message.round).first;
-    core::Round& pending = it->second;
-    if (pending.empty()) pending.resize(module_count_);
-    pending[message.module] = message.value;
-    size_t present = 0;
-    for (const auto& reading : pending) {
-      if (reading.has_value()) ++present;
+    const size_t cell = slot * module_count_ + reading.module;
+    values_[cell] = reading.value;
+    if (present_[cell] == 0) {
+      present_[cell] = 1;
+      ++present_counts_[slot];
     }
-    if (present < close_at_count_) continue;
-    core::Round complete = std::move(pending);
-    pending_.erase(it);
-    CloseLocked(message.round, std::move(complete), rounds, table);
+    if (present_counts_[slot] < close_at_count_) continue;
+    open_.erase(OpenLowerBoundLocked(round));
+    CloseSlotLocked(round, slot, rounds, table);
     ++stats.rounds_closed;
   }
   if (telemetry_.readings != nullptr && stats.accepted > 0) {
     telemetry_.readings->Add(static_cast<uint64_t>(stats.accepted));
   }
+  if (telemetry_.late_readings != nullptr && stats.late > 0) {
+    telemetry_.late_readings->Add(static_cast<uint64_t>(stats.late));
+  }
+  if (stats.rounds_closed > 0) {
+    if (telemetry_.rounds_closed != nullptr) {
+      telemetry_.rounds_closed->Add(static_cast<uint64_t>(stats.rounds_closed));
+    }
+    if (telemetry_.last_closed_round != nullptr) {
+      telemetry_.last_closed_round->Set(static_cast<double>(rounds.back()));
+    }
+  }
   if (telemetry_.open_rounds != nullptr) {
-    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
+    telemetry_.open_rounds->Set(static_cast<double>(open_.size()));
   }
   return stats;
 }
@@ -59,66 +172,79 @@ BatchIngestStats HubNode::IngestBatch(
 bool HubNode::Close(size_t round, std::vector<size_t>& rounds,
                     data::RoundTable& table) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_.count(round)) return false;
-  core::Round readings;
-  if (auto it = pending_.find(round); it != pending_.end()) {
-    readings = std::move(it->second);
-    pending_.erase(it);
+  if (closed_.Contains(round)) return false;
+  if (const auto it = OpenLowerBoundLocked(round);
+      it != open_.end() && it->round == round) {
+    const size_t slot = it->slot;
+    open_.erase(it);
+    CloseSlotLocked(round, slot, rounds, table);
   } else {
-    readings.resize(module_count_);
+    // Never seen: a fresh row is the all-missing round.
+    CloseSlotLocked(round, AcquireSlotLocked(), rounds, table);
   }
-  CloseLocked(round, std::move(readings), rounds, table);
-  return true;
-}
-
-void HubNode::CloseLocked(size_t round, core::Round readings,
-                          std::vector<size_t>& rounds,
-                          data::RoundTable& table) {
-  (void)table.AppendRound(std::move(readings));
-  rounds.push_back(round);
-  closed_[round] = true;
   if (telemetry_.rounds_closed != nullptr) telemetry_.rounds_closed->Increment();
   if (telemetry_.open_rounds != nullptr) {
-    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
+    telemetry_.open_rounds->Set(static_cast<double>(open_.size()));
   }
   if (telemetry_.last_closed_round != nullptr) {
     telemetry_.last_closed_round->Set(static_cast<double>(round));
   }
+  return true;
 }
 
 size_t HubNode::open_rounds() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return pending_.size();
+  return open_.size();
+}
+
+size_t HubNode::closed_run_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return closed_.run_count();
 }
 
 HubNode::State HubNode::ExportState() const {
   std::lock_guard<std::mutex> lock(mutex_);
   State state;
-  state.pending.reserve(pending_.size());
-  for (const auto& [round, readings] : pending_) {
-    state.pending.emplace_back(static_cast<uint64_t>(round), readings);
+  state.pending.reserve(open_.size());
+  for (const OpenRound& open : open_) {
+    core::Round readings(module_count_);
+    const size_t offset = open.slot * module_count_;
+    for (size_t m = 0; m < module_count_; ++m) {
+      if (present_[offset + m] != 0) readings[m] = values_[offset + m];
+    }
+    state.pending.emplace_back(static_cast<uint64_t>(open.round),
+                               std::move(readings));
   }
-  state.closed_rounds.reserve(closed_.size());
-  for (const auto& [round, flag] : closed_) {
-    if (flag) state.closed_rounds.push_back(static_cast<uint64_t>(round));
-  }
+  closed_.AppendRounds(state.closed_rounds);
   return state;
 }
 
 void HubNode::RestoreState(const State& state) {
   std::lock_guard<std::mutex> lock(mutex_);
-  pending_.clear();
-  closed_.clear();
+  for (const OpenRound& open : open_) ReleaseSlotLocked(open.slot);
+  open_.clear();
   for (const auto& [round, readings] : state.pending) {
-    core::Round copy = readings;
-    copy.resize(module_count_);
-    pending_[static_cast<size_t>(round)] = std::move(copy);
+    // A repeated round keeps its last entry, as the old map insert did.
+    const size_t slot = OpenSlotLocked(static_cast<size_t>(round));
+    const size_t offset = slot * module_count_;
+    size_t present = 0;
+    for (size_t m = 0; m < module_count_; ++m) {
+      const bool has = m < readings.size() && readings[m].has_value();
+      present_[offset + m] = has ? 1 : 0;
+      values_[offset + m] = has ? *readings[m] : 0.0;
+      present += has ? 1 : 0;
+    }
+    present_counts_[slot] = present;
   }
-  for (const uint64_t round : state.closed_rounds) {
-    closed_[static_cast<size_t>(round)] = true;
-  }
+  // A restored round may be closed as well; the cache holds only
+  // unclosed rounds.
+  cached_slot_ = kNoSlot;
+  closed_.Clear();
+  std::vector<uint64_t> closed = state.closed_rounds;
+  std::sort(closed.begin(), closed.end());
+  for (const uint64_t round : closed) closed_.Insert(round);
   if (telemetry_.open_rounds != nullptr) {
-    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
+    telemetry_.open_rounds->Set(static_cast<double>(open_.size()));
   }
 }
 
@@ -199,11 +325,9 @@ void SinkNode::Append(std::span<const size_t> rounds, core::TraceView trace) {
   const size_t count = trace.round_count();
   if (count == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  // Column-to-column copy out of the borrowed view.
-  for (size_t i = 0; i < count; ++i) {
-    trace_.AppendFrom(trace, i);
-    rounds_.push_back(rounds[i]);
-  }
+  // Block copy out of the borrowed view, one per column.
+  trace_.AppendRows(trace);
+  rounds_.insert(rounds_.end(), rounds.begin(), rounds.begin() + count);
   const size_t last_round =
       *std::max_element(rounds.begin(), rounds.begin() + count);
   NoteAppendedLocked(last_round, count);
@@ -214,14 +338,14 @@ void SinkNode::PersistAppendedLocked(size_t appended) {
   if (trace_store_ == nullptr || appended == 0) return;
   // Build the points from the rows just stored, not the input: what the
   // backend holds is then bit-identical to this trace by construction.
-  std::vector<storage::TracePoint> points;
-  points.reserve(appended);
+  const std::span<const double> values = trace_.values();
+  const std::span<const uint8_t> engaged = trace_.engaged();
+  points_.clear();
   for (size_t i = rounds_.size() - appended; i < rounds_.size(); ++i) {
-    const std::optional<double> value = trace_.output(i);
-    points.push_back(storage::TracePoint{rounds_[i], value.value_or(0.0),
-                                         value.has_value()});
+    points_.push_back(storage::TracePoint{
+        rounds_[i], engaged[i] != 0 ? values[i] : 0.0, engaged[i] != 0});
   }
-  const Status persisted = trace_store_->AppendTrace(group_, points);
+  const Status persisted = trace_store_->AppendTrace(group_, points_);
   if (!persisted.ok()) {
     AVOC_LOG_WARN("sink '%s': trace persist failed: %s", group_.c_str(),
                   persisted.ToString().c_str());

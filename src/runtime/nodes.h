@@ -10,7 +10,6 @@
 // rows to the SinkNode.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "data/round_table.h"
 #include "obs/metrics.h"
 #include "runtime/datastore.h"
+#include "runtime/reading.h"
 #include "util/status.h"
 
 namespace avoc::runtime {
@@ -47,13 +47,6 @@ struct SinkTelemetry {
   obs::Gauge* lag_rounds = nullptr;
 };
 
-/// A single sensor reading addressed to a hub.
-struct ReadingMessage {
-  size_t module = 0;  ///< module index within the voter group
-  size_t round = 0;
-  double value = 0.0;
-};
-
 /// The voter's fused output for one round, materialized (migration blob
 /// and tests; the live path stays columnar).
 struct OutputMessage {
@@ -69,9 +62,38 @@ struct BatchIngestStats {
   size_t rounds_closed = 0;  ///< rounds completed (and voted) by this batch
 };
 
+/// The hub's closed-round set (its late-reading filter) as sorted,
+/// disjoint, non-adjacent runs of consecutive rounds.  Rounds that close
+/// in order extend one run, so the set stays one entry however long the
+/// group runs.  A run stores its last round inclusively: the run holding
+/// round 2^64-1 needs no past-the-end bound that would wrap to 0.
+class ClosedRounds {
+ public:
+  bool Contains(uint64_t round) const;
+  /// Adds `round`; false when it was already in the set.
+  bool Insert(uint64_t round);
+  void Clear() { runs_.clear(); }
+
+  size_t run_count() const { return runs_.size(); }
+  /// Appends every round of the set in ascending order.
+  void AppendRounds(std::vector<uint64_t>& out) const;
+
+ private:
+  struct Run {
+    uint64_t first = 0;
+    uint64_t last = 0;  ///< inclusive
+  };
+  std::vector<Run> runs_;  ///< ascending by first
+};
+
 /// Assembles readings into rounds.  Every call that closes rounds
 /// appends them to the caller's `rounds` list and `table` (row i of the
 /// table is round rounds[i]); the hub itself never votes.
+///
+/// Open rounds live in a pool of flat rows (module_count() values plus
+/// presence flags and a present count each) that closed rounds hand back
+/// for reuse, so steady-state assembly allocates nothing; a last-round
+/// cache serves the readings of a frame that lists them round by round.
 class HubNode {
  public:
   /// `close_at_count` implements VDX's UNTIL quorum at the hub: when > 0,
@@ -88,7 +110,8 @@ class HubNode {
 
   /// Ingests readings under one hub lock, appending every round they
   /// complete.  Readings for closed rounds or unknown modules are
-  /// counted, not fatal.
+  /// counted, not fatal; a repeated reading for an open round replaces
+  /// the earlier value.
   BatchIngestStats IngestBatch(std::span<const ReadingMessage> readings,
                                std::vector<size_t>& rounds,
                                data::RoundTable& table);
@@ -102,9 +125,13 @@ class HubNode {
 
   /// Rounds currently open (received some but not all readings).
   size_t open_rounds() const;
+  /// Runs the closed-round set is stored as (1 while rounds close in
+  /// order).
+  size_t closed_run_count() const;
 
   /// Assembly state for migrating a live hub between nodes: partially
-  /// filled rounds plus the closed-round set (the late-reading filter).
+  /// filled rounds plus the closed-round set (the late-reading filter),
+  /// both ascending by round.
   struct State {
     std::vector<std::pair<uint64_t, core::Round>> pending;
     std::vector<uint64_t> closed_rounds;
@@ -113,17 +140,49 @@ class HubNode {
   void RestoreState(const State& state);
 
  private:
-  /// Moves `readings` into the output as `round`, marks the round closed
-  /// and updates the close-side gauges; caller holds mutex_.
-  void CloseLocked(size_t round, core::Round readings,
-                   std::vector<size_t>& rounds, data::RoundTable& table);
+  /// An open round and the pool row holding its readings.
+  struct OpenRound {
+    size_t round = 0;
+    size_t slot = 0;
+  };
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  // All private members below expect mutex_ held.
+
+  /// First open_ entry whose round is not below `round`.
+  std::vector<OpenRound>::iterator OpenLowerBoundLocked(size_t round);
+  /// Row of open `round`, opening the round on a fresh row when it has
+  /// none; the caller checked that the round is not closed.
+  size_t OpenSlotLocked(size_t round);
+  /// A pool row with no reading present.
+  size_t AcquireSlotLocked();
+  /// Clears row `slot` and hands it back to the pool.
+  void ReleaseSlotLocked(size_t slot);
+  /// Appends row `slot` to the output as `round`, marks the round closed
+  /// and releases the row; the caller drops its open_ entry.
+  void CloseSlotLocked(size_t round, size_t slot, std::vector<size_t>& rounds,
+                       data::RoundTable& table);
 
   size_t module_count_;
   size_t close_at_count_;
   HubTelemetry telemetry_;
   mutable std::mutex mutex_;
-  std::map<size_t, core::Round> pending_;   // round -> partial readings
-  std::map<size_t, bool> closed_;           // rounds already closed
+  /// Row pool: row s holds cells [s * module_count_, (s + 1) *
+  /// module_count_) of values_ and present_; present_counts_[s] counts
+  /// its present cells.  Values of absent cells are stale, never read.
+  std::vector<double> values_;
+  std::vector<uint8_t> present_;
+  std::vector<size_t> present_counts_;
+  std::vector<size_t> free_slots_;
+  /// Ascending by round.  Rounds mostly open at the end and close near
+  /// the front; an insert or erase moves the entries past it, which the
+  /// usual handful of open rounds keeps short.
+  std::vector<OpenRound> open_;
+  ClosedRounds closed_;
+  /// Last-round cache: an open, unclosed round and its row (kNoSlot when
+  /// empty).
+  size_t cached_round_ = 0;
+  size_t cached_slot_ = kNoSlot;
 };
 
 class SinkNode;
@@ -233,6 +292,8 @@ class SinkNode {
   mutable std::mutex mutex_;
   core::BatchTrace trace_;
   std::vector<size_t> rounds_;  ///< round number of each trace row
+  /// Scratch of PersistAppendedLocked, reused across appends.
+  std::vector<storage::TracePoint> points_;
 };
 
 }  // namespace avoc::runtime

@@ -79,18 +79,6 @@ std::string PeekFrameGroup(const Frame& frame) {
   }
 }
 
-/// Wire readings in the manager's ingest form.
-std::vector<ReadingMessage> ToMessages(std::span<const BatchReading> readings) {
-  std::vector<ReadingMessage> messages;
-  messages.reserve(readings.size());
-  for (const BatchReading& reading : readings) {
-    messages.push_back(ReadingMessage{static_cast<size_t>(reading.module),
-                                      static_cast<size_t>(reading.round),
-                                      reading.value});
-  }
-  return messages;
-}
-
 /// An encoded reply frame as its line-protocol text (newline included):
 /// the reply encoder of line connections.
 std::string LineReply(std::string_view encoded) {
@@ -1262,11 +1250,11 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
       const Status decoded =
           DecodeSubmitBatch(frame.payload, &group, &readings, &trace);
       if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(
-          tracer_, obs::SpanKind::kServer, "server.submit_batch",
-          ParentOf(trace), StrFormat("group=%s route=%s%s", group.c_str(),
-                                     route, node_suffix_.c_str()));
-      auto stats = manager_->SubmitBatch(group, ToMessages(readings));
+      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
+                           "server.submit_batch", ParentOf(trace));
+      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
+                      node_suffix_.c_str());
+      auto stats = manager_->SubmitBatch(group, readings);
       if (!stats.ok()) return error(stats.status());
       return EncodeFrame(FrameType::kOk, EncodeOk(stats->accepted));
     }
@@ -1301,7 +1289,7 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
                       group.c_str(), route,
                       static_cast<unsigned long long>(seq),
                       node_suffix_.c_str());
-      auto stats = manager_->SubmitBatch(group, ToMessages(readings));
+      auto stats = manager_->SubmitBatch(group, readings);
       if (!stats.ok()) return error(stats.status());
       dedup.acks[seq] = ClientDedup::AckEntry{stats->accepted, group};
       dedup.max_seq = std::max(dedup.max_seq, seq);
@@ -1321,10 +1309,10 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
       const Status decoded =
           DecodeClose(frame.payload, &group, &round, &trace);
       if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(
-          tracer_, obs::SpanKind::kServer, "server.close", ParentOf(trace),
-          StrFormat("group=%s route=%s%s", group.c_str(), route,
-                    node_suffix_.c_str()));
+      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer, "server.close",
+                           ParentOf(trace));
+      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
+                      node_suffix_.c_str());
       const Status closed =
           manager_->CloseRound(group, static_cast<size_t>(round));
       if (!closed.ok()) return error(closed);
@@ -1335,10 +1323,10 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
       WireTraceContext trace;
       const Status decoded = DecodeQuery(frame.payload, &group, &trace);
       if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(
-          tracer_, obs::SpanKind::kServer, "server.query", ParentOf(trace),
-          StrFormat("group=%s route=%s%s", group.c_str(), route,
-                    node_suffix_.c_str()));
+      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer, "server.query",
+                           ParentOf(trace));
+      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
+                      node_suffix_.c_str());
       auto sink = manager_->sink(group);
       if (!sink.ok()) return error(sink.status());
       const auto value = (*sink)->last_value();
@@ -1354,11 +1342,10 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
       const Status decoded =
           DecodeQueryRange(frame.payload, &group, &lo, &hi, &trace);
       if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(
-          tracer_, obs::SpanKind::kServer, "server.query_range",
-          ParentOf(trace),
-          StrFormat("group=%s route=%s%s", group.c_str(), route,
-                    node_suffix_.c_str()));
+      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
+                           "server.query_range", ParentOf(trace));
+      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
+                      node_suffix_.c_str());
       if (hi < lo) {
         return error(InvalidArgumentError("QUERY_RANGE hi_round < lo_round"));
       }
@@ -1407,11 +1394,10 @@ std::string RemoteVoterServer::HandleFrame(const Frame& frame,
       WireTraceContext trace;
       const Status decoded = DecodeHistoryGet(frame.payload, &group, &trace);
       if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(
-          tracer_, obs::SpanKind::kServer, "server.history_get",
-          ParentOf(trace),
-          StrFormat("group=%s route=%s%s", group.c_str(), route,
-                    node_suffix_.c_str()));
+      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
+                           "server.history_get", ParentOf(trace));
+      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
+                      node_suffix_.c_str());
       auto voter = manager_->voter(group);
       if (!voter.ok()) return error(voter.status());
       const core::HistoryLedger& ledger = (*voter)->engine().history();

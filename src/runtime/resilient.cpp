@@ -225,9 +225,9 @@ Result<uint64_t> ResilientVoterClient::SubmitBatch(
     root_parent.flags = 1;
   }
   obs::ScopedSpan root(traced ? tracer_ : nullptr, obs::SpanKind::kClient,
-                       "client.submit_batch", root_parent,
-                       StrFormat("group=%s seq=%llu", group.c_str(),
-                                 static_cast<unsigned long long>(seq)));
+                       "client.submit_batch", root_parent);
+  root.SetDetailF("group=%s seq=%llu", group.c_str(),
+                  static_cast<unsigned long long>(seq));
   uint64_t accepted = 0;
   AVOC_RETURN_IF_ERROR(Execute(
       [&](RemoteVoterClient& client) -> Status {

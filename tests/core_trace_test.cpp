@@ -158,6 +158,82 @@ TEST(BatchTraceTest, MaterializeRoundTripsAppend) {
   EXPECT_EQ(back.eliminated, result.eliminated);
 }
 
+/// Appends rounds of `modules` width: voted, errored, suppressed.
+void PushMixedRounds(BatchTrace& trace, size_t modules, double base) {
+  PushRound(trace, modules, base, VotedScalars(base + 0.5, 2));
+  const Status no_quorum(ErrorCode::kNoQuorum, "starved");
+  RoundScalars errored;
+  errored.has_value = false;
+  errored.outcome = RoundOutcome::kError;
+  errored.used_clustering = true;
+  errored.status = &no_quorum;
+  PushRound(trace, modules, base + 1.0, errored);
+  RoundScalars suppressed;
+  suppressed.outcome = RoundOutcome::kNoOutput;
+  suppressed.present_count = 1;
+  PushRound(trace, modules, base + 2.0, suppressed);
+}
+
+void ExpectSameRound(const VoteResult& got, const VoteResult& want) {
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.status.code(), want.status.code());
+  EXPECT_EQ(got.status.message(), want.status.message());
+  EXPECT_EQ(got.used_clustering, want.used_clustering);
+  EXPECT_EQ(got.had_majority, want.had_majority);
+  EXPECT_EQ(got.present_count, want.present_count);
+  EXPECT_EQ(got.weights, want.weights);
+  EXPECT_EQ(got.agreement, want.agreement);
+  EXPECT_EQ(got.history, want.history);
+  EXPECT_EQ(got.excluded, want.excluded);
+  EXPECT_EQ(got.eliminated, want.eliminated);
+}
+
+TEST(BatchTraceTest, AppendRowsMatchesRowByRowAppend) {
+  // Same arity (a block copy per column), then narrower and wider
+  // sources (row by row, zero-padded or truncated): the result must be
+  // what appending each materialized row would give.
+  for (const size_t source_modules : {3u, 2u, 5u}) {
+    BatchTrace source(source_modules);
+    PushMixedRounds(source, source_modules, 10.0);
+    BatchTrace blocks(3);
+    PushMixedRounds(blocks, 3, 1.0);
+    BatchTrace rows(3);
+    PushMixedRounds(rows, 3, 1.0);
+
+    blocks.AppendRows(source.view());
+    for (size_t r = 0; r < source.round_count(); ++r) {
+      VoteResult round = source.MaterializeRound(r);
+      for (auto* column : {&round.weights, &round.agreement, &round.history}) {
+        column->resize(3, 0.0);
+      }
+      round.excluded.resize(3, false);
+      round.eliminated.resize(3, false);
+      rows.Append(round);
+    }
+    ASSERT_EQ(blocks.round_count(), rows.round_count()) << source_modules;
+    EXPECT_EQ(blocks.module_count(), 3u);
+    for (size_t r = 0; r < rows.round_count(); ++r) {
+      SCOPED_TRACE(testing::Message() << source_modules << " round " << r);
+      ExpectSameRound(blocks.MaterializeRound(r), rows.MaterializeRound(r));
+    }
+  }
+}
+
+TEST(BatchTraceTest, AppendRowsAdoptsArityWhenEmpty) {
+  BatchTrace source(4);
+  PushMixedRounds(source, 4, 3.0);
+  BatchTrace trace;  // unsized
+  trace.AppendRows(source.view());
+  EXPECT_EQ(trace.module_count(), 4u);
+  ASSERT_EQ(trace.round_count(), 3u);
+  for (size_t r = 0; r < 3; ++r) {
+    ExpectSameRound(trace.MaterializeRound(r), source.MaterializeRound(r));
+  }
+  trace.AppendRows(BatchTrace(4).view());  // no rows: no change
+  EXPECT_EQ(trace.round_count(), 3u);
+}
+
 TEST(BatchTraceTest, OutputsAndContinuousOutputs) {
   BatchTrace trace(1);
   RoundScalars gap;

@@ -324,6 +324,147 @@ TEST(FramingTest, SubmitBatchRoundTrips) {
   }
 }
 
+std::string Hex(std::string_view bytes) {
+  std::string out;
+  char digits[3];
+  for (const char byte : bytes) {
+    std::snprintf(digits, sizeof(digits), "%02x",
+                  static_cast<unsigned>(static_cast<uint8_t>(byte)));
+    out += digits;
+  }
+  return out;
+}
+
+// Readings whose varints take 1, 2, 3 and 10 bytes, plus a negative zero,
+// a NaN payload and an infinity.
+std::vector<BatchReading> GoldenReadings() {
+  return {{0, 0, 1.5},
+          {1, 127, -0.0},
+          {15, 128, -2.25},
+          {200, 70000, std::numeric_limits<double>::infinity()},
+          {std::numeric_limits<uint64_t>::max(),
+           std::numeric_limits<uint64_t>::max(),
+           std::numeric_limits<double>::quiet_NaN()}};
+}
+
+TEST(FramingTest, SubmitBatchWireBytesAreGolden) {
+  // Pins the SUBMIT_BATCH / SUBMIT_BATCH_SEQ wire format byte for byte:
+  // the sized pointer encoders must write what the byte-appending ones
+  // did.  Per line: frame length, type, group, count; then one reading
+  // per line (module, round, f64); the SEQ frame adds the client id and
+  // seq up front and the trace context at the end.
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kSubmitBatch,
+                            EncodeSubmitBatch("g1", GoldenReadings()))),
+            "4d0102673105"
+            "00"  "00"      "000000000000f83f"
+            "01"  "7f"      "0000000000000080"
+            "0f"  "8001"    "00000000000002c0"
+            "c801" "f0a204" "000000000000f07f"
+            "ffffffffffffffffff01" "ffffffffffffffffff01" "000000000000f87f");
+  WireTraceContext trace;
+  trace.trace_id = 0x123456789ull;
+  trace.parent_span_id = 300;
+  trace.flags = 1;
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kSubmitBatchSeq,
+                            EncodeSubmitBatchSeq("client-7", 129, "g1",
+                                                 GoldenReadings(), &trace))),
+            "61090863"  "6c69656e742d37" "8101"
+            "02673105"
+            "00"  "00"      "000000000000f83f"
+            "01"  "7f"      "0000000000000080"
+            "0f"  "8001"    "00000000000002c0"
+            "c801" "f0a204" "000000000000f07f"
+            "ffffffffffffffffff01" "ffffffffffffffffff01" "000000000000f87f"
+            "01" "89cf959a12" "ac02" "01");
+  // And both decode back to the same readings, bit for bit.
+  std::string client_id, group;
+  uint64_t seq = 0;
+  std::vector<BatchReading> decoded;
+  WireTraceContext decoded_trace;
+  ASSERT_TRUE(DecodeSubmitBatchSeq(
+                  EncodeSubmitBatchSeq("client-7", 129, "g1",
+                                       GoldenReadings(), &trace),
+                  &client_id, &seq, &group, &decoded, &decoded_trace)
+                  .ok());
+  const std::vector<BatchReading> expected = GoldenReadings();
+  ASSERT_EQ(decoded.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(decoded[i].module, expected[i].module);
+    EXPECT_EQ(decoded[i].round, expected[i].round);
+    EXPECT_EQ(Hex(std::string_view(
+                  reinterpret_cast<const char*>(&decoded[i].value), 8)),
+              Hex(std::string_view(
+                  reinterpret_cast<const char*>(&expected[i].value), 8)));
+  }
+  EXPECT_EQ(decoded_trace.trace_id, trace.trace_id);
+  EXPECT_EQ(decoded_trace.parent_span_id, trace.parent_span_id);
+  EXPECT_EQ(decoded_trace.flags, trace.flags);
+}
+
+TEST(FramingTest, SubmitBatchTruncationErrorsAtEveryByte) {
+  // Payload layout: [0] group length, [1] 'g', [2] count 3; reading 0 at
+  // [3, 13) (1-byte varints); reading 1 at [13, 26) (module 200 in 2
+  // bytes, round 70000 in 3); reading 2 at [26, 36).
+  const std::vector<BatchReading> readings = {
+      {1, 2, 0.5}, {200, 70000, -1.0}, {5, 5, 3.0}};
+  const std::string payload = EncodeSubmitBatch("g", readings);
+  ASSERT_EQ(payload.size(), 36u);
+  auto expected_error = [](size_t cut) -> std::string {
+    if (cut == 1) return "truncated string";
+    if (cut >= 3 && cut < 6) return "reading count exceeds payload size";
+    if ((cut >= 6 && cut < 13) || (cut >= 18 && cut < 26) || cut >= 28) {
+      return "truncated double";
+    }
+    return "truncated varint";
+  };
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    std::string group;
+    std::vector<BatchReading> decoded;
+    const Status status =
+        DecodeSubmitBatch(payload.substr(0, cut), &group, &decoded);
+    ASSERT_FALSE(status.ok()) << cut;
+    EXPECT_EQ(status.code(), ErrorCode::kParseError) << cut;
+    EXPECT_EQ(status.message(), expected_error(cut)) << cut;
+  }
+  std::string group;
+  std::vector<BatchReading> decoded;
+  EXPECT_TRUE(DecodeSubmitBatch(payload, &group, &decoded).ok());
+  EXPECT_EQ(decoded.size(), 3u);
+}
+
+TEST(FramingTest, SubmitBatchOverlongVarintInReadingFails) {
+  for (const bool in_round : {false, true}) {
+    std::string payload;
+    AppendLengthPrefixedString(payload, "g");
+    AppendVarint(payload, 1);
+    if (in_round) AppendVarint(payload, 3);  // module
+    // Ten bytes, the tenth still flagged as continued: no uint64 needs
+    // that many.
+    payload.append(10, static_cast<char>(0x80));
+    payload.append(16, '\0');
+    std::string group;
+    std::vector<BatchReading> decoded;
+    const Status status = DecodeSubmitBatch(payload, &group, &decoded);
+    EXPECT_EQ(status.code(), ErrorCode::kParseError) << in_round;
+    EXPECT_EQ(status.message(), "varint too long") << in_round;
+    EXPECT_TRUE(decoded.empty()) << in_round;
+  }
+  // Ten bytes ending in a terminator are a valid (if wasteful) varint.
+  std::string payload;
+  AppendLengthPrefixedString(payload, "g");
+  AppendVarint(payload, 1);
+  payload.append(9, static_cast<char>(0x81));
+  payload.push_back(static_cast<char>(0x01));
+  AppendVarint(payload, 4);
+  AppendDouble(payload, 2.0);
+  std::string group;
+  std::vector<BatchReading> decoded;
+  ASSERT_TRUE(DecodeSubmitBatch(payload, &group, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].module, 0x8102040810204081ull);
+  EXPECT_EQ(decoded[0].round, 4u);
+}
+
 TEST(FramingTest, TypedMessagesRoundTrip) {
   {
     const std::string payload = EncodeClose("shelf", 17);
