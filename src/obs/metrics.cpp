@@ -113,30 +113,17 @@ std::string EscapeLabelValue(std::string_view value) {
 
 // Escaping happens here, at registration, so every render/sum/merge path
 // inherits it and a registry never holds an unescaped name.
-std::string LabeledName(std::string_view family, std::string_view label_key,
-                        std::string_view label_value) {
+std::string LabeledName(std::string_view family,
+                        const std::vector<Label>& labels) {
   std::string name(family);
-  name += '{';
-  name += label_key;
-  name += "=\"";
-  name += EscapeLabelValue(label_value);
-  name += "\"}";
-  return name;
-}
-
-std::string LabeledName(std::string_view family, std::string_view key1,
-                        std::string_view value1, std::string_view key2,
-                        std::string_view value2) {
-  std::string name(family);
-  name += '{';
-  name += key1;
-  name += "=\"";
-  name += EscapeLabelValue(value1);
-  name += "\",";
-  name += key2;
-  name += "=\"";
-  name += EscapeLabelValue(value2);
-  name += "\"}";
+  for (size_t i = 0; i < labels.size(); ++i) {
+    name += i == 0 ? '{' : ',';
+    name += labels[i].first;
+    name += "=\"";
+    name += EscapeLabelValue(labels[i].second);
+    name += '"';
+  }
+  if (!labels.empty()) name += '}';
   return name;
 }
 

@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace avoc::obs {
@@ -180,16 +181,15 @@ class LatencyHistogram {
 /// are attacker-shaped, not code-chosen.
 std::string EscapeLabelValue(std::string_view value);
 
-/// `family{key="value"}` — the Prometheus-style name under which labeled
-/// metrics register.  Keys are code-chosen tokens; values are escaped
-/// with EscapeLabelValue, so hostile group ids render as valid text.
-std::string LabeledName(std::string_view family, std::string_view label_key,
-                        std::string_view label_value);
+/// One `key="value"` label of a metric name.  Keys are code-chosen tokens.
+using Label = std::pair<std::string_view, std::string_view>;
 
-/// Two-label variant, keys in the given order.
-std::string LabeledName(std::string_view family, std::string_view key1,
-                        std::string_view value1, std::string_view key2,
-                        std::string_view value2);
+/// `family{k1="v1",k2="v2",...}` — the Prometheus-style name under which
+/// labeled metrics register, labels in the given order (an empty list
+/// yields the bare family).  Values are escaped with EscapeLabelValue, so
+/// hostile group ids render as valid text.
+std::string LabeledName(std::string_view family,
+                        const std::vector<Label>& labels);
 
 /// Named metric store.  GetX returns the existing metric when the name is
 /// already registered (same kind), so independent wiring sites share one

@@ -19,13 +19,13 @@ MetricsObserver::MetricsObserver(Registry& registry,
   const std::string& key = options_.scope_label;
   const std::string& scope = options_.scope;
   auto counter = [&](std::string_view family) {
-    return &registry_->GetCounter(LabeledName(family, key, scope));
+    return &registry_->GetCounter(LabeledName(family, {{key, scope}}));
   };
   rounds_total_ = counter("avoc_rounds_total");
   for (size_t o = 0; o < kOutcomeLabels.size(); ++o) {
     outcome_[o] = &registry_->GetCounter(
-        LabeledName("avoc_round_outcome_total", key, scope, "outcome",
-                    kOutcomeLabels[o]));
+        LabeledName("avoc_round_outcome_total",
+                    {{key, scope}, {"outcome", kOutcomeLabels[o]}}));
   }
   excluded_modules_ = counter("avoc_excluded_modules_total");
   eliminated_modules_ = counter("avoc_eliminated_modules_total");
@@ -34,13 +34,12 @@ MetricsObserver::MetricsObserver(Registry& registry,
   quorum_failures_ = counter("avoc_quorum_failures_total");
   majority_failures_ = counter("avoc_majority_failures_total");
   no_majority_rounds_ = counter("avoc_no_majority_rounds_total");
-  round_latency_ =
-      &registry_->GetHistogram(LabeledName("avoc_round_latency_ns", key,
-                                           scope));
+  round_latency_ = &registry_->GetHistogram(
+      LabeledName("avoc_round_latency_ns", {{key, scope}}));
   for (size_t s = 0; s < core::kStageNames.size(); ++s) {
     stage_latency_[s] = &registry_->GetHistogram(
-        LabeledName("avoc_stage_latency_ns", key, scope, "stage",
-                    core::kStageNames[s]));
+        LabeledName("avoc_stage_latency_ns",
+                    {{key, scope}, {"stage", core::kStageNames[s]}}));
   }
 }
 

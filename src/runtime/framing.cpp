@@ -191,10 +191,14 @@ void AppendLengthPrefixedString(std::string& out, std::string_view s) {
 std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string frame;
   frame.reserve(payload.size() + 6);
-  AppendVarint(frame, payload.size() + 1);  // body = type byte + payload
-  frame.push_back(static_cast<char>(type));
-  frame.append(payload);
+  AppendFrame(frame, type, payload);
   return frame;
+}
+
+void AppendFrame(std::string& out, FrameType type, std::string_view payload) {
+  AppendVarint(out, payload.size() + 1);  // body = type byte + payload
+  out.push_back(static_cast<char>(type));
+  out.append(payload);
 }
 
 Result<uint64_t> PayloadReader::ReadVarint() {
@@ -436,6 +440,10 @@ Status DecodeError(std::string_view payload, std::string* reason) {
   AVOC_ASSIGN_OR_RETURN(const std::string_view text, reader.ReadString());
   reason->assign(text);
   return reader.ExpectEnd();
+}
+
+Frame ErrorFrame(std::string_view reason) {
+  return Frame{FrameType::kError, EncodeError(reason)};
 }
 
 std::string EncodeValue(double value) {

@@ -154,6 +154,8 @@ void AppendLengthPrefixedString(std::string& out, std::string_view s);
 
 /// Wraps a body (type + payload) in its varint length prefix.
 std::string EncodeFrame(FrameType type, std::string_view payload = {});
+/// EncodeFrame appending to `out`.
+void AppendFrame(std::string& out, FrameType type, std::string_view payload);
 
 // --- primitive decoder over one payload --------------------------------------
 
@@ -269,6 +271,11 @@ Status DecodeOk(std::string_view payload, uint64_t* accepted);
 
 std::string EncodeError(std::string_view reason);
 Status DecodeError(std::string_view payload, std::string* reason);
+/// The ERR reply frame carrying `reason` (a Status renders as ToString()).
+Frame ErrorFrame(std::string_view reason);
+inline Frame ErrorFrame(const Status& status) {
+  return ErrorFrame(status.ToString());
+}
 
 std::string EncodeValue(double value);
 Status DecodeValue(std::string_view payload, double* value);

@@ -13,10 +13,10 @@ GroupRunner::GroupRunner(std::vector<Generator> generators,
     obs::Registry& reg = *options_.registry;
     const std::string& g = options_.group;
     auto counter = [&](std::string_view family) {
-      return &reg.GetCounter(obs::LabeledName(family, "group", g));
+      return &reg.GetCounter(obs::LabeledName(family, {{"group", g}}));
     };
     auto gauge = [&](std::string_view family) {
-      return &reg.GetGauge(obs::LabeledName(family, "group", g));
+      return &reg.GetGauge(obs::LabeledName(family, {{"group", g}}));
     };
     hub_telemetry.readings = counter("avoc_hub_readings_total");
     hub_telemetry.late_readings = counter("avoc_hub_late_readings_total");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "util/log.h"
 #include "util/strings.h"
@@ -34,61 +35,12 @@ obs::SpanContext ParentOf(const WireTraceContext& trace) {
   return parent;
 }
 
-/// Per-verb accounting for the broken-out QUERY_RANGE / HISTORY_GET
-/// families: counts on entry, records wall latency on scope exit.
-class VerbTimer {
- public:
-  VerbTimer(obs::Counter* requests, obs::LatencyHistogram* latency)
-      : latency_(latency), begin_(latency != nullptr ? NowNanos() : 0) {
-    if (requests != nullptr) requests->Increment();
-  }
-  ~VerbTimer() {
-    if (latency_ != nullptr) latency_->Record(NowNanos() - begin_);
-  }
-  VerbTimer(const VerbTimer&) = delete;
-  VerbTimer& operator=(const VerbTimer&) = delete;
-
- private:
-  obs::LatencyHistogram* latency_;
-  uint64_t begin_;
-};
-
-/// The target group of a frame, or "" for group-less verbs (and for
-/// malformed payloads, which then fail decoding on the local shard).
-/// Group-addressed payloads lead with the group id (or client id + seq
-/// for SUBMIT_BATCH_SEQ) precisely so routing never decodes readings.
-std::string PeekFrameGroup(const Frame& frame) {
-  PayloadReader reader(frame.payload);
-  switch (frame.type) {
-    case FrameType::kSubmitBatch:
-    case FrameType::kClose:
-    case FrameType::kQuery:
-    case FrameType::kQueryRange:
-    case FrameType::kHistoryGet: {
-      auto group = reader.ReadString();
-      return group.ok() ? std::string(*group) : std::string();
-    }
-    case FrameType::kSubmitBatchSeq: {
-      if (!reader.ReadString().ok()) return {};  // client id
-      if (!reader.ReadVarint().ok()) return {};  // sequence number
-      auto group = reader.ReadString();
-      return group.ok() ? std::string(*group) : std::string();
-    }
-    default:
-      return {};
-  }
+Frame OkFrame(uint64_t accepted) {
+  return Frame{FrameType::kOk, EncodeOk(accepted)};
 }
 
-/// An encoded reply frame as its line-protocol text (newline included):
-/// the reply encoder of line connections.
-std::string LineReply(std::string_view encoded) {
-  FrameDecoder decoder;
-  decoder.Feed(encoded);
-  auto frame = decoder.Next();
-  std::string line =
-      frame.ok() ? RenderLineReply(*frame) : "ERR malformed reply frame";
-  line.push_back('\n');
-  return line;
+Frame TextFrame(std::string_view text) {
+  return Frame{FrameType::kText, EncodeText(text)};
 }
 
 }  // namespace
@@ -106,18 +58,13 @@ RemoteVoterServer::RemoteVoterServer(VoterGroupManager* manager,
     // cluster nodes under a node label (both when a server is a shard of
     // a clustered node); the scrape side sums/merges families across
     // scopes for the deployment view (docs/OBSERVABILITY.md).
-    const auto name = [this](const char* family) {
-      const bool sharded = !options_.metrics_scope.empty();
-      const bool noded = !options_.node_id.empty();
-      if (sharded && noded) {
-        return obs::LabeledName(family, "node", options_.node_id, "shard",
-                                options_.metrics_scope);
-      }
-      if (sharded) {
-        return obs::LabeledName(family, "shard", options_.metrics_scope);
-      }
-      if (noded) return obs::LabeledName(family, "node", options_.node_id);
-      return std::string(family);
+    std::vector<obs::Label> scope;
+    if (!options_.node_id.empty()) scope.emplace_back("node", options_.node_id);
+    if (!options_.metrics_scope.empty()) {
+      scope.emplace_back("shard", options_.metrics_scope);
+    }
+    const auto name = [&scope](std::string_view family) {
+      return obs::LabeledName(family, scope);
     };
     connections_gauge_ = &registry->GetGauge(name("avoc_remote_connections"));
     frames_in_ = &registry->GetCounter(name("avoc_remote_frames_in_total"));
@@ -129,16 +76,14 @@ RemoteVoterServer::RemoteVoterServer(VoterGroupManager* manager,
     dedup_replays_ =
         &registry->GetCounter(name("avoc_remote_dedup_replays_total"));
     dedup_clients_ = &registry->GetGauge(name("avoc_remote_dedup_clients"));
-    request_latency_ =
-        &registry->GetHistogram(name("avoc_remote_request_latency_ns"));
-    query_range_requests_ =
-        &registry->GetCounter(name("avoc_remote_query_range_requests_total"));
-    history_get_requests_ =
-        &registry->GetCounter(name("avoc_remote_history_get_requests_total"));
-    query_range_latency_ =
-        &registry->GetHistogram(name("avoc_remote_query_range_latency_ns"));
-    history_get_latency_ =
-        &registry->GetHistogram(name("avoc_remote_history_get_latency_ns"));
+    for (unsigned byte = 0; byte < 0x80; ++byte) {  // in kVerbs row order
+      const Verb* verb = FindVerb(static_cast<FrameType>(byte));
+      if (verb == nullptr) continue;
+      std::vector<obs::Label> labels = scope;
+      labels.emplace_back("verb", FrameTypeName(verb->type));
+      verb_latency_.push_back(&registry->GetHistogram(
+          obs::LabeledName("avoc_remote_request_latency_ns", labels)));
+    }
     if (!options_.metrics_scope.empty()) {
       forwarded_counter_ =
           &registry->GetCounter(name("avoc_shard_forwarded_total"));
@@ -416,28 +361,45 @@ void RemoteVoterServer::ProcessInput(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   Connection& c = *it->second;
-  if (c.mode == Connection::Mode::kDetecting) {
-    if (c.inbuf.empty()) return;
-    if (static_cast<uint8_t>(c.inbuf[0]) != kBinaryMagic[0]) {
-      c.mode = Connection::Mode::kLine;
-    } else {
-      if (c.inbuf.size() < 2) return;  // wait for the second magic byte
-      if (static_cast<uint8_t>(c.inbuf[1]) != kBinaryMagic[1]) {
-        QueueResponse(c, EncodeFrame(FrameType::kError,
-                                     EncodeError("bad protocol preamble")));
-        c.want_close = true;
-        UpdateInterest(fd);
-        return;
+  dispatching_fd_ = fd;
+  while (!c.want_close) {
+    auto frame = NextRequest(c);
+    if (frame.ok()) {
+      if (IsLinked() && !c.pinned) {
+        const Verb* verb = FindVerb(frame->type);
+        const std::string_view group =
+            verb != nullptr ? GroupOf(*verb, frame->payload)
+                            : std::string_view();
+        if (!group.empty()) {
+          // The first group-addressed frame decides the home shard: the
+          // whole connection migrates there (shared-nothing from here
+          // on) unless replies are still pending here.
+          c.pinned = true;
+          const size_t owner = router_.ShardFor(group);
+          if (owner != link_.index && c.replies.empty()) {
+            dispatching_fd_ = -1;
+            MigrateConnection(fd, owner, std::move(*frame));
+            return;
+          }
+        }
       }
-      c.mode = Connection::Mode::kBinary;
-      if (c.inbuf.size() > 2) {
-        c.decoder.Feed(std::string_view(c.inbuf).substr(2));
-      }
-      c.inbuf.clear();
-      c.inbuf.shrink_to_fit();
+      Dispatch(c, std::move(*frame), "local");
+      continue;
     }
+    if (frame.status().code() == ErrorCode::kNotFound) break;
+    // A malformed line costs only its own reply: line boundaries survive,
+    // so the connection carries on.  Anything else lost the stream's
+    // boundaries: report and hang up.
+    if (c.mode != Connection::Mode::kLine ||
+        frame.status().code() == ErrorCode::kOutOfRange) {
+      if (tracer_ != nullptr) {
+        tracer_->Event("server.poisoned_frame", frame.status().message());
+      }
+      c.want_close = true;
+    }
+    Complete(Admit(c), ErrorFrame(frame.status().message()));
   }
-  ProcessRequests(fd);
+  dispatching_fd_ = -1;
   UpdateInterest(fd);
 }
 
@@ -446,6 +408,21 @@ bool RemoteVoterServer::OverHighWater(const Connection& c) const {
 }
 
 Result<Frame> RemoteVoterServer::NextRequest(Connection& c) const {
+  if (c.mode == Connection::Mode::kDetecting) {
+    if (c.inbuf.empty()) return NotFoundError("need more bytes");
+    if (static_cast<uint8_t>(c.inbuf[0]) != kBinaryMagic[0]) {
+      c.mode = Connection::Mode::kLine;
+    } else {
+      if (c.inbuf.size() < 2) return NotFoundError("need more bytes");
+      if (static_cast<uint8_t>(c.inbuf[1]) != kBinaryMagic[1]) {
+        return ParseError("bad protocol preamble");
+      }
+      c.mode = Connection::Mode::kBinary;
+      c.decoder.Feed(std::string_view(c.inbuf).substr(2));
+      c.inbuf.clear();
+      c.inbuf.shrink_to_fit();
+    }
+  }
   if (c.mode == Connection::Mode::kBinary) return c.decoder.Next();
   const size_t newline = c.inbuf.find('\n', c.line_pos);
   const size_t line_end =
@@ -471,113 +448,161 @@ Result<Frame> RemoteVoterServer::NextRequest(Connection& c) const {
   return ParseRequestLine(line);
 }
 
-void RemoteVoterServer::ProcessRequests(int fd) {
-  auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  Connection& c = *it->second;
-  while (!c.want_close) {
-    auto frame = NextRequest(c);
-    if (!frame.ok()) {
-      if (frame.status().code() == ErrorCode::kNotFound) break;
-      if (c.mode == Connection::Mode::kLine &&
-          frame.status().code() != ErrorCode::kOutOfRange) {
-        // A malformed line costs only its own reply: line boundaries
-        // survive, so the connection carries on.
-        ++requests_;
-        DeliverResponse(c, EncodeFrame(FrameType::kError,
-                                       EncodeError(frame.status().message())));
-        continue;
-      }
-      // Protocol violation: boundaries are lost, report and hang up.
-      if (tracer_ != nullptr) {
-        tracer_->Event("server.poisoned_frame", frame.status().message());
-      }
-      DeliverResponse(
-          c, EncodeFrame(FrameType::kError,
-                         EncodeError(frame.status().message())));
-      c.want_close = true;
-      break;
-    }
-    if (IsLinked()) {
-      if (frame->type == FrameType::kHealth) {
-        ++requests_;
-        if (frames_in_ != nullptr) frames_in_->Increment();
-        StartHealthFanout(fd, c);
-        continue;
-      }
-      const std::string group = PeekFrameGroup(*frame);
-      if (!group.empty()) {
-        const size_t owner = router_.ShardFor(group);
-        if (!c.pinned) {
-          // First group-addressed frame decides the home shard: migrate
-          // the whole connection there (shared-nothing from here on).
-          c.pinned = true;
-          if (owner != link_.index) {
-            MigrateConnection(fd, owner, std::move(*frame));
-            return;
-          }
-        } else if (owner != link_.index) {
-          ++requests_;
-          if (frames_in_ != nullptr) frames_in_->Increment();
-          if (OverHighWater(c)) {
-            backpressure_.fetch_add(1);
-            if (backpressure_counter_ != nullptr) {
-              backpressure_counter_->Increment();
-            }
-            if (tracer_ != nullptr) {
-              tracer_->Event("server.backpressure", "busy");
-            }
-            DeliverResponse(
-                c, EncodeFrame(FrameType::kError, EncodeError("busy")));
-            continue;
-          }
-          ForwardFrame(fd, c, owner, std::move(*frame));
-          continue;
-        }
-      }
-    }
-    ExecuteFrameLocally(c, *frame);
-  }
-}
+// --- the dispatch path -------------------------------------------------------
 
-void RemoteVoterServer::ExecuteFrameLocally(Connection& c, const Frame& frame,
-                                            const char* route) {
-  if (IsClustered() && ClusterIntercept(c.conn->handle(), c, frame)) return;
+RemoteVoterServer::ReplyTo RemoteVoterServer::Admit(Connection& c) {
   ++requests_;
   if (frames_in_ != nullptr) frames_in_->Increment();
-  std::string response;
-  bool close_after = false;
-  if (OverHighWater(c)) {
-    backpressure_.fetch_add(1);
-    if (backpressure_counter_ != nullptr) {
-      backpressure_counter_->Increment();
-    }
-    if (tracer_ != nullptr) tracer_->Event("server.backpressure", "busy");
-    response = EncodeFrame(FrameType::kError, EncodeError("busy"));
-  } else {
-    const uint64_t begin = NowNanos();
-    response = HandleFrame(frame, &close_after, route);
-    if (request_latency_ != nullptr) {
-      // Exemplar: the verb span's trace id (0 when the verb was
-      // untraced), linking this histogram to a TRACE_DUMP span tree.
-      request_latency_->RecordWithExemplar(NowNanos() - begin,
-                                           obs::ConsumeLastTraceId());
-    }
-  }
-  if (frames_out_ != nullptr) frames_out_->Increment();
-  if (close_after) c.want_close = true;
-  DeliverResponse(c, std::move(response));
+  // Every request holds a slot, so replies leave in request order however
+  // late a forwarded, parked or replicated one completes.
+  c.replies.emplace_back();
+  return ReplyTo{this, c.conn->handle(), c.id, c.next_slot++};
 }
 
-void RemoteVoterServer::QueueResponse(Connection& c, std::string bytes) {
+void RemoteVoterServer::Dispatch(Connection& c, Frame frame,
+                                 const char* route) {
+  const ReplyTo to = Admit(c);
+  if (OverHighWater(c)) {
+    backpressure_.fetch_add(1);
+    if (backpressure_counter_ != nullptr) backpressure_counter_->Increment();
+    if (tracer_ != nullptr) tracer_->Event("server.backpressure", "busy");
+    return Complete(to, ErrorFrame("busy"));
+  }
+  Serve(std::move(frame), to, route);
+}
+
+void RemoteVoterServer::Serve(Frame frame, const ReplyTo& to,
+                              const char* route) {
+  const Verb* verb = FindVerb(frame.type);
+  if (verb == nullptr) {
+    return Complete(to, ErrorFrame(InvalidArgumentError(
+                            StrFormat("unknown frame type 0x%02x",
+                                      static_cast<unsigned>(frame.type)))));
+  }
+  const std::string_view group = IsClustered() || IsLinked()
+                                     ? GroupOf(*verb, frame.payload)
+                                     : std::string_view();
+  bool hold = false;
+  if (IsClustered() && !group.empty()) {
+    const std::string name(group);
+    // Mid-migration: park the request.  It resolves to MOVED once the
+    // handoff commits, or is served again if the transfer failed — the
+    // client never observes the in-between.
+    const auto active = active_migrations_.find(name);
+    if (active != active_migrations_.end()) {
+      active->second.deferred.push_back(
+          ActiveMigration::Deferred{std::move(frame), to, route});
+      return;
+    }
+    const size_t owner = cluster_.control->OwnerOf(name);
+    if (owner != cluster_.node_index) {
+      // Not the placement owner: redirect — even when a copy is hosted
+      // here.  An aborted handoff (source crash after the destination
+      // imported) can leave a stale replica behind; serving it would fork
+      // the group's history, so placement always wins.
+      moved_redirects_.fetch_add(1);
+      if (moved_redirects_counter_ != nullptr) {
+        moved_redirects_counter_->Increment();
+      }
+      if (tracer_ != nullptr) {
+        tracer_->Event("cluster.moved",
+                       StrFormat("group=%s owner=n%zu%s", name.c_str(), owner,
+                                 node_suffix_.c_str()));
+      }
+      return Complete(
+          to, Frame{FrameType::kMoved,
+                    EncodeMoved(owner, cluster_.control->NodeAddress(owner))});
+    }
+    // Hosted here: mutating frames on a node with a hot standby execute
+    // now but release their reply only after the standby acknowledged the
+    // shipped frame, so a crash-and-failover never un-acknowledges data.
+    // (The placement owner without the group falls through so the manager
+    // reports NotFound: the group exists nowhere.)
+    hold = verb->mutating && manager_->HasGroup(name) &&
+           cluster_.control->HasStandby(cluster_.node_index);
+  }
+  if (IsLinked() && !group.empty()) {
+    const size_t owner = router_.ShardFor(group);
+    if (owner != link_.index) return ForwardFrame(owner, std::move(frame), to);
+  }
+  Reply reply = Execute(*verb, frame, route, to);
+  if (!reply.has_value()) return;  // the verb completes `to` itself
+  if (hold) return CompleteAfterReplication(to, frame, std::move(*reply));
+  Complete(to, std::move(*reply));
+}
+
+RemoteVoterServer::Reply RemoteVoterServer::Execute(const Verb& verb,
+                                                    const Frame& frame,
+                                                    const char* route,
+                                                    const ReplyTo& to) {
+  const uint64_t begin = NowNanos();
+  Call call;
+  call.payload = frame.payload;
+  call.route = route;
+  call.to = to;
+  Reply reply = [&]() -> Reply {
+    if (verb.decode != nullptr) {
+      const Status decoded = verb.decode(frame.payload, &call);
+      if (!decoded.ok()) return ErrorFrame(decoded);
+    }
+    if (verb.span.empty()) return verb.run(*this, call);
+    obs::ScopedSpan span(tracer_, obs::SpanKind::kServer, verb.span,
+                         ParentOf(call.trace));
+    span.SetDetailF("group=%s route=%s%s", call.group.c_str(), route,
+                    node_suffix_.c_str());
+    call.span = &span;
+    return verb.run(*this, call);
+  }();
+  if (!verb_latency_.empty()) {
+    // Exemplar: the verb span's trace id (0 when the verb was untraced),
+    // linking this histogram to a TRACE_DUMP span tree.
+    verb_latency_[static_cast<size_t>(&verb - kVerbs)]->RecordWithExemplar(
+        NowNanos() - begin, obs::ConsumeLastTraceId());
+  }
+  return reply;
+}
+
+void RemoteVoterServer::Complete(const ReplyTo& to, Frame reply) {
+  if (to.server != this) {
+    // A forwarded request: its reply travels back to the accepting shard
+    // (shard servers outlive every post; ShardedVoterServer joins every
+    // loop before destroying any shard).
+    to.server->loop_->Post([to, reply = std::move(reply)]() mutable {
+      to.server->Complete(to, std::move(reply));
+    });
+    return;
+  }
+  auto it = connections_.find(to.fd);
+  if (it == connections_.end() || it->second->id != to.conn_id) return;
+  Connection& c = *it->second;
+  const uint64_t position = to.slot - c.reply_base;
+  if (position >= c.replies.size()) return;
+  if (reply.type == FrameType::kBye) c.want_close = true;  // QUIT
+  c.replies[position].ready = true;
+  c.replies[position].reply = std::move(reply);
+  FlushReplies(c);
+  // Flush to the socket (may close on want_close) — unless ProcessInput
+  // is still working through this connection and writes once at its end.
+  if (to.fd != dispatching_fd_) UpdateInterest(to.fd);
+}
+
+void RemoteVoterServer::FlushReplies(Connection& c) {
+  while (!c.replies.empty() && c.replies.front().ready) {
+    QueueResponse(c, c.replies.front().reply);
+    c.replies.pop_front();
+    ++c.reply_base;
+  }
+}
+
+void RemoteVoterServer::QueueResponse(Connection& c, const Frame& reply) {
   // Every reply reaches the socket through here, so this is the one
   // place a line connection's reply frames become line text.
-  if (c.mode == Connection::Mode::kLine) bytes = LineReply(bytes);
-  if (c.outbuf.empty()) {
-    c.outbuf = std::move(bytes);
-    c.out_pos = 0;
+  if (frames_out_ != nullptr) frames_out_->Increment();
+  if (c.mode == Connection::Mode::kLine) {
+    c.outbuf += RenderLineReply(reply);
+    c.outbuf.push_back('\n');
   } else {
-    c.outbuf.append(bytes);
+    AppendFrame(c.outbuf, reply.type, reply.payload);
   }
 }
 
@@ -639,48 +664,8 @@ void RemoteVoterServer::WritePath(int fd) {
 
 // --- sharded routing ---------------------------------------------------------
 
-void RemoteVoterServer::DeliverResponse(Connection& c, std::string bytes) {
-  if (c.replies.empty()) {
-    QueueResponse(c, std::move(bytes));
-    return;
-  }
-  // A forwarded reply is still pending ahead of us: take a slot behind it
-  // so the client sees responses in request order.  No flush needed — the
-  // front slot is pending by invariant.
-  c.replies.emplace_back();
-  c.replies.back().ready = true;
-  c.replies.back().bytes = std::move(bytes);
-  ++c.next_slot;
-}
-
-uint64_t RemoteVoterServer::AllocatePendingSlot(Connection& c) {
-  c.replies.emplace_back();
-  return c.next_slot++;
-}
-
-void RemoteVoterServer::FlushReplies(Connection& c) {
-  while (!c.replies.empty() && c.replies.front().ready) {
-    QueueResponse(c, std::move(c.replies.front().bytes));
-    c.replies.pop_front();
-    ++c.reply_base;
-  }
-}
-
-void RemoteVoterServer::CompleteReply(int fd, uint64_t conn_id, uint64_t slot,
-                                      std::string bytes) {
-  auto it = connections_.find(fd);
-  if (it == connections_.end() || it->second->id != conn_id) return;
-  Connection& c = *it->second;
-  const uint64_t position = slot - c.reply_base;
-  if (position >= c.replies.size()) return;
-  c.replies[position].ready = true;
-  c.replies[position].bytes = std::move(bytes);
-  FlushReplies(c);
-  UpdateInterest(fd);  // flush to the socket; may close on want_close
-}
-
-void RemoteVoterServer::ForwardFrame(int fd, Connection& c, size_t owner,
-                                     Frame frame) {
+void RemoteVoterServer::ForwardFrame(size_t owner, Frame frame,
+                                     const ReplyTo& to) {
   forwarded_.fetch_add(1);
   if (forwarded_counter_ != nullptr) forwarded_counter_->Increment();
   if (tracer_ != nullptr) {
@@ -690,22 +675,12 @@ void RemoteVoterServer::ForwardFrame(int fd, Connection& c, size_t owner,
                              static_cast<int>(type_name.size()),
                              type_name.data(), link_.index, owner));
   }
-  const uint64_t slot = AllocatePendingSlot(c);
+  // Two hops, both through single-writer mailboxes: serve on the owner's
+  // loop (its dedup + groups stay single-threaded), complete on ours.
   RemoteVoterServer* peer = link_.peers[owner];
-  // Two hops, both through single-writer mailboxes: execute on the
-  // owner's loop (its dedup + groups stay single-threaded), complete on
-  // ours.  Shard servers outlive both posts (ShardedVoterServer joins
-  // every loop before destroying any shard).
   link_.reactors[owner]->Post(
-      [peer, frame = std::move(frame), origin = this,
-       origin_reactor = loop_, fd, conn_id = c.id, slot]() mutable {
-        bool close_after = false;
-        std::string response =
-            peer->HandleFrame(frame, &close_after, "forwarded");
-        origin_reactor->Post([origin, fd, conn_id, slot,
-                              response = std::move(response)]() mutable {
-          origin->CompleteReply(fd, conn_id, slot, std::move(response));
-        });
+      [peer, frame = std::move(frame), to]() mutable {
+        peer->Serve(std::move(frame), to, "forwarded");
       });
 }
 
@@ -760,18 +735,15 @@ void RemoteVoterServer::AdoptMigrated(std::shared_ptr<Connection> c,
     connections_gauge_->Set(static_cast<double>(connections_.size()));
   }
   if (adopted_counter_ != nullptr) adopted_counter_->Increment();
-  Connection& conn = *slot->second;
-  // The request that triggered the migration executes here first, then
+  // The request that triggered the migration runs here first, then
   // whatever else the client already pipelined into the buffers.
-  ExecuteFrameLocally(conn, frame, "migrated");
+  dispatching_fd_ = fd;
+  Dispatch(*slot->second, std::move(frame), "migrated");
   ProcessInput(fd);
-  if (connections_.find(fd) != connections_.end()) {
-    UpdateInterest(fd);
-    if (connections_.find(fd) != connections_.end()) ScheduleIdleTimer(fd);
-  }
+  if (connections_.find(fd) != connections_.end()) ScheduleIdleTimer(fd);
 }
 
-void RemoteVoterServer::StartHealthFanout(int fd, Connection& c) {
+void RemoteVoterServer::StartHealthFanout(const ReplyTo& to) {
   // Scatter-gather: every shard reports its own groups on its own loop;
   // parts assemble on this loop when the last one lands.  The aggregate
   // is only ever touched from the origin loop thread.
@@ -779,164 +751,45 @@ void RemoteVoterServer::StartHealthFanout(int fd, Connection& c) {
     std::vector<std::string> parts;
     size_t remaining = 0;
   };
-  const uint64_t slot = AllocatePendingSlot(c);
   auto aggregate = std::make_shared<HealthAggregate>();
   aggregate->parts.resize(link_.peers.size());
   aggregate->remaining = link_.peers.size();
   for (size_t shard = 0; shard < link_.peers.size(); ++shard) {
     RemoteVoterServer* peer = link_.peers[shard];
-    link_.reactors[shard]->Post(
-        [peer, shard, aggregate, origin = this, origin_reactor = loop_, fd,
-         conn_id = c.id, slot, total = link_.all_groups.size()]() {
-          std::string part = peer->LocalHealthLines();
-          origin_reactor->Post([aggregate, shard, part = std::move(part),
-                                origin, fd, conn_id, slot,
-                                total]() mutable {
-            aggregate->parts[shard] = std::move(part);
-            if (--aggregate->remaining > 0) return;
-            std::string body = StrFormat("HEALTH %zu\n", total);
-            for (const std::string& p : aggregate->parts) body += p;
-            origin->CompleteReply(
-                fd, conn_id, slot,
-                EncodeFrame(FrameType::kText, EncodeText(body)));
-          });
-        });
+    link_.reactors[shard]->Post([peer, shard, aggregate, origin = this, to,
+                                 total = link_.all_groups.size()]() {
+      std::string part = peer->LocalHealthLines();
+      origin->loop_->Post([aggregate, shard, part = std::move(part), origin,
+                           to, total]() mutable {
+        aggregate->parts[shard] = std::move(part);
+        if (--aggregate->remaining > 0) return;
+        std::string body = StrFormat("HEALTH %zu\n", total);
+        for (const std::string& p : aggregate->parts) body += p;
+        origin->Complete(to, TextFrame(body));
+      });
+    });
   }
 }
 
 // --- cluster mode ------------------------------------------------------------
 
-namespace {
-
-/// Frames that change group state; these replicate to the hot standby
-/// before their reply releases (semi-synchronous replication).
-bool IsMutatingFrame(FrameType type) {
-  return type == FrameType::kSubmitBatch ||
-         type == FrameType::kSubmitBatchSeq || type == FrameType::kClose;
-}
-
-}  // namespace
-
-bool RemoteVoterServer::ClusterIntercept(int fd, Connection& c,
-                                         const Frame& frame) {
-  if (frame.type == FrameType::kMigrateGroup) {
-    ++requests_;
-    if (frames_in_ != nullptr) frames_in_->Increment();
-    std::string group;
-    uint64_t dest = 0;
-    const Status decoded = DecodeMigrateGroup(frame.payload, &group, &dest);
-    if (!decoded.ok()) {
-      if (frames_out_ != nullptr) frames_out_->Increment();
-      DeliverResponse(c, EncodeFrame(FrameType::kError,
-                                     EncodeError(decoded.ToString())));
-      return true;
-    }
-    // The verb completes only once the destination imported the group (or
-    // the attempt failed), so the reply occupies a slot like a forwarded
-    // request.
-    const uint64_t slot = AllocatePendingSlot(c);
-    BeginMigration(std::move(group), static_cast<size_t>(dest),
-                   [this, fd, conn_id = c.id, slot](Status status) {
-                     if (frames_out_ != nullptr) frames_out_->Increment();
-                     std::string response =
-                         status.ok()
-                             ? EncodeFrame(FrameType::kOk, EncodeOk(1))
-                             : EncodeFrame(FrameType::kError,
-                                           EncodeError(status.ToString()));
-                     CompleteReply(fd, conn_id, slot, std::move(response));
-                   });
-    return true;
-  }
-  const std::string group = PeekFrameGroup(frame);
-  if (group.empty()) return false;  // group-less verbs answer locally
-  // Mid-migration: park the request.  It resolves to MOVED once the
-  // handoff commits, or executes locally if the transfer failed — the
-  // client never observes the in-between.
-  const auto active = active_migrations_.find(group);
-  if (active != active_migrations_.end()) {
-    ++requests_;
-    if (frames_in_ != nullptr) frames_in_->Increment();
-    const uint64_t slot = AllocatePendingSlot(c);
-    active->second.deferred.push_back(
-        ActiveMigration::Deferred{fd, c.id, slot, frame});
-    return true;
-  }
-  const size_t owner = cluster_.control->OwnerOf(group);
-  if (owner != cluster_.node_index) {
-    // Not the placement owner: redirect — even when a copy is hosted
-    // here.  An aborted handoff (source crash after the destination
-    // imported) can leave a stale replica behind; serving it would fork
-    // the group's history, so placement always wins.
-    ++requests_;
-    if (frames_in_ != nullptr) frames_in_->Increment();
-    moved_redirects_.fetch_add(1);
-    if (moved_redirects_counter_ != nullptr) {
-      moved_redirects_counter_->Increment();
-    }
-    if (tracer_ != nullptr) {
-      tracer_->Event("cluster.moved",
-                     StrFormat("group=%s owner=n%zu%s", group.c_str(), owner,
-                               node_suffix_.c_str()));
-    }
-    if (frames_out_ != nullptr) frames_out_->Increment();
-    DeliverResponse(
-        c, EncodeFrame(FrameType::kMoved,
-                       EncodeMoved(owner, cluster_.control->NodeAddress(owner))));
-    return true;
-  }
-  // The placement owner without the group: fall through so the manager
-  // reports NotFound (the group exists nowhere).
-  if (!manager_->HasGroup(group)) return false;
-  // Hosted here.  Mutating frames on a node with a hot standby execute
-  // now but release their reply only after the standby acknowledged the
-  // shipped record, so a crash-and-failover never un-acknowledges data.
-  if (IsMutatingFrame(frame.type) &&
-      cluster_.control->HasStandby(cluster_.node_index)) {
-    ++requests_;
-    if (frames_in_ != nullptr) frames_in_->Increment();
-    if (OverHighWater(c)) {
-      backpressure_.fetch_add(1);
-      if (backpressure_counter_ != nullptr) backpressure_counter_->Increment();
-      if (tracer_ != nullptr) tracer_->Event("server.backpressure", "busy");
-      if (frames_out_ != nullptr) frames_out_->Increment();
-      DeliverResponse(c, EncodeFrame(FrameType::kError, EncodeError("busy")));
-      return true;
-    }
-    const uint64_t begin = NowNanos();
-    bool close_after = false;
-    std::string response = HandleFrame(frame, &close_after, "local");
-    if (request_latency_ != nullptr) {
-      request_latency_->RecordWithExemplar(NowNanos() - begin,
-                                           obs::ConsumeLastTraceId());
-    }
-    if (frames_out_ != nullptr) frames_out_->Increment();
-    if (close_after) c.want_close = true;
-    const uint64_t slot = AllocatePendingSlot(c);
-    CompleteAfterReplication(fd, c.id, slot, frame, std::move(response));
-    return true;
-  }
-  return false;
-}
-
-void RemoteVoterServer::CompleteAfterReplication(int fd, uint64_t conn_id,
-                                                 uint64_t slot,
+void RemoteVoterServer::CompleteAfterReplication(const ReplyTo& to,
                                                  const Frame& frame,
-                                                 std::string response) {
+                                                 Frame reply) {
   ReplicationRecord record;
   record.kind = ReplicationRecord::Kind::kFrame;
   record.frame_type = static_cast<uint8_t>(frame.type);
   record.bytes = frame.payload;
   cluster_.control->Replicate(
       cluster_.node_index, EncodeReplicationRecord(record),
-      [this, fd, conn_id, slot, response = std::move(response)](
-          Status status) mutable {
+      [this, to, reply = std::move(reply)](Status status) mutable {
         // The primary already applied the frame; a replication fault is
         // surfaced to telemetry but must not fail the acknowledged
         // request (failover replays converge through the dedup cache).
         if (!status.ok() && tracer_ != nullptr) {
           tracer_->Event("cluster.replicate_error", status.ToString());
         }
-        CompleteReply(fd, conn_id, slot, std::move(response));
+        Complete(to, std::move(reply));
       });
 }
 
@@ -985,7 +838,7 @@ void RemoteVoterServer::BeginMigration(std::string group, size_t dest,
                              node_suffix_.c_str()));
   }
   // Quiesce: from here until FinishMigration, requests for the group park
-  // in the deferred queue instead of executing (ClusterIntercept).
+  // in the deferred queue instead of executing (Serve).
   ActiveMigration& migration = active_migrations_[group];
   migration.dest = dest;
   migration.done.push_back(std::move(done));
@@ -1029,16 +882,14 @@ void RemoteVoterServer::FinishMigration(const std::string& group, size_t dest,
     // Parked requests resolve to MOVED; the resilient client re-resolves
     // and resubmits (dedup entries travelled with the group, so retried
     // SUBMIT_BATCH_SEQ frames replay instead of double-ingesting).
-    const std::string moved = EncodeFrame(
-        FrameType::kMoved,
-        EncodeMoved(dest, cluster_.control->NodeAddress(dest)));
-    for (ActiveMigration::Deferred& d : migration.deferred) {
+    const Frame moved{FrameType::kMoved,
+                      EncodeMoved(dest, cluster_.control->NodeAddress(dest))};
+    for (const ActiveMigration::Deferred& d : migration.deferred) {
       moved_redirects_.fetch_add(1);
       if (moved_redirects_counter_ != nullptr) {
         moved_redirects_counter_->Increment();
       }
-      if (frames_out_ != nullptr) frames_out_->Increment();
-      CompleteReply(d.fd, d.conn_id, d.slot, moved);
+      Complete(d.to, moved);
     }
   } else {
     if (tracer_ != nullptr) {
@@ -1047,19 +898,10 @@ void RemoteVoterServer::FinishMigration(const std::string& group, size_t dest,
                                dest, result.ToString().c_str(),
                                node_suffix_.c_str()));
     }
-    // The group stays here: run the parked requests in arrival order as
+    // The group stays here: serve the parked requests in arrival order as
     // if the migration never happened.
     for (ActiveMigration::Deferred& d : migration.deferred) {
-      bool close_after = false;
-      std::string response = HandleFrame(d.frame, &close_after, "local");
-      if (frames_out_ != nullptr) frames_out_->Increment();
-      if (IsMutatingFrame(d.frame.type) &&
-          cluster_.control->HasStandby(cluster_.node_index)) {
-        CompleteAfterReplication(d.fd, d.conn_id, d.slot, d.frame,
-                                 std::move(response));
-      } else {
-        CompleteReply(d.fd, d.conn_id, d.slot, std::move(response));
-      }
+      Serve(std::move(d.frame), d.to, d.route);
     }
   }
   for (std::function<void(Status)>& done : migration.done) {
@@ -1165,14 +1007,18 @@ Status RemoteVoterServer::ApplyReplicated(std::string_view record_bytes) {
   switch (record.kind) {
     case ReplicationRecord::Kind::kFrame: {
       // Re-execute the raw frame against this standby's own manager and
-      // dedup map; the response is discarded (the primary answered the
+      // dedup map; the reply is discarded (the primary answered the
       // client).  A frame the primary rejected is rejected here too —
       // both replicas converge on the same state either way.
-      Frame frame;
-      frame.type = static_cast<FrameType>(record.frame_type);
-      frame.payload = std::move(record.bytes);
-      bool close_after = false;
-      (void)HandleFrame(frame, &close_after, "replicated");
+      const Frame frame{static_cast<FrameType>(record.frame_type),
+                        std::move(record.bytes)};
+      const Verb* verb = FindVerb(frame.type);
+      if (verb == nullptr || !verb->mutating) {
+        return InvalidArgumentError(
+            StrFormat("replicated frame type 0x%02x is no mutating verb",
+                      static_cast<unsigned>(frame.type)));
+      }
+      (void)Execute(*verb, frame, "replicated", ReplyTo{});
       return Status::Ok();
     }
     case ReplicationRecord::Kind::kImport:
@@ -1211,11 +1057,6 @@ std::vector<GroupStateBlob::DedupEntry> RemoteVoterServer::EraseDedupForGroup(
   return erased;
 }
 
-std::string RemoteVoterServer::HealthText() const {
-  return StrFormat("HEALTH %zu\n", manager_->GroupNames().size()) +
-         LocalHealthLines();
-}
-
 std::string RemoteVoterServer::LocalHealthLines() const {
   std::string text;
   for (const std::string& name : manager_->GroupNames()) {
@@ -1231,214 +1072,245 @@ std::string RemoteVoterServer::LocalHealthLines() const {
   return text;
 }
 
-std::string RemoteVoterServer::HandleFrame(const Frame& frame,
-                                           bool* close_after,
-                                           const char* route) {
-  auto error = [](const Status& status) {
-    return EncodeFrame(FrameType::kError, EncodeError(status.ToString()));
-  };
-  switch (frame.type) {
-    case FrameType::kPing:
-      return EncodeFrame(FrameType::kPong);
-    case FrameType::kQuit:
-      *close_after = true;
-      return EncodeFrame(FrameType::kBye);
-    case FrameType::kSubmitBatch: {
-      std::string group;
-      std::vector<BatchReading> readings;
-      WireTraceContext trace;
-      const Status decoded =
-          DecodeSubmitBatch(frame.payload, &group, &readings, &trace);
-      if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
-                           "server.submit_batch", ParentOf(trace));
-      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
-                      node_suffix_.c_str());
-      auto stats = manager_->SubmitBatch(group, readings);
-      if (!stats.ok()) return error(stats.status());
-      return EncodeFrame(FrameType::kOk, EncodeOk(stats->accepted));
-    }
-    case FrameType::kSubmitBatchSeq: {
-      std::string client_id;
-      uint64_t seq = 0;
-      std::string group;
-      std::vector<BatchReading> readings;
-      WireTraceContext trace;
-      const Status decoded = DecodeSubmitBatchSeq(
-          frame.payload, &client_id, &seq, &group, &readings, &trace);
-      if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
-                           "server.submit_batch_seq", ParentOf(trace));
-      ClientDedup& dedup = dedup_[client_id];
-      if (dedup_clients_ != nullptr) {
-        dedup_clients_->Set(static_cast<double>(dedup_.size()));
-      }
-      const auto seen = dedup.acks.find(seq);
-      if (seen != dedup.acks.end()) {
-        // Resend after a lost reply: replay the original acknowledgement
-        // without touching the engine (exactly-once ingest).
-        dedup_replays_count_.fetch_add(1);
-        if (dedup_replays_ != nullptr) dedup_replays_->Increment();
-        span.SetDetailF("group=%s route=%s seq=%llu dedup=replay%s",
-                        group.c_str(), route,
-                        static_cast<unsigned long long>(seq),
-                        node_suffix_.c_str());
-        return EncodeFrame(FrameType::kOk, EncodeOk(seen->second.accepted));
-      }
-      span.SetDetailF("group=%s route=%s seq=%llu dedup=miss%s",
-                      group.c_str(), route,
-                      static_cast<unsigned long long>(seq),
-                      node_suffix_.c_str());
-      auto stats = manager_->SubmitBatch(group, readings);
-      if (!stats.ok()) return error(stats.status());
-      dedup.acks[seq] = ClientDedup::AckEntry{stats->accepted, group};
-      dedup.max_seq = std::max(dedup.max_seq, seq);
-      // Forget acknowledgements the client can no longer resend (it
-      // advances its sequence number monotonically).
-      while (!dedup.acks.empty() &&
-             dedup.acks.begin()->first + options_.dedup_window <
-                 dedup.max_seq) {
-        dedup.acks.erase(dedup.acks.begin());
-      }
-      return EncodeFrame(FrameType::kOk, EncodeOk(stats->accepted));
-    }
-    case FrameType::kClose: {
-      std::string group;
-      uint64_t round = 0;
-      WireTraceContext trace;
-      const Status decoded =
-          DecodeClose(frame.payload, &group, &round, &trace);
-      if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer, "server.close",
-                           ParentOf(trace));
-      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
-                      node_suffix_.c_str());
-      const Status closed =
-          manager_->CloseRound(group, static_cast<size_t>(round));
-      if (!closed.ok()) return error(closed);
-      return EncodeFrame(FrameType::kOk, EncodeOk(1));
-    }
-    case FrameType::kQuery: {
-      std::string group;
-      WireTraceContext trace;
-      const Status decoded = DecodeQuery(frame.payload, &group, &trace);
-      if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer, "server.query",
-                           ParentOf(trace));
-      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
-                      node_suffix_.c_str());
-      auto sink = manager_->sink(group);
-      if (!sink.ok()) return error(sink.status());
-      const auto value = (*sink)->last_value();
-      if (!value.has_value()) return EncodeFrame(FrameType::kNone);
-      return EncodeFrame(FrameType::kValue, EncodeValue(*value));
-    }
-    case FrameType::kQueryRange: {
-      VerbTimer timer(query_range_requests_, query_range_latency_);
-      std::string group;
-      uint64_t lo = 0;
-      uint64_t hi = 0;
-      WireTraceContext trace;
-      const Status decoded =
-          DecodeQueryRange(frame.payload, &group, &lo, &hi, &trace);
-      if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
-                           "server.query_range", ParentOf(trace));
-      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
-                      node_suffix_.c_str());
-      if (hi < lo) {
-        return error(InvalidArgumentError("QUERY_RANGE hi_round < lo_round"));
-      }
-      auto sink = manager_->sink(group);
-      if (!sink.ok()) return error(sink.status());
-      std::vector<RangePoint> points;
-      if (storage::TraceBackend* traces = manager_->trace_store();
-          traces != nullptr) {
-        auto stored = traces->QueryTraceRange(group, lo, hi);
-        if (!stored.ok()) return error(stored.status());
-        points.reserve(stored->size());
-        for (const storage::TracePoint& point : *stored) {
-          points.push_back(RangePoint{point.round, point.value,
-                                      point.engaged ? uint8_t{1} : uint8_t{0}});
-        }
-      } else {
-        // No trace backend wired: serve straight from the sink's
-        // in-memory trace so the verb works on every deployment shape.
-        (*sink)->WithTrace([&](const core::BatchTrace& trace,
-                               const std::vector<size_t>& rounds) {
-          for (size_t i = 0; i < rounds.size(); ++i) {
-            const uint64_t round = rounds[i];
-            if (round < lo || round > hi) continue;
-            const auto value = trace.output(i);
-            points.push_back(RangePoint{round, value.value_or(0.0),
-                                        value.has_value() ? uint8_t{1}
-                                                          : uint8_t{0}});
-          }
-        });
-      }
-      // A reply the client's frame decoder would refuse would poison the
-      // connection; refuse it here instead, so the client can narrow the
-      // window and keep the connection.
-      std::string reply = EncodeRangeResult(points);
-      if (reply.size() + 1 > options_.max_frame_bytes) {
-        return error(OutOfRangeError(StrFormat(
-            "QUERY_RANGE window holds %zu points, a %zu-byte reply over "
-            "the %zu-byte frame limit; narrow the window",
-            points.size(), reply.size() + 1, options_.max_frame_bytes)));
-      }
-      return EncodeFrame(FrameType::kRangeResult, reply);
-    }
-    case FrameType::kHistoryGet: {
-      VerbTimer timer(history_get_requests_, history_get_latency_);
-      std::string group;
-      WireTraceContext trace;
-      const Status decoded = DecodeHistoryGet(frame.payload, &group, &trace);
-      if (!decoded.ok()) return error(decoded);
-      obs::ScopedSpan span(tracer_, obs::SpanKind::kServer,
-                           "server.history_get", ParentOf(trace));
-      span.SetDetailF("group=%s route=%s%s", group.c_str(), route,
-                      node_suffix_.c_str());
-      auto voter = manager_->voter(group);
-      if (!voter.ok()) return error(voter.status());
-      const core::HistoryLedger& ledger = (*voter)->engine().history();
-      return EncodeFrame(
-          FrameType::kHistory,
-          EncodeHistoryState(ledger.round_count(), ledger.records()));
-    }
-    case FrameType::kGroups:
-      // Linked shards answer from the frozen global list — no fan-out
-      // needed, every shard knows the whole deployment's group names.
-      return EncodeFrame(FrameType::kGroupList,
-                         EncodeGroupList(IsLinked() ? link_.all_groups
-                                                    : manager_->GroupNames()));
-    case FrameType::kMetrics: {
-      obs::Registry* registry = manager_->registry();
-      if (registry == nullptr) {
-        return error(
-            FailedPreconditionError("metrics disabled (no registry)"));
-      }
-      return EncodeFrame(FrameType::kText,
-                         EncodeText(registry->RenderPrometheus()));
-    }
-    case FrameType::kHealth:
-      return EncodeFrame(FrameType::kText, EncodeText(HealthText()));
-    case FrameType::kTraceDump: {
-      if (tracer_ == nullptr) {
-        return error(FailedPreconditionError("tracing disabled (no tracer)"));
-      }
-      // The tracer is shared across shards, so any shard's dump shows the
-      // whole deployment's flight recorder.
-      return EncodeFrame(FrameType::kText, EncodeText(tracer_->DumpText()));
-    }
-    case FrameType::kMigrateGroup:
-      // Clustered servers intercept this verb before HandleFrame
-      // (ClusterIntercept); reaching here means the server is standalone.
-      return error(
-          FailedPreconditionError("MIGRATE_GROUP requires cluster mode"));
-    default:
-      return error(InvalidArgumentError(StrFormat(
-          "unknown frame type 0x%02x", static_cast<unsigned>(frame.type))));
+// --- the verb table --------------------------------------------------------
+
+// Rows sit in type-byte order from 0x01 (FindVerb indexes by the byte).
+// Routed verbs open their server span with the detail
+// "group=<g> route=<route>[ node=<id>]" before `run`.
+const RemoteVoterServer::Verb RemoteVoterServer::kVerbs[] = {
+    {FrameType::kSubmitBatch, "server.submit_batch", GroupAt::kFirst,
+     /*mutating=*/true,
+     [](std::string_view payload, Call* call) {
+       return DecodeSubmitBatch(payload, &call->group, &call->readings,
+                                &call->trace);
+     },
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       auto stats = server.manager_->SubmitBatch(call.group, call.readings);
+       if (!stats.ok()) return ErrorFrame(stats.status());
+       return OkFrame(stats->accepted);
+     }},
+    {FrameType::kClose, "server.close", GroupAt::kFirst, /*mutating=*/true,
+     [](std::string_view payload, Call* call) {
+       return DecodeClose(payload, &call->group, &call->lo, &call->trace);
+     },
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       const Status closed = server.manager_->CloseRound(
+           call.group, static_cast<size_t>(call.lo));
+       if (!closed.ok()) return ErrorFrame(closed);
+       return OkFrame(1);
+     }},
+    {FrameType::kQuery, "server.query", GroupAt::kFirst, /*mutating=*/false,
+     [](std::string_view payload, Call* call) {
+       return DecodeQuery(payload, &call->group, &call->trace);
+     },
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       auto sink = server.manager_->sink(call.group);
+       if (!sink.ok()) return ErrorFrame(sink.status());
+       const auto value = (*sink)->last_value();
+       if (!value.has_value()) return Frame{FrameType::kNone, {}};
+       return Frame{FrameType::kValue, EncodeValue(*value)};
+     }},
+    {FrameType::kGroups, {}, GroupAt::kNone, /*mutating=*/false, nullptr,
+     [](RemoteVoterServer& server, Call&) -> Reply {
+       // Linked shards answer from the frozen global list — no fan-out
+       // needed, every shard knows the whole deployment's group names.
+       return Frame{FrameType::kGroupList,
+                    EncodeGroupList(server.IsLinked()
+                                        ? server.link_.all_groups
+                                        : server.manager_->GroupNames())};
+     }},
+    {FrameType::kMetrics, {}, GroupAt::kNone, /*mutating=*/false, nullptr,
+     [](RemoteVoterServer& server, Call&) -> Reply {
+       obs::Registry* registry = server.manager_->registry();
+       if (registry == nullptr) {
+         return ErrorFrame(
+             FailedPreconditionError("metrics disabled (no registry)"));
+       }
+       return TextFrame(registry->RenderPrometheus());
+     }},
+    {FrameType::kHealth, {}, GroupAt::kNone, /*mutating=*/false, nullptr,
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       if (!server.IsLinked()) {
+         return TextFrame(
+             StrFormat("HEALTH %zu\n", server.manager_->GroupNames().size()) +
+             server.LocalHealthLines());
+       }
+       server.StartHealthFanout(call.to);
+       return std::nullopt;
+     }},
+    {FrameType::kPing, {}, GroupAt::kNone, /*mutating=*/false, nullptr,
+     [](RemoteVoterServer&, Call&) -> Reply {
+       return Frame{FrameType::kPong, {}};
+     }},
+    {FrameType::kQuit, {}, GroupAt::kNone, /*mutating=*/false, nullptr,
+     [](RemoteVoterServer&, Call&) -> Reply {
+       return Frame{FrameType::kBye, {}};  // Complete hangs up after BYE
+     }},
+    {FrameType::kSubmitBatchSeq, "server.submit_batch_seq",
+     GroupAt::kAfterClientSeq, /*mutating=*/true,
+     [](std::string_view payload, Call* call) {
+       return DecodeSubmitBatchSeq(payload, &call->client_id, &call->seq,
+                                   &call->group, &call->readings,
+                                   &call->trace);
+     },
+     // The SUBMIT_BATCH body wrapped in the dedup check.
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       ClientDedup& dedup = server.dedup_[call.client_id];
+       if (server.dedup_clients_ != nullptr) {
+         server.dedup_clients_->Set(static_cast<double>(server.dedup_.size()));
+       }
+       const auto seen = dedup.acks.find(call.seq);
+       const bool replay = seen != dedup.acks.end();
+       call.span->SetDetailF("group=%s route=%s seq=%llu dedup=%s%s",
+                             call.group.c_str(), call.route,
+                             static_cast<unsigned long long>(call.seq),
+                             replay ? "replay" : "miss",
+                             server.node_suffix_.c_str());
+       if (replay) {
+         // Resend after a lost reply: replay the original acknowledgement
+         // without touching the engine (exactly-once ingest).
+         server.dedup_replays_count_.fetch_add(1);
+         if (server.dedup_replays_ != nullptr) {
+           server.dedup_replays_->Increment();
+         }
+         return OkFrame(seen->second.accepted);
+       }
+       Reply reply = FindVerb(FrameType::kSubmitBatch)->run(server, call);
+       uint64_t accepted = 0;
+       if (reply->type != FrameType::kOk ||
+           !DecodeOk(reply->payload, &accepted).ok()) {
+         return reply;
+       }
+       dedup.acks[call.seq] = ClientDedup::AckEntry{accepted, call.group};
+       dedup.max_seq = std::max(dedup.max_seq, call.seq);
+       // Forget acknowledgements the client can no longer resend (it
+       // advances its sequence number monotonically).
+       while (!dedup.acks.empty() &&
+              dedup.acks.begin()->first + server.options_.dedup_window <
+                  dedup.max_seq) {
+         dedup.acks.erase(dedup.acks.begin());
+       }
+       return reply;
+     }},
+    {FrameType::kQueryRange, "server.query_range", GroupAt::kFirst,
+     /*mutating=*/false,
+     [](std::string_view payload, Call* call) {
+       return DecodeQueryRange(payload, &call->group, &call->lo, &call->hi,
+                               &call->trace);
+     },
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       const uint64_t lo = call.lo;
+       const uint64_t hi = call.hi;
+       if (hi < lo) {
+         return ErrorFrame(
+             InvalidArgumentError("QUERY_RANGE hi_round < lo_round"));
+       }
+       auto sink = server.manager_->sink(call.group);
+       if (!sink.ok()) return ErrorFrame(sink.status());
+       std::vector<RangePoint> points;
+       if (storage::TraceBackend* traces = server.manager_->trace_store();
+           traces != nullptr) {
+         auto stored = traces->QueryTraceRange(call.group, lo, hi);
+         if (!stored.ok()) return ErrorFrame(stored.status());
+         points.reserve(stored->size());
+         for (const storage::TracePoint& point : *stored) {
+           points.push_back(RangePoint{point.round, point.value,
+                                       point.engaged ? uint8_t{1}
+                                                     : uint8_t{0}});
+         }
+       } else {
+         // No trace backend wired: serve straight from the sink's
+         // in-memory trace so the verb works on every deployment shape.
+         (*sink)->WithTrace([&](const core::BatchTrace& trace,
+                                const std::vector<size_t>& rounds) {
+           for (size_t i = 0; i < rounds.size(); ++i) {
+             const uint64_t round = rounds[i];
+             if (round < lo || round > hi) continue;
+             const auto value = trace.output(i);
+             points.push_back(RangePoint{round, value.value_or(0.0),
+                                         value.has_value() ? uint8_t{1}
+                                                           : uint8_t{0}});
+           }
+         });
+       }
+       // A reply the client's frame decoder would refuse would poison the
+       // connection; refuse it here instead, so the client can narrow the
+       // window and keep the connection.
+       std::string reply = EncodeRangeResult(points);
+       const size_t limit = server.options_.max_frame_bytes;
+       if (reply.size() + 1 > limit) {
+         return ErrorFrame(OutOfRangeError(StrFormat(
+             "QUERY_RANGE window holds %zu points, a %zu-byte reply over "
+             "the %zu-byte frame limit; narrow the window",
+             points.size(), reply.size() + 1, limit)));
+       }
+       return Frame{FrameType::kRangeResult, std::move(reply)};
+     }},
+    {FrameType::kHistoryGet, "server.history_get", GroupAt::kFirst,
+     /*mutating=*/false,
+     [](std::string_view payload, Call* call) {
+       return DecodeHistoryGet(payload, &call->group, &call->trace);
+     },
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       auto voter = server.manager_->voter(call.group);
+       if (!voter.ok()) return ErrorFrame(voter.status());
+       const core::HistoryLedger& ledger = (*voter)->engine().history();
+       return Frame{FrameType::kHistory,
+                    EncodeHistoryState(ledger.round_count(), ledger.records())};
+     }},
+    {FrameType::kTraceDump, {}, GroupAt::kNone, /*mutating=*/false, nullptr,
+     [](RemoteVoterServer& server, Call&) -> Reply {
+       if (server.tracer_ == nullptr) {
+         return ErrorFrame(
+             FailedPreconditionError("tracing disabled (no tracer)"));
+       }
+       // The tracer is shared across shards, so any shard's dump shows the
+       // whole deployment's flight recorder.
+       return TextFrame(server.tracer_->DumpText());
+     }},
+    // The operator verb: the group it names is the one to move, not an
+    // address to route by (BeginMigration redirects a wrong node itself).
+    {FrameType::kMigrateGroup, {}, GroupAt::kNone, /*mutating=*/false,
+     nullptr,
+     [](RemoteVoterServer& server, Call& call) -> Reply {
+       if (!server.IsClustered()) {
+         return ErrorFrame(
+             FailedPreconditionError("MIGRATE_GROUP requires cluster mode"));
+       }
+       std::string group;
+       uint64_t dest = 0;
+       const Status decoded = DecodeMigrateGroup(call.payload, &group, &dest);
+       if (!decoded.ok()) return ErrorFrame(decoded);
+       // The reply waits in its slot until the destination imported the
+       // group (or the attempt failed).
+       server.BeginMigration(std::move(group), static_cast<size_t>(dest),
+                             [&server, to = call.to](Status status) {
+                               server.Complete(to, status.ok()
+                                                       ? OkFrame(1)
+                                                       : ErrorFrame(status));
+                             });
+       return std::nullopt;
+     }},
+};
+
+const RemoteVoterServer::Verb* RemoteVoterServer::FindVerb(FrameType type) {
+  const size_t index = static_cast<size_t>(type) - 1;
+  if (index >= std::size(kVerbs) || kVerbs[index].type != type) {
+    return nullptr;
   }
+  return &kVerbs[index];
+}
+
+std::string_view RemoteVoterServer::GroupOf(const Verb& verb,
+                                            std::string_view payload) {
+  if (verb.group_at == GroupAt::kNone) return {};
+  PayloadReader reader(payload);
+  if (verb.group_at == GroupAt::kAfterClientSeq &&
+      (!reader.ReadString().ok() || !reader.ReadVarint().ok())) {
+    return {};
+  }
+  auto group = reader.ReadString();
+  return group.ok() ? *group : std::string_view();
 }
 
 // --- client ------------------------------------------------------------------

@@ -7,9 +7,16 @@
 // The server is a single-threaded epoll event loop (runtime/event_loop.h)
 // multiplexing every connection; each connection is a small protocol
 // state machine with a bounded outbound queue.  Every request is a frame
-// (runtime/framing.h, docs/PROTOCOL.md) and runs through one executor:
-// cluster intercept, shard forward or connection migration, then
-// HandleFrame.  Two spellings share the port, auto-detected from a
+// (runtime/framing.h, docs/PROTOCOL.md), described by one row of a static
+// verb table (span name, where its group sits in the payload, whether it
+// mutates state, how it executes), and takes one dispatch path in a fixed
+// order: count in -> busy check -> cluster interception (park behind a
+// MIGRATE_GROUP, MOVED, standby hold) -> shard forward -> execute (span +
+// per-verb latency histogram; HEALTH fans out from here on a shard, and
+// MIGRATE_GROUP answers once the handoff ends) -> count out when the
+// reply reaches the connection.  Forwarded frames, frames parked behind a
+// migration and standby replays re-enter the same path, so no verb can
+// skip a step.  Two spellings share the port, auto-detected from a
 // connection's first bytes:
 //
 //   * Binary frames, announced by the 2-byte magic preamble 0xAB 0x0C.
@@ -41,9 +48,9 @@
 // Backpressure: a client that pipelines faster than it reads accumulates
 // an outbound queue.  Past `read_pause_bytes` the server stops reading
 // from that connection (EPOLLIN off) until the queue drains; past
-// `write_high_water_bytes` further requests are answered with "ERR busy"
-// instead of being executed.  Connections idle past `idle_timeout_ms` are
-// dropped by the loop's timer wheel.
+// `write_high_water_bytes` every further request, whatever its verb, is
+// answered with "ERR busy" instead of being executed.  Connections idle
+// past `idle_timeout_ms` are dropped by the loop's timer wheel.
 //
 // The server is intentionally plain-text/plain-frame and loopback-bound:
 // §6 notes VDX "has no security features that protect against malicious
@@ -65,7 +72,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -221,8 +230,9 @@ class RemoteVoterServer {
   /// Idempotent.
   void Stop();
 
-  /// Requests handled so far (all connections; one frame or one request
-  /// line each).
+  /// Requests this server accepted from its connections (one frame or one
+  /// request line each, malformed and poisoned ones included); each gets
+  /// exactly one reply while its connection lives.
   size_t requests_served() const { return requests_.load(); }
 
   /// Times a connection hit a backpressure threshold (read pause or
@@ -240,6 +250,69 @@ class RemoteVoterServer {
   /// Connections this shard handed to the owning peer on their first
   /// group-addressed request; 0 unsharded.
   size_t migrations_out() const { return migrations_.load(); }
+
+  // --- the verb table --------------------------------------------------------
+
+  /// Where a request's reply goes: slot `slot` of connection (`fd`,
+  /// `conn_id`) on `server`, the shard that accepted the request.
+  struct ReplyTo {
+    RemoteVoterServer* server = nullptr;
+    int fd = -1;
+    uint64_t conn_id = 0;
+    uint64_t slot = 0;
+  };
+
+  /// One verb execution: the request's context and, once Verb::decode ran,
+  /// its arguments (each verb fills the fields it carries).
+  struct Call {
+    std::string_view payload;
+    /// How the frame reached this server: "local" | "forwarded" |
+    /// "migrated" | "replicated" (tags the server span).
+    const char* route = "local";
+    ReplyTo to;
+    obs::ScopedSpan* span = nullptr;  ///< the verb's span, if it opens one
+    std::string group;
+    WireTraceContext trace;
+    std::vector<BatchReading> readings;
+    std::string client_id;
+    uint64_t seq = 0;
+    uint64_t lo = 0;  ///< CLOSE round; QUERY_RANGE lo_round
+    uint64_t hi = 0;  ///< QUERY_RANGE hi_round
+  };
+
+  /// A verb's reply; nullopt when the verb answers `Call::to` later.
+  using Reply = std::optional<Frame>;
+
+  /// Where the addressed group sits in a verb's payload.
+  enum class GroupAt : uint8_t {
+    kNone,            ///< group-less verb: answered where it arrives
+    kFirst,           ///< the payload leads with the group
+    kAfterClientSeq,  ///< SUBMIT_BATCH_SEQ: after client id and seq
+  };
+
+  /// One row per request FrameType.
+  struct Verb {
+    FrameType type;
+    /// Server span opened around the execution; empty opens none.
+    std::string_view span;
+    /// Group-routed verbs are forwarded to the owning shard, answered
+    /// with MOVED by a non-owning cluster node and parked during the
+    /// group's MIGRATE_GROUP.
+    GroupAt group_at;
+    /// Changes group state: on a node with a hot standby the reply waits
+    /// for the standby to apply the shipped frame.
+    bool mutating;
+    /// Fills the call's arguments; null for verbs without decoded ones.
+    Status (*decode)(std::string_view payload, Call* call);
+    Reply (*run)(RemoteVoterServer& server, Call& call);
+  };
+
+  /// The row of `type`; null for bytes that name no request verb.
+  static const Verb* FindVerb(FrameType type);
+
+  /// The group a request addresses, read without decoding the rest of the
+  /// payload; empty for group-less verbs and unreadable payloads.
+  static std::string_view GroupOf(const Verb& verb, std::string_view payload);
 
  private:
   /// One connection's protocol state machine (loop thread only — the
@@ -263,14 +336,14 @@ class RemoteVoterServer {
     uint64_t idle_timer = 0;  ///< timer-wheel handle (0 = none)
     uint64_t last_activity_ms = 0;
 
-    /// In-order reply delivery under forwarding: every response occupies
-    /// a slot; forwarded ones complete asynchronously, and only the
-    /// ready prefix ever reaches outbuf.  Invariant: when `replies` is
-    /// non-empty its front is pending (ready fronts flush immediately),
-    /// so local responses append as ready without reordering.
+    /// In-order reply delivery: every request takes a slot at admission;
+    /// forwarded, fanned-out, parked and standby-held ones complete
+    /// later, and only the ready prefix ever reaches outbuf.  Invariant:
+    /// when `replies` is non-empty its front is pending (ready fronts
+    /// flush immediately).
     struct PendingReply {
       bool ready = false;
-      std::string bytes;
+      Frame reply;
     };
     std::deque<PendingReply> replies;
     uint64_t reply_base = 0;  ///< absolute slot index of replies.front()
@@ -281,37 +354,46 @@ class RemoteVoterServer {
                     std::unique_ptr<Listener> listener,
                     std::shared_ptr<Reactor> loop);
 
+  static const Verb kVerbs[];
+
   // Loop-thread handlers.
   void OnAcceptable();
   void OnConnectionEvent(int fd, uint32_t events);
   void ReadPath(int fd);
   void WritePath(int fd);
+  /// Runs every complete request of the connection, then writes the
+  /// replies that completed meanwhile in one go.
   void ProcessInput(int fd);
   /// The one request source: the next frame, decoded or translated from
-  /// a request line.  NotFound = need more bytes; a malformed line fails
-  /// with its reply reason; a decoder error or OutOfRange (a line longer
-  /// than max_frame_bytes) means the stream is poisoned.
+  /// a request line (after protocol detection).  NotFound = need more
+  /// bytes; a malformed line fails with its reply reason; a decoder or
+  /// preamble error, or OutOfRange (a line longer than max_frame_bytes),
+  /// means the stream is poisoned.
   Result<Frame> NextRequest(Connection& c) const;
-  /// Routes every complete request: HEALTH fan-out, connection migration
-  /// or shard forwarding, else local execution.
-  void ProcessRequests(int fd);
-  /// Appends one encoded reply frame to the outbound queue, rendered as
-  /// line text on line connections.
-  void QueueResponse(Connection& c, std::string bytes);
+  /// Appends one reply to the outbound queue, encoded as a frame or
+  /// rendered as line text, and counts it out.
+  void QueueResponse(Connection& c, const Frame& reply);
   bool OverHighWater(const Connection& c) const;
   void UpdateInterest(int fd);
   void ScheduleIdleTimer(int fd);
   void CloseConnection(int fd);
 
-  /// Handles one binary frame; returns the encoded response frame and
-  /// sets `*close_after` for QUIT.  `route` tags the server span with
-  /// how the frame reached this shard ("local" | "forwarded" |
-  /// "migrated").
-  std::string HandleFrame(const Frame& frame, bool* close_after,
-                          const char* route = "local");
-
-  /// The multi-line HEALTH body (the TEXT reply payload).
-  std::string HealthText() const;
+  // --- the dispatch path ---------------------------------------------------
+  /// Counts a request in and gives it the connection's next reply slot.
+  ReplyTo Admit(Connection& c);
+  /// Admit, then the busy check, then Serve.
+  void Dispatch(Connection& c, Frame frame, const char* route);
+  /// Cluster interception, then shard forward, else Execute; the reply
+  /// completes `to`.  Forwarded and un-parked frames enter here.
+  void Serve(Frame frame, const ReplyTo& to, const char* route);
+  /// Decodes, opens the verb's span, runs it and records its latency.
+  Reply Execute(const Verb& verb, const Frame& frame, const char* route,
+                const ReplyTo& to);
+  /// Fills a reply slot and flushes the ready prefix (posted back to the
+  /// accepting shard when `to` lives there).  Drops silently when the
+  /// connection died or was reused (id mismatch).
+  void Complete(const ReplyTo& to, Frame reply);
+  void FlushReplies(Connection& c);
 
   /// The per-group "GROUP ..." lines of this shard (no header).
   std::string LocalHealthLines() const;
@@ -319,31 +401,16 @@ class RemoteVoterServer {
   // --- sharded routing (all loop-thread-only on their shard) ---------------
   bool IsLinked() const { return link_.peers.size() > 1; }
 
-  /// Runs one frame on this shard: accounting, busy check, execution,
-  /// in-order response delivery.
-  void ExecuteFrameLocally(Connection& c, const Frame& frame,
-                           const char* route = "local");
-
-  /// Appends a response, respecting pending forwarded slots.
-  void DeliverResponse(Connection& c, std::string bytes);
-  /// Allocates a pending reply slot; returns its absolute index.
-  uint64_t AllocatePendingSlot(Connection& c);
-  /// Marks `slot` ready and flushes the ready prefix.  Drops silently
-  /// when the connection died or was reused (id mismatch).
-  void CompleteReply(int fd, uint64_t conn_id, uint64_t slot,
-                     std::string bytes);
-  void FlushReplies(Connection& c);
-
-  /// Posts `frame` to the owning peer; the response completes the slot.
-  void ForwardFrame(int fd, Connection& c, size_t owner, Frame frame);
+  /// Posts `frame` to the owning peer, which serves it into `to`.
+  void ForwardFrame(size_t owner, Frame frame, const ReplyTo& to);
   /// Hands the whole connection (buffers, decoder, outbuf) to the owning
   /// shard, carrying the request that triggered the move.
   void MigrateConnection(int fd, size_t owner, Frame frame);
   /// Receives a migrated connection on the owning shard.
   void AdoptMigrated(std::shared_ptr<Connection> c, Frame frame);
   /// HEALTH scatter-gather: one LocalHealthLines() per shard, assembled
-  /// into the slot when the last part arrives.
-  void StartHealthFanout(int fd, Connection& c);
+  /// into `to` when the last part arrives.
+  void StartHealthFanout(const ReplyTo& to);
 
   /// Remembered SUBMIT_BATCH_SEQ acknowledgements for one client
   /// identity (loop thread only).  Each ack remembers the group it
@@ -360,22 +427,14 @@ class RemoteVoterServer {
   // --- cluster mode (all loop-thread-only) ---------------------------------
   bool IsClustered() const { return cluster_.control != nullptr; }
 
-  /// Routes one frame through the cluster layer before local execution.
-  /// Returns true when the frame was consumed (deferred behind an active
-  /// migration, answered with MOVED, executed with a replication hold,
-  /// or started a migration); false to fall through to plain local
-  /// execution.
-  bool ClusterIntercept(int fd, Connection& c, const Frame& frame);
-
-  /// Executes a mutating frame and holds its reply slot until the
-  /// standby acknowledged the shipped record (no-op pass-through when
-  /// the node has no standby).
-  void CompleteAfterReplication(int fd, uint64_t conn_id, uint64_t slot,
-                                const Frame& frame, std::string response);
+  /// Ships the executed mutating frame to the standby and completes `to`
+  /// with `reply` once the standby acknowledged it.
+  void CompleteAfterReplication(const ReplyTo& to, const Frame& frame,
+                                Frame reply);
 
   /// Source-side completion: on success removes the group, erases its
   /// travelling dedup, commits placement, and answers deferred requests
-  /// with MOVED; on failure re-executes them locally in order.
+  /// with MOVED; on failure serves them again in order.
   void FinishMigration(const std::string& group, size_t dest, Status result);
 
   /// Serializes one group (pipeline state + travelling dedup entries).
@@ -392,10 +451,9 @@ class RemoteVoterServer {
   struct ActiveMigration {
     size_t dest = 0;
     struct Deferred {
-      int fd = -1;
-      uint64_t conn_id = 0;
-      uint64_t slot = 0;
       Frame frame;
+      ReplyTo to;
+      const char* route = "local";
     };
     std::vector<Deferred> deferred;
     std::vector<std::function<void(Status)>> done;
@@ -413,6 +471,9 @@ class RemoteVoterServer {
   std::atomic<size_t> forwarded_{0};
   std::atomic<size_t> migrations_{0};
   uint64_t next_conn_id_ = 1;                           // loop thread
+  /// The connection ProcessInput is working through: replies completed
+  /// for it reach the socket in its one write at the end (loop thread).
+  int dispatching_fd_ = -1;
   std::map<int, std::shared_ptr<Connection>> connections_;  // loop thread
   std::map<std::string, ClientDedup> dedup_;                // loop thread
 
@@ -450,11 +511,8 @@ class RemoteVoterServer {
   obs::Counter* backpressure_counter_ = nullptr;
   obs::Counter* dedup_replays_ = nullptr;
   obs::Gauge* dedup_clients_ = nullptr;
-  obs::LatencyHistogram* request_latency_ = nullptr;
-  obs::Counter* query_range_requests_ = nullptr;
-  obs::Counter* history_get_requests_ = nullptr;
-  obs::LatencyHistogram* query_range_latency_ = nullptr;
-  obs::LatencyHistogram* history_get_latency_ = nullptr;
+  /// avoc_remote_request_latency_ns{verb=...}, one per kVerbs row.
+  std::vector<obs::LatencyHistogram*> verb_latency_;
   obs::Counter* forwarded_counter_ = nullptr;
   obs::Counter* migrations_counter_ = nullptr;
   obs::Counter* adopted_counter_ = nullptr;

@@ -9,9 +9,9 @@ VoterService::VoterService(std::unique_ptr<GroupRunner> runner,
     : options_(std::move(options)), runner_(std::move(runner)) {
   if (options_.registry != nullptr) {
     running_gauge_ = &options_.registry->GetGauge(
-        obs::LabeledName("avoc_service_running", "group", options_.group));
+        obs::LabeledName("avoc_service_running", {{"group", options_.group}}));
     rounds_opened_counter_ = &options_.registry->GetCounter(obs::LabeledName(
-        "avoc_service_rounds_opened_total", "group", options_.group));
+        "avoc_service_rounds_opened_total", {{"group", options_.group}}));
   }
 }
 

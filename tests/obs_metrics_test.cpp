@@ -146,10 +146,10 @@ TEST(ObsMetricsTest, SnapshotUnderConcurrentWritersStaysConsistent) {
 }
 
 TEST(ObsMetricsTest, LabeledNameFormatsPrometheusStyle) {
-  EXPECT_EQ(LabeledName("avoc_rounds_total", "group", "g0"),
+  EXPECT_EQ(LabeledName("avoc_rounds_total", {{"group", "g0"}}),
             "avoc_rounds_total{group=\"g0\"}");
-  EXPECT_EQ(LabeledName("avoc_stage_latency_ns", "shard", "s1", "stage",
-                        "quorum"),
+  EXPECT_EQ(LabeledName("avoc_stage_latency_ns",
+                        {{"shard", "s1"}, {"stage", "quorum"}}),
             "avoc_stage_latency_ns{shard=\"s1\",stage=\"quorum\"}");
 }
 
@@ -165,19 +165,25 @@ TEST(ObsMetricsTest, RegistryReturnsStableSharedInstances) {
 
 TEST(ObsMetricsTest, RegistryAggregatesLabeledFamilies) {
   Registry registry;
-  registry.GetCounter(LabeledName("avoc_rounds_total", "group", "a")).Add(3);
-  registry.GetCounter(LabeledName("avoc_rounds_total", "group", "b")).Add(4);
+  const auto rounds = [](std::string_view group) {
+    return LabeledName("avoc_rounds_total", {{"group", group}});
+  };
+  registry.GetCounter(rounds("a")).Add(3);
+  registry.GetCounter(rounds("b")).Add(4);
   registry.GetCounter("avoc_rounds_total_unrelated").Add(100);
   EXPECT_EQ(registry.SumCounters("avoc_rounds_total"), 7u);
 
-  registry.GetHistogram(LabeledName("avoc_lat_ns", "shard", "s0")).Record(10);
-  registry.GetHistogram(LabeledName("avoc_lat_ns", "shard", "s1")).Record(20);
+  registry.GetHistogram(LabeledName("avoc_lat_ns", {{"shard", "s0"}}))
+      .Record(10);
+  registry.GetHistogram(LabeledName("avoc_lat_ns", {{"shard", "s1"}}))
+      .Record(20);
   EXPECT_EQ(registry.MergeHistograms("avoc_lat_ns").count, 2u);
 }
 
 TEST(ObsMetricsTest, RenderPrometheusEmitsAllKinds) {
   Registry registry;
-  registry.GetCounter(LabeledName("avoc_rounds_total", "group", "g")).Add(2);
+  registry.GetCounter(LabeledName("avoc_rounds_total", {{"group", "g"}}))
+      .Add(2);
   registry.GetGauge("avoc_queue_depth").Set(7.0);
   registry.GetHistogram("avoc_lat_ns").Record(1000);
   const std::string text = registry.RenderPrometheus();
@@ -222,7 +228,7 @@ TEST(ObsMetricsTest, EscapeLabelValueHandlesHostileBytes) {
 TEST(ObsMetricsTest, RenderPrometheusSurvivesHostileGroupId) {
   Registry registry;
   const std::string hostile = "g\"} 999\nforged_total 1 #\\";
-  registry.GetCounter(LabeledName("avoc_rounds_total", "group", hostile))
+  registry.GetCounter(LabeledName("avoc_rounds_total", {{"group", hostile}}))
       .Add(2);
   const std::string text = registry.RenderPrometheus();
   // The hostile id renders escaped inside the label value...
@@ -242,9 +248,10 @@ TEST(ObsMetricsTest, RenderPrometheusSurvivesHostileGroupId) {
 }
 
 TEST(ObsMetricsTest, BothLabeledNameOverloadsEscapeValues) {
-  EXPECT_EQ(LabeledName("f", "k", "a\"b"), "f{k=\"a\\\"b\"}");
-  EXPECT_EQ(LabeledName("f", "k1", "a\nb", "k2", "c\\d"),
+  EXPECT_EQ(LabeledName("f", {{"k", "a\"b"}}), "f{k=\"a\\\"b\"}");
+  EXPECT_EQ(LabeledName("f", {{"k1", "a\nb"}, {"k2", "c\\d"}}),
             "f{k1=\"a\\nb\",k2=\"c\\\\d\"}");
+  EXPECT_EQ(LabeledName("f", {}), "f");  // no labels: the bare family
 }
 
 TEST(ObsMetricsTest, ExemplarLinksHistogramToTrace) {
@@ -298,9 +305,9 @@ TEST(ObsMetricsTest, SnapshotMergeCarriesExemplars) {
 TEST(ObsMetricsTest, SnapshotAndMergeConcurrentWithRecording) {
   Registry registry;
   LatencyHistogram& h0 =
-      registry.GetHistogram(LabeledName("avoc_busy_ns", "shard", "s0"));
+      registry.GetHistogram(LabeledName("avoc_busy_ns", {{"shard", "s0"}}));
   LatencyHistogram& h1 =
-      registry.GetHistogram(LabeledName("avoc_busy_ns", "shard", "s1"));
+      registry.GetHistogram(LabeledName("avoc_busy_ns", {{"shard", "s1"}}));
   std::atomic<bool> stop{false};
   constexpr int kWriters = 4;
   constexpr uint64_t kPerWriter = 20000;

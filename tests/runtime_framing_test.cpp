@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "runtime/remote.h"
+#include "sample_requests.h"
+
 namespace avoc::runtime {
 namespace {
 
@@ -521,6 +524,53 @@ TEST(FramingTest, DecoderCompactionPreservesStream) {
     ++decoded;
   }
   EXPECT_EQ(decoded, kCount);
+}
+
+// The server's verb table (runtime/remote.h) has one row per request
+// type: exactly the bytes below 0x80 that FrameTypeName knows.
+TEST(FramingTest, EveryRequestTypeByteHasOneVerbRow) {
+  size_t rows = 0;
+  for (unsigned byte = 0; byte < 0x80; ++byte) {
+    const auto type = static_cast<FrameType>(byte);
+    const RemoteVoterServer::Verb* verb = RemoteVoterServer::FindVerb(type);
+    EXPECT_EQ(verb != nullptr, FrameTypeName(type) != "UNKNOWN") << byte;
+    if (verb == nullptr) continue;
+    EXPECT_EQ(verb->type, type) << byte;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 13u);
+  // Reply types are no verbs.
+  EXPECT_EQ(RemoteVoterServer::FindVerb(FrameType::kOk), nullptr);
+}
+
+// Routing reads the group without decoding the payload; it must be the
+// group the verb's decoder reads, and exactly the routed rows carry one.
+TEST(FramingTest, VerbRowsRouteByTheGroupTheirDecoderReads) {
+  using Verb = RemoteVoterServer::Verb;
+  for (unsigned byte = 0; byte < 0x80; ++byte) {
+    const Verb* verb =
+        RemoteVoterServer::FindVerb(static_cast<FrameType>(byte));
+    if (verb == nullptr) continue;
+    const std::string_view name = FrameTypeName(verb->type);
+    const Frame frame = SampleRequest(verb->type, "lights");
+    RemoteVoterServer::Call call;
+    if (verb->decode != nullptr) {
+      ASSERT_TRUE(verb->decode(frame.payload, &call).ok()) << name;
+    }
+    const bool routed = verb->group_at != RemoteVoterServer::GroupAt::kNone;
+    EXPECT_EQ(call.group, routed ? "lights" : "") << name;
+    EXPECT_EQ(RemoteVoterServer::GroupOf(*verb, frame.payload), call.group)
+        << name;
+    // Routed verbs open a server span; only routed verbs mutate a group.
+    EXPECT_EQ(!verb->span.empty(), routed) << name;
+    if (verb->mutating) {
+      EXPECT_TRUE(routed) << name;
+    }
+  }
+  // A truncated payload routes nowhere instead of reading past its end.
+  const Verb& seq = *RemoteVoterServer::FindVerb(FrameType::kSubmitBatchSeq);
+  EXPECT_EQ(RemoteVoterServer::GroupOf(seq, std::string("\x06sample", 7)),
+            "");
 }
 
 // --- line codec ----------------------------------------------------------------

@@ -4,13 +4,18 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/algorithms.h"
 #include "obs/metrics.h"
+#include "runtime/cluster.h"
 #include "runtime/framing.h"
+#include "runtime/sharded_remote.h"
+#include "runtime/sim_net.h"
+#include "sample_requests.h"
 #include "util/strings.h"
 
 namespace avoc::runtime {
@@ -169,7 +174,7 @@ TEST_F(RemoteBinaryTest, RequestsServedCountsBinaryFrames) {
 // --- raw-socket adversarial cases --------------------------------------------
 
 // Reads frames off a raw connection until EOF or `want` frames arrived.
-std::vector<Frame> DrainFrames(TcpConnection& conn, size_t want) {
+std::vector<Frame> DrainFrames(Transport& conn, size_t want) {
   FrameDecoder decoder;
   std::vector<Frame> frames;
   char chunk[4096];
@@ -191,6 +196,95 @@ bool AtEof(TcpConnection& conn) {
   char byte;
   auto n = conn.ReceiveSome(&byte, 1);
   return !n.ok() && n.status().code() == ErrorCode::kNotFound;
+}
+
+/// Sends every verb row's SampleRequest for "lights", each on its own
+/// connection from `dial` (QUIT hangs up), and expects each reply to be a
+/// typed reply frame — never the "unknown frame type" error.
+void ExpectEveryVerbAnswered(
+    const std::function<std::unique_ptr<Transport>()>& dial,
+    std::string_view shape) {
+  for (unsigned byte = 0; byte < 0x80; ++byte) {
+    const RemoteVoterServer::Verb* verb =
+        RemoteVoterServer::FindVerb(static_cast<FrameType>(byte));
+    if (verb == nullptr) continue;
+    const std::string label =
+        std::string(shape) + " " + std::string(FrameTypeName(verb->type));
+    std::unique_ptr<Transport> connection = dial();
+    ASSERT_NE(connection, nullptr) << label;
+    const Frame request = SampleRequest(verb->type, "lights");
+    std::string bytes(reinterpret_cast<const char*>(kBinaryMagic), 2);
+    bytes += EncodeFrame(request.type, request.payload);
+    ASSERT_TRUE(connection->SendAll(bytes).ok()) << label;
+    const std::vector<Frame> replies = DrainFrames(*connection, 1);
+    ASSERT_EQ(replies.size(), 1u) << label;
+    const Frame& reply = replies[0];
+    EXPECT_GE(static_cast<unsigned>(reply.type), 0x80u) << label;
+    if (reply.type == FrameType::kError) {
+      std::string reason;
+      ASSERT_TRUE(DecodeError(reply.payload, &reason).ok()) << label;
+      EXPECT_EQ(reason.find("unknown frame type"), std::string::npos)
+          << label << ": " << reason;
+    }
+  }
+}
+
+TEST_F(RemoteBinaryTest, EveryVerbGetsATypedReplyOnEveryServerShape) {
+  ExpectEveryVerbAnswered(
+      [&]() -> std::unique_ptr<Transport> {
+        auto connection =
+            TcpConnection::Connect("127.0.0.1", server_->port());
+        if (!connection.ok() || !connection->SetReceiveTimeoutMs(5000).ok()) {
+          return nullptr;
+        }
+        return std::make_unique<TcpConnection>(std::move(*connection));
+      },
+      "standalone");
+
+  SimWorld sharded_world(41);
+  auto listener = sharded_world.Listen(7);
+  ASSERT_TRUE(listener.ok());
+  ShardedServerOptions sharded_options;
+  sharded_options.shards = 2;
+  auto sharded = ShardedVoterServer::StartOnReactors(
+      sharded_options, std::move(*listener),
+      {sharded_world.reactor(), sharded_world.NewReactor()},
+      /*spawn_loop_threads=*/false, /*store=*/nullptr, &registry_);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_TRUE((*sharded)
+                  ->AddGroup("lights",
+                             *core::MakeEngine(core::AlgorithmId::kAvoc, 3))
+                  .ok());
+  ASSERT_TRUE((*sharded)->Serve().ok());
+  ExpectEveryVerbAnswered(
+      [&]() -> std::unique_ptr<Transport> {
+        auto connection = sharded_world.Connect(7);
+        return connection.ok() ? std::move(*connection) : nullptr;
+      },
+      "shard");
+  (*sharded)->Stop();
+
+  SimWorld cluster_world(42);
+  VoterCluster::Options cluster_options;
+  cluster_options.nodes = 2;
+  cluster_options.hot_standbys = true;
+  auto cluster = VoterCluster::StartOnWorld(&cluster_world, cluster_options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ASSERT_TRUE((*cluster)
+                  ->AddGroup("lights",
+                             [] {
+                               return core::MakeEngine(
+                                   core::AlgorithmId::kAvoc, 3);
+                             })
+                  .ok());
+  const size_t owner = (*cluster)->OwnerOf("lights");
+  ExpectEveryVerbAnswered(
+      [&]() -> std::unique_ptr<Transport> {
+        auto connection = (*cluster)->DialNode(owner);
+        return connection.ok() ? std::move(*connection) : nullptr;
+      },
+      "cluster");
+  (*cluster)->Stop();
 }
 
 TEST_F(RemoteBinaryTest, BadPreambleGetsErrorAndClose) {

@@ -275,6 +275,41 @@ TEST_F(ShardedSimTest, FanOutVerbsSeeEveryShard) {
   EXPECT_NE(metrics->find("avoc_shard_groups"), std::string::npos);
 }
 
+// A connection's first group-addressed frame migrates it to the owning
+// shard — but not while a reply is still pending where it is (here a
+// pipelined HEALTH fan-out, whose parts assemble on the accepting shard):
+// that frame forwards instead, so the pending reply is not stranded.
+TEST_F(ShardedSimTest, PendingFanOutKeepsConnectionOnItsShard) {
+  StartSharded(31, 2, kGroups);
+  const std::string away = GroupOwnedBy(1, kGroups);
+  std::unique_ptr<Transport> raw = MustConnect(*world_, kPort);  // on s0
+  std::string bytes(reinterpret_cast<const char*>(kBinaryMagic), 2);
+  bytes += EncodeFrame(FrameType::kHealth);
+  bytes += EncodeFrame(FrameType::kSubmitBatch,
+                       EncodeSubmitBatch(away, MakeReadings(3)));
+  ASSERT_TRUE(raw->SendAll(bytes).ok());
+  FrameDecoder decoder;
+  std::vector<Frame> replies;
+  char chunk[4096];
+  while (replies.size() < 2) {
+    auto frame = decoder.Next();
+    if (frame.ok()) {
+      replies.push_back(std::move(*frame));
+      continue;
+    }
+    auto n = raw->ReceiveSome(chunk, sizeof(chunk));
+    ASSERT_TRUE(n.ok()) << "reply lost: " << n.status().ToString();
+    decoder.Feed(std::string_view(chunk, *n));
+  }
+  EXPECT_EQ(replies[0].type, FrameType::kText);
+  ASSERT_EQ(replies[1].type, FrameType::kOk);
+  uint64_t accepted = 0;
+  ASSERT_TRUE(DecodeOk(replies[1].payload, &accepted).ok());
+  EXPECT_EQ(accepted, 3u);
+  EXPECT_EQ(server_->migrations(), 0u);
+  EXPECT_EQ(server_->forwarded_requests(), 1u);
+}
+
 TEST_F(ShardedSimTest, ShardScopedMetricsCountMigrationsAndForwards) {
   StartSharded(27, 3, kGroups);
   RemoteVoterClient client = MustClient();
@@ -287,17 +322,17 @@ TEST_F(ShardedSimTest, ShardScopedMetricsCountMigrationsAndForwards) {
   // forwarded the foreign submit to shard 2.
   EXPECT_EQ(registry_
                 .GetCounter(obs::LabeledName("avoc_shard_migrations_total",
-                                             "shard", "s0"))
+                                             {{"shard", "s0"}}))
                 .Value(),
             1u);
   EXPECT_GE(registry_
                 .GetCounter(obs::LabeledName("avoc_shard_adopted_total",
-                                             "shard", "s1"))
+                                             {{"shard", "s1"}}))
                 .Value(),
             1u);
   EXPECT_EQ(registry_
                 .GetCounter(obs::LabeledName("avoc_shard_forwarded_total",
-                                             "shard", "s1"))
+                                             {{"shard", "s1"}}))
                 .Value(),
             1u);
   // Ownership gauges cover the whole group set.
@@ -305,8 +340,8 @@ TEST_F(ShardedSimTest, ShardScopedMetricsCountMigrationsAndForwards) {
   for (size_t s = 0; s < 3; ++s) {
     owned += static_cast<size_t>(
         registry_
-            .GetGauge(obs::LabeledName("avoc_shard_groups", "shard",
-                                       "s" + std::to_string(s)))
+            .GetGauge(obs::LabeledName("avoc_shard_groups",
+                                        {{"shard", "s" + std::to_string(s)}}))
             .Value());
   }
   EXPECT_EQ(owned, kGroups.size());
@@ -323,8 +358,8 @@ TEST_F(ShardedSimTest, RoundRobinHandoffSpreadsFreshConnections) {
   EXPECT_EQ(server_->migrations(), 0u);
   EXPECT_EQ(server_->requests_served(), 2u);
   EXPECT_EQ(registry_
-                .GetCounter(
-                    obs::LabeledName("avoc_shard_adopted_total", "shard", "s1"))
+                .GetCounter(obs::LabeledName("avoc_shard_adopted_total",
+                                             {{"shard", "s1"}}))
                 .Value(),
             1u);
 }
