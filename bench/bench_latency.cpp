@@ -13,6 +13,8 @@
 // soft real-time voter cares about.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -29,6 +31,8 @@
 #include "runtime/framing.h"
 #include "runtime/nodes.h"
 #include "storage/chunk.h"
+#include "storage/engine.h"
+#include "storage/io.h"
 #include "util/rng.h"
 
 namespace {
@@ -249,6 +253,100 @@ void BM_ChunkQueryRange(benchmark::State& state) {
                           static_cast<int64_t>(kWindow));
 }
 BENCHMARK(BM_ChunkQueryRange)->Arg(0)->Arg(3968)->Arg(7936);
+
+// The storage engine's request path, one call per engine pass, at the
+// batch_wide (16 modules x 32 rounds) and iot_mixed (5 x 1) shapes:
+// Put writes the pass's `modules`-record history ledger, AppendTrace
+// its `rounds` trace points.  The store runs as e2ebench's gated
+// workloads do (fsync per MiB of WAL) with 8192-point chunks, and
+// compacts every 8 MiB of WAL, so a long run cannot grow one tail
+// without bound.  Items are calls (Put) or points (AppendTrace).
+class BenchStore {
+ public:
+  BenchStore()
+      : dir_((std::filesystem::temp_directory_path() /
+              ("avoc_bench_latency_store_" + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(dir_);
+    avoc::storage::StorageEngineOptions options;
+    options.dir = dir_;
+    options.wal_sync_every_bytes = 1u << 20;
+    options.chunk_max_points = 8192;
+    options.compact_wal_bytes = 8u << 20;
+    auto engine = avoc::storage::StorageEngine::Open(options);
+    if (engine.ok()) engine_ = std::move(*engine);
+  }
+  ~BenchStore() {
+    engine_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+  avoc::storage::StorageEngine* get() const { return engine_.get(); }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<avoc::storage::StorageEngine> engine_;
+};
+
+void BM_StoragePut(benchmark::State& state) {
+  const size_t modules = static_cast<size_t>(state.range(0));
+  const size_t rounds = static_cast<size_t>(state.range(1));
+  BenchStore store;
+  if (store.get() == nullptr) {
+    state.SkipWithError("store open failed");
+    return;
+  }
+  avoc::Rng rng(5);
+  avoc::storage::HistorySnapshot ledger;
+  for (size_t m = 0; m < modules; ++m) {
+    ledger.records.push_back(rng.Uniform(0.0, 1.0));
+  }
+  for (auto _ : state) {
+    ledger.rounds += rounds;
+    const avoc::Status status = store.get()->Put("group-00", ledger);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StoragePut)->Args({16, 32})->Args({5, 1});
+
+void BM_StorageAppendTrace(benchmark::State& state) {
+  const size_t rounds = static_cast<size_t>(state.range(1));
+  BenchStore store;
+  if (store.get() == nullptr) {
+    state.SkipWithError("store open failed");
+    return;
+  }
+  std::vector<avoc::storage::TracePoint> points = MakeTrace(rounds);
+  for (auto _ : state) {
+    const avoc::Status status = store.get()->AppendTrace("group-00", points);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+    for (auto& point : points) point.round += rounds;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(1));
+}
+BENCHMARK(BM_StorageAppendTrace)->Args({16, 32})->Args({5, 1});
+
+// The checksum every WAL record, chunk entry, snapshot and migration
+// blob carries, over a small record and a page-sized body.  Items are
+// bytes.
+void BM_Crc32(benchmark::State& state) {
+  avoc::Rng rng(5);
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(avoc::storage::Crc32(bytes));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096);
 
 // The per-frame group path around the engine, one layer each, at the
 // batch_wide frame shape (16 modules x 32 rounds) and the one-round

@@ -113,11 +113,13 @@ int SelfTest() {
                        root.context());
     ScopedSpan server(&tracer, SpanKind::kServer, "server.submit_batch_seq",
                       attempt.context(), "group=demo route=local dedup=miss");
+    tracer.Event("server.backpressure", "busy");
     ScopedSpan engine(&tracer, SpanKind::kEngine, "engine.batch",
                       server.context());
     ScopedSpan wal(&tracer, SpanKind::kStorage, "wal.append",
                    engine.context());
-    tracer.Event("wal.fsync", "bytes=64");
+    ScopedSpan fsync(&tracer, SpanKind::kStorage, "wal.fsync", wal.context(),
+                     "bytes=64");
   }
 
   const std::string dump = tracer.DumpText();
@@ -137,7 +139,8 @@ int SelfTest() {
   }
   for (const char* needle :
        {"\"traceEvents\"", "client.submit_batch", "server.submit_batch_seq",
-        "engine.batch", "wal.append", "\"ph\":\"X\"", "\"ph\":\"i\""}) {
+        "engine.batch", "wal.append", "wal.fsync", "\"ph\":\"X\"",
+        "\"ph\":\"i\""}) {
     if (json->find(needle) == std::string::npos) {
       std::fprintf(stderr, "selftest: JSON missing %s\n", needle);
       return 1;

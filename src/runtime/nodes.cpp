@@ -288,11 +288,10 @@ void VoterNode::Vote(std::span<const size_t> rounds,
 
 void VoterNode::PersistHistoryLocked() {
   if (options_.store != nullptr) {
-    HistorySnapshot snapshot;
     const auto records = engine_.history().records();
-    snapshot.records.assign(records.begin(), records.end());
-    snapshot.rounds = engine_.history().round_count();
-    last_status_ = options_.store->Put(options_.group, snapshot);
+    persist_snapshot_.records.assign(records.begin(), records.end());
+    persist_snapshot_.rounds = engine_.history().round_count();
+    last_status_ = options_.store->Put(options_.group, persist_snapshot_);
   } else {
     last_status_ = Status::Ok();
   }

@@ -232,6 +232,8 @@ class VoterNode {
   Status last_status_;
   /// Scratch trace reused across passes (guarded by mutex_).
   core::BatchTrace batch_trace_;
+  /// Scratch ledger copy PersistHistoryLocked reuses (guarded by mutex_).
+  HistorySnapshot persist_snapshot_;
 };
 
 /// Records outputs (the LCD display / downstream consumer stand-in).

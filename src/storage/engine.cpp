@@ -9,8 +9,6 @@
 #include <string_view>
 #include <utility>
 
-#include "util/strings.h"
-
 namespace avoc::storage {
 
 namespace {
@@ -39,45 +37,53 @@ double BitsToDouble(uint64_t bits) {
   return value;
 }
 
-std::string EncodeHistoryPutPayload(const std::string& group,
-                                    const HistorySnapshot& snapshot) {
-  std::string payload;
-  AppendBytes(payload, group);
-  AppendU64(payload, snapshot.rounds);
-  AppendU64(payload, snapshot.records.size());
-  for (const double record : snapshot.records) AppendF64(payload, record);
-  return payload;
+// Record encoders.  Each pair sizes a payload, then writes exactly that
+// many bytes through one pointer (into the WAL writer's record buffer or
+// a sized snapshot or chunk entry), so a record is built once, in place.
+
+/// `bytes group`: the field every record and entry starts with.
+size_t GroupSize(const std::string& group) { return 4 + group.size(); }
+
+/// HISTORY_PUT payload, also a snapshot's history entry:
+/// bytes group, u64 rounds, u64 n, n x f64.
+size_t HistoryPutSize(const std::string& group,
+                      const HistorySnapshot& snapshot) {
+  return GroupSize(group) + 16 + 8 * snapshot.records.size();
 }
 
-std::string EncodeHistoryErasePayload(const std::string& group) {
-  std::string payload;
-  AppendBytes(payload, group);
-  return payload;
+char* PutHistoryPut(char* out, const std::string& group,
+                    const HistorySnapshot& snapshot) {
+  out = PutBytes(out, group);
+  out = PutU64(out, snapshot.rounds);
+  out = PutU64(out, snapshot.records.size());
+  for (const double record : snapshot.records) out = PutF64(out, record);
+  return out;
 }
 
-std::string EncodeTraceAppendPayload(const std::string& group,
-                                     uint64_t base_index,
-                                     std::span<const TracePoint> points) {
-  std::string payload;
-  AppendBytes(payload, group);
-  AppendU64(payload, base_index);
-  AppendU64(payload, points.size());
+/// u64 n, n x (u64 round, u64 value_bits, u8 engaged): the points of a
+/// TRACE_APPEND record and of a snapshot's trace tail.
+size_t TracePointsSize(size_t n) { return 8 + kRawPointBytes * n; }
+
+char* PutTracePoints(char* out, std::span<const TracePoint> points) {
+  out = PutU64(out, points.size());
   for (const TracePoint& point : points) {
-    AppendU64(payload, point.round);
-    AppendU64(payload, DoubleBits(point.value));
-    AppendU8(payload, point.engaged ? 1 : 0);
+    out = PutU64(out, point.round);
+    out = PutU64(out, DoubleBits(point.value));
+    out = PutU8(out, point.engaged ? 1 : 0);
   }
-  return payload;
+  return out;
 }
 
-void AppendTracePointsSnapshot(std::string& out,
-                               std::span<const TracePoint> points) {
-  AppendU64(out, points.size());
-  for (const TracePoint& point : points) {
-    AppendU64(out, point.round);
-    AppendU64(out, DoubleBits(point.value));
-    AppendU8(out, point.engaged ? 1 : 0);
-  }
+/// TRACE_APPEND payload: bytes group, u64 base_index, points.
+size_t TraceAppendSize(const std::string& group, size_t n) {
+  return GroupSize(group) + 8 + TracePointsSize(n);
+}
+
+char* PutTraceAppend(char* out, const std::string& group,
+                     uint64_t base_index, std::span<const TracePoint> points) {
+  out = PutBytes(out, group);
+  out = PutU64(out, base_index);
+  return PutTracePoints(out, points);
 }
 
 Result<std::vector<TracePoint>> ReadTracePoints(ByteReader& reader) {
@@ -114,7 +120,9 @@ StorageEngine::StorageEngine(StorageEngineOptions options)
 
 StorageEngine::~StorageEngine() {
   std::lock_guard lock(mutex_);
-  if (!dead_ && wal_.open()) (void)wal_.Sync();
+  if (dead_) return;
+  if (wal_.open()) (void)SyncWalLocked();
+  if (chunks_.open()) (void)SyncChunksLocked();
 }
 
 std::string StorageEngine::WalPath(uint64_t seq) const {
@@ -499,11 +507,10 @@ Status StorageEngine::RemoveStaleFilesLocked() {
   return Status::Ok();
 }
 
-Status StorageEngine::AppendWalLocked(WalRecordType type,
-                                      std::string_view payload) {
-  // The append runs under a storage span parented to the calling
-  // request's span (the server verb span when reached over the wire), so
-  // a traced SUBMIT_BATCH_SEQ shows its own WAL write and fsync.
+obs::ScopedSpan StorageEngine::StorageSpan(std::string_view name) const {
+  // Storage spans parent to the calling thread's innermost span (the
+  // server verb span when reached over the wire), so a traced
+  // SUBMIT_BATCH_SEQ shows its own WAL write, fsync, seal and compaction.
   obs::SpanContext parent;
   if (options_.tracer != nullptr) {
     if (const obs::CurrentSpan current = obs::CurrentTraceSpan();
@@ -511,23 +518,52 @@ Status StorageEngine::AppendWalLocked(WalRecordType type,
       parent = current.context;
     }
   }
-  obs::ScopedSpan span(options_.tracer, obs::SpanKind::kStorage,
-                       "wal.append", parent);
+  return obs::ScopedSpan(options_.tracer, obs::SpanKind::kStorage, name,
+                         parent);
+}
+
+void StorageEngine::CountFsyncsLocked(uint64_t n) {
+  fsyncs_total_ += n;
+  if (fsyncs_metric_) fsyncs_metric_->Add(n);
+}
+
+Status StorageEngine::SyncWalLocked() {
+  if (wal_.synced_bytes() == wal_.bytes()) return Status::Ok();
+  obs::ScopedSpan span = StorageSpan("wal.fsync");
+  if (span.active()) {
+    span.SetDetailF("bytes=%llu", static_cast<unsigned long long>(
+                                      wal_.bytes() - wal_.synced_bytes()));
+  }
+  AVOC_RETURN_IF_ERROR(wal_.Sync());
+  CountFsyncsLocked(1);
+  return Status::Ok();
+}
+
+Status StorageEngine::SyncChunksLocked() {
+  if (chunks_.synced_size() == chunks_.size()) return Status::Ok();
+  AVOC_RETURN_IF_ERROR(chunks_.Sync());
+  CountFsyncsLocked(1);
+  return Status::Ok();
+}
+
+Status StorageEngine::CommitWalLocked(WalRecordType type,
+                                      size_t payload_size) {
+  obs::ScopedSpan span = StorageSpan("wal.append");
   const uint64_t before = wal_.bytes();
-  AVOC_RETURN_IF_ERROR(wal_.Append(type, payload));
+  AVOC_RETURN_IF_ERROR(wal_.CommitRecord());
   ++wal_records_total_;
-  const uint64_t fsync_delta = wal_.fsyncs() - wal_fsyncs_seen_;
-  wal_fsyncs_seen_ = wal_.fsyncs();
-  fsyncs_total_ += fsync_delta;
   if (wal_bytes_metric_) wal_bytes_metric_->Add(wal_.bytes() - before);
   if (wal_records_metric_) wal_records_metric_->Increment();
-  if (fsyncs_metric_ && fsync_delta != 0) fsyncs_metric_->Add(fsync_delta);
+  const bool sync = wal_.sync_due();
+  if (sync) AVOC_RETURN_IF_ERROR(SyncWalLocked());
   if (span.active()) {
-    span.SetDetailF("type=%u bytes=%zu synced=%s",
-                    static_cast<unsigned>(type), payload.size(),
-                    fsync_delta != 0 ? "yes" : "no");
-    if (fsync_delta != 0) options_.tracer->Event("wal.fsync");
+    span.SetDetailF("type=%u bytes=%zu synced=%s", static_cast<unsigned>(type),
+                    payload_size, sync ? "yes" : "no");
   }
+  return Status::Ok();
+}
+
+Status StorageEngine::MaybeCompactLocked() {
   if (options_.compact_wal_bytes != 0 &&
       wal_.bytes() >= options_.compact_wal_bytes) {
     return CompactLocked();
@@ -539,11 +575,13 @@ Status StorageEngine::Put(const std::string& group,
                           const HistorySnapshot& snapshot) {
   std::lock_guard lock(mutex_);
   if (dead_) return FailedPreconditionError("storage engine crashed");
-  AVOC_RETURN_IF_ERROR(AppendWalLocked(
-      WalRecordType::kHistoryPut, EncodeHistoryPutPayload(group, snapshot)));
+  const size_t size = HistoryPutSize(group, snapshot);
+  PutHistoryPut(wal_.BeginRecord(WalRecordType::kHistoryPut, size), group,
+                snapshot);
+  AVOC_RETURN_IF_ERROR(CommitWalLocked(WalRecordType::kHistoryPut, size));
   history_[group] = snapshot;
   UpdateGaugesLocked();
-  return Status::Ok();
+  return MaybeCompactLocked();
 }
 
 Result<HistorySnapshot> StorageEngine::Get(const std::string& group) const {
@@ -561,10 +599,13 @@ Result<bool> StorageEngine::Erase(const std::string& group) {
   if (dead_) return FailedPreconditionError("storage engine crashed");
   const auto it = history_.find(group);
   if (it == history_.end()) return false;
-  AVOC_RETURN_IF_ERROR(AppendWalLocked(WalRecordType::kHistoryErase,
-                                       EncodeHistoryErasePayload(group)));
+  PutBytes(wal_.BeginRecord(WalRecordType::kHistoryErase, GroupSize(group)),
+           group);
+  AVOC_RETURN_IF_ERROR(
+      CommitWalLocked(WalRecordType::kHistoryErase, GroupSize(group)));
   history_.erase(it);
   UpdateGaugesLocked();
+  AVOC_RETURN_IF_ERROR(MaybeCompactLocked());
   return true;
 }
 
@@ -587,16 +628,17 @@ Status StorageEngine::AppendTrace(const std::string& group,
   std::lock_guard lock(mutex_);
   if (dead_) return FailedPreconditionError("storage engine crashed");
   GroupTrace& trace = traces_[group];
-  AVOC_RETURN_IF_ERROR(AppendWalLocked(
-      WalRecordType::kTraceAppend,
-      EncodeTraceAppendPayload(group, trace.next_index(), points)));
+  const size_t size = TraceAppendSize(group, points.size());
+  PutTraceAppend(wal_.BeginRecord(WalRecordType::kTraceAppend, size), group,
+                 trace.next_index(), points);
+  AVOC_RETURN_IF_ERROR(CommitWalLocked(WalRecordType::kTraceAppend, size));
   trace.tail.insert(trace.tail.end(), points.begin(), points.end());
   trace_points_ += points.size();
   while (trace.tail.size() >= options_.chunk_max_points) {
     AVOC_RETURN_IF_ERROR(SealLocked(group, trace));
   }
   UpdateGaugesLocked();
-  return Status::Ok();
+  return MaybeCompactLocked();
 }
 
 Result<std::vector<TracePoint>> StorageEngine::QueryTraceRange(
@@ -619,28 +661,31 @@ Result<std::vector<TracePoint>> StorageEngine::QueryTraceRange(
 }
 
 Status StorageEngine::SealLocked(const std::string& group, GroupTrace& trace) {
+  obs::ScopedSpan span = StorageSpan("storage.chunk_seal");
   const size_t n = options_.chunk_max_points;
   SealedChunk chunk = SealChunk(
       trace.tail_base, std::span<const TracePoint>(trace.tail.data(), n));
 
-  std::string entry(kChunkMagic);
-  AppendBytes(entry, group);
-  AppendU64(entry, chunk.base_index);
-  AppendU64(entry, chunk.count);
-  AppendU64(entry, chunk.first_round);
-  AppendU64(entry, chunk.last_round);
-  AppendU32(entry, static_cast<uint32_t>(chunk.body.size()));
-  AppendU32(entry, Crc32(chunk.body));
-  entry.append(chunk.body);
+  // Appended without an fsync: until the next compaction the WAL still
+  // holds every point of this entry, and recovery replays the ones a
+  // lost entry held (docs/STORAGE.md, Recovery).
+  // Header: magic, group, four u64 fields, body length and CRC.
+  std::string entry(kChunkMagic.size() + GroupSize(group) + 4 * 8 + 2 * 4 +
+                        chunk.body.size(),
+                    '\0');
+  std::memcpy(entry.data(), kChunkMagic.data(), kChunkMagic.size());
+  char* out = PutBytes(entry.data() + kChunkMagic.size(), group);
+  out = PutU64(out, chunk.base_index);
+  out = PutU64(out, chunk.count);
+  out = PutU64(out, chunk.first_round);
+  out = PutU64(out, chunk.last_round);
+  out = PutU32(out, static_cast<uint32_t>(chunk.body.size()));
+  out = PutU32(out, Crc32(chunk.body));
+  std::memcpy(out, chunk.body.data(), chunk.body.size());
   AVOC_RETURN_IF_ERROR(chunks_.Append(entry));
-  AVOC_RETURN_IF_ERROR(chunks_.Sync());
-  ++fsyncs_total_;
-  if (fsyncs_metric_) fsyncs_metric_->Increment();
-  if (options_.tracer != nullptr) {
-    options_.tracer->Event(
-        "storage.chunk_seal",
-        StrFormat("group=%s points=%zu bytes=%zu", group.c_str(), n,
-                  chunk.body.size()));
+  if (span.active()) {
+    span.SetDetailF("group=%s points=%zu bytes=%zu", group.c_str(), n,
+                    chunk.body.size());
   }
 
   trace.tail.erase(trace.tail.begin(), trace.tail.begin() + static_cast<ptrdiff_t>(n));
@@ -656,45 +701,51 @@ Status StorageEngine::SealLocked(const std::string& group, GroupTrace& trace) {
 }
 
 std::string StorageEngine::EncodeSnapshotLocked() const {
-  std::string body;
-  AppendU64(body, history_.size());
+  size_t body_size = 16;  // the two u64 counts
   for (const auto& [group, snapshot] : history_) {
-    AppendBytes(body, group);
-    AppendU64(body, snapshot.rounds);
-    AppendU64(body, snapshot.records.size());
-    for (const double record : snapshot.records) AppendF64(body, record);
+    body_size += HistoryPutSize(group, snapshot);
   }
-  AppendU64(body, traces_.size());
   for (const auto& [group, trace] : traces_) {
-    AppendBytes(body, group);
-    AppendU64(body, trace.tail_base);
-    AppendTracePointsSnapshot(
-        body, std::span<const TracePoint>(trace.tail.data(),
-                                          trace.tail.size()));
+    body_size += GroupSize(group) + 8 + TracePointsSize(trace.tail.size());
   }
-  std::string file(kSnapshotMagic);
-  AppendU32(file, kSnapshotVersion);
-  AppendU32(file, Crc32(body));
-  file.append(body);
+  const size_t header_size = kSnapshotMagic.size() + 8;
+  std::string file(header_size + body_size, '\0');
+  char* const body = file.data() + header_size;
+  char* out = PutU64(body, history_.size());
+  for (const auto& [group, snapshot] : history_) {
+    out = PutHistoryPut(out, group, snapshot);
+  }
+  out = PutU64(out, traces_.size());
+  for (const auto& [group, trace] : traces_) {
+    out = PutBytes(out, group);
+    out = PutU64(out, trace.tail_base);
+    out = PutTracePoints(out, trace.tail);
+  }
+  std::memcpy(file.data(), kSnapshotMagic.data(), kSnapshotMagic.size());
+  PutU32(PutU32(file.data() + kSnapshotMagic.size(), kSnapshotVersion),
+         Crc32(std::string_view(body, body_size)));
   return file;
 }
 
 Status StorageEngine::CompactLocked() {
+  obs::ScopedSpan span = StorageSpan("storage.compaction");
   const uint64_t new_seq = seq_ + 1;
+  if (span.active()) {
+    span.SetDetailF("seq=%llu", static_cast<unsigned long long>(new_seq));
+  }
+  // The snapshot retires the WAL, the only other copy of the points in
+  // unsynced chunk entries, so those entries reach disk first.
+  AVOC_RETURN_IF_ERROR(SyncChunksLocked());
   AVOC_RETURN_IF_ERROR(
       WriteFileDurable(SnapshotPath(new_seq), EncodeSnapshotLocked()));
+  CountFsyncsLocked(2);  // the snapshot file and its directory
 
-  // Fold the retiring writer's fsyncs in before replacing it.
-  const uint64_t fsync_delta = wal_.fsyncs() - wal_fsyncs_seen_;
-  fsyncs_total_ += fsync_delta;
-  if (fsyncs_metric_ && fsync_delta != 0) fsyncs_metric_->Add(fsync_delta);
   const std::string old_wal = WalPath(seq_);
   const std::string old_snap = SnapshotPath(seq_);
   wal_.CloseNoSync();  // the new snapshot covers everything in it
   AVOC_ASSIGN_OR_RETURN(
       wal_, WalWriter::Open(WalPath(new_seq),
                             WalWriterOptions{options_.wal_sync_every_bytes}));
-  wal_fsyncs_seen_ = 0;
 
   std::error_code ec;
   std::filesystem::remove(old_wal, ec);
@@ -702,23 +753,14 @@ Status StorageEngine::CompactLocked() {
   seq_ = new_seq;
   ++compactions_;
   if (compactions_metric_) compactions_metric_->Increment();
-  if (options_.tracer != nullptr) {
-    options_.tracer->Event(
-        "storage.compaction",
-        StrFormat("seq=%llu", static_cast<unsigned long long>(new_seq)));
-  }
   return Status::Ok();
 }
 
 Status StorageEngine::Sync() {
   std::lock_guard lock(mutex_);
   if (dead_) return FailedPreconditionError("storage engine crashed");
-  AVOC_RETURN_IF_ERROR(wal_.Sync());
-  const uint64_t fsync_delta = wal_.fsyncs() - wal_fsyncs_seen_;
-  wal_fsyncs_seen_ = wal_.fsyncs();
-  fsyncs_total_ += fsync_delta;
-  if (fsyncs_metric_ && fsync_delta != 0) fsyncs_metric_->Add(fsync_delta);
-  return Status::Ok();
+  AVOC_RETURN_IF_ERROR(SyncWalLocked());
+  return SyncChunksLocked();
 }
 
 Status StorageEngine::Compact() {
@@ -733,8 +775,7 @@ StorageStats StorageEngine::stats() const {
   stats.wal_records = wal_records_total_;
   stats.wal_bytes = wal_.open() ? wal_.bytes() : 0;
   stats.wal_synced_bytes = wal_.open() ? wal_.synced_bytes() : 0;
-  stats.fsyncs = fsyncs_total_ + (wal_.open() ? wal_.fsyncs() : 0) -
-                 wal_fsyncs_seen_;
+  stats.fsyncs = fsyncs_total_;
   stats.compactions = compactions_;
   stats.snapshot_seq = seq_;
   stats.sealed_chunks = sealed_chunks_;
@@ -753,6 +794,9 @@ StorageEngine::CrashState StorageEngine::SimulateCrash() {
   state.wal_path = wal_.open() ? wal_.path() : WalPath(seq_);
   state.wal_bytes = wal_.open() ? wal_.bytes() : 0;
   state.wal_synced_bytes = wal_.open() ? wal_.synced_bytes() : 0;
+  state.chunks_path = ChunksPath();
+  state.chunks_bytes = chunks_.open() ? chunks_.size() : 0;
+  state.chunks_synced_bytes = chunks_.open() ? chunks_.synced_size() : 0;
   wal_.CloseNoSync();
   chunks_.CloseNoSync();
   dead_ = true;

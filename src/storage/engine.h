@@ -9,9 +9,11 @@
 //                group's unsealed trace tail.  Written durably
 //                (tmp + fsync + rename + dir fsync); compaction bumps
 //                <seq>, rotates the WAL and deletes the old generation.
-//   chunks       append-only sealed trace chunks (storage/chunk.h),
-//                fsynced at each seal.  Never rewritten; recovery
-//                truncates a torn tail.
+//   chunks       append-only sealed trace chunks (storage/chunk.h).
+//                A seal appends without an fsync (the WAL still holds
+//                its points); the file is fsynced before a compaction
+//                retires that WAL, by Sync() and at shutdown.  Never
+//                rewritten; recovery truncates a torn tail.
 //
 // Recovery order: newest valid snapshot -> chunks (truncate to last
 // valid entry) -> replay the matching WAL (truncate to last valid
@@ -55,8 +57,8 @@ struct StorageEngineOptions {
   /// Optional metrics registry (must outlive the engine).
   obs::Registry* registry = nullptr;
   /// Optional flight-recorder tracer (must outlive the engine): WAL
-  /// appends become storage spans parented to the calling request's
-  /// span; fsync, chunk-seal, and compaction drop point events.
+  /// appends, fsyncs, chunk seals and compactions become storage spans
+  /// parented to the calling request's span.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -65,7 +67,7 @@ struct StorageStats {
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;         ///< live WAL file size
   uint64_t wal_synced_bytes = 0;  ///< durable prefix of the live WAL
-  uint64_t fsyncs = 0;
+  uint64_t fsyncs = 0;  ///< WAL, chunks, snapshot and directory fsyncs
   uint64_t compactions = 0;
   uint64_t snapshot_seq = 0;
   uint64_t sealed_chunks = 0;
@@ -91,7 +93,7 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
   static Result<std::unique_ptr<StorageEngine>> Open(
       StorageEngineOptions options);
 
-  /// Graceful shutdown: syncs the WAL (best effort).
+  /// Graceful shutdown: syncs the WAL and the chunks file (best effort).
   ~StorageEngine() override;
 
   StorageEngine(const StorageEngine&) = delete;
@@ -113,7 +115,7 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
 
   // --- maintenance -----------------------------------------------------------
 
-  /// Commit barrier: fsyncs the WAL now.
+  /// Commit barrier: fsyncs the WAL and the chunks file now.
   Status Sync();
 
   /// Seals full trace tails, writes a fresh snapshot, rotates the WAL
@@ -130,13 +132,17 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
     std::string wal_path;
     uint64_t wal_bytes = 0;         ///< bytes written (page cache)
     uint64_t wal_synced_bytes = 0;  ///< bytes guaranteed durable
+    std::string chunks_path;
+    uint64_t chunks_bytes = 0;         ///< bytes written (page cache)
+    uint64_t chunks_synced_bytes = 0;  ///< bytes guaranteed durable
   };
 
   /// Models power loss: closes every descriptor WITHOUT syncing and
   /// marks the engine dead (every later call fails).  The caller decides
-  /// how much of the unsynced WAL tail "reached the platter" by
-  /// truncating wal_path anywhere in [wal_synced_bytes, wal_bytes]
-  /// before reopening the directory.
+  /// how much of each unsynced tail "reached the platter" by truncating
+  /// wal_path anywhere in [wal_synced_bytes, wal_bytes] and chunks_path
+  /// anywhere in [chunks_synced_bytes, chunks_bytes] before reopening
+  /// the directory.
   CrashState SimulateCrash();
 
  private:
@@ -175,7 +181,19 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
   bool CloseSealedGapsLocked();
   Status RemoveStaleFilesLocked();
 
-  Status AppendWalLocked(WalRecordType type, std::string_view payload);
+  /// A storage span parented to the calling thread's current span.
+  obs::ScopedSpan StorageSpan(std::string_view name) const;
+  void CountFsyncsLocked(uint64_t n);
+  /// fsyncs the WAL / the chunks file if it has unsynced bytes.
+  Status SyncWalLocked();
+  Status SyncChunksLocked();
+  /// Commits the record begun in wal_ (its payload already written) and
+  /// syncs per policy.
+  Status CommitWalLocked(WalRecordType type, size_t payload_size);
+  /// Auto-compacts past compact_wal_bytes.  Runs after a mutation is
+  /// applied in memory: the snapshot must hold the record whose WAL it
+  /// retires.
+  Status MaybeCompactLocked();
   /// Seals chunk_max_points off `trace`'s tail into the chunks file.
   Status SealLocked(const std::string& group, GroupTrace& trace);
   Status CompactLocked();
@@ -200,7 +218,6 @@ class StorageEngine final : public HistoryBackend, public TraceBackend {
   uint64_t trace_points_ = 0;  ///< sealed + tail points across groups
   uint64_t wal_records_total_ = 0;
   uint64_t fsyncs_total_ = 0;
-  uint64_t wal_fsyncs_seen_ = 0;  ///< wal_.fsyncs() already folded in
   uint64_t recovery_ms_ = 0;
   bool recovered_truncated_tail_ = false;
 

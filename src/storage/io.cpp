@@ -1,30 +1,53 @@
 #include "storage/io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 namespace avoc::storage {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the bytewise table of the reflected
+/// IEEE polynomial, and table[k][i] is the CRC of byte i followed by k
+/// zero bytes, so one step folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  uint32_t value = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&value, p, 4);
+  } else {
+    for (int i = 0; i < 4; ++i) value |= static_cast<uint32_t>(p[i]) << (8 * i);
+  }
+  return value;
 }
 
 std::string ErrnoMessage(std::string_view what, const std::string& path) {
@@ -53,11 +76,18 @@ Status WriteAllFd(int fd, std::string_view bytes, const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -66,22 +96,18 @@ void AppendU8(std::string& out, uint8_t value) {
 }
 
 void AppendU32(std::string& out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-  }
+  char buffer[4] = {};
+  out.append(buffer, PutU32(buffer, value));
 }
 
 void AppendU64(std::string& out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-  }
+  char buffer[8] = {};
+  out.append(buffer, PutU64(buffer, value));
 }
 
 void AppendF64(std::string& out, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
+  char buffer[8] = {};
+  out.append(buffer, PutF64(buffer, value));
 }
 
 void AppendBytes(std::string& out, std::string_view bytes) {
@@ -163,12 +189,34 @@ Status WriteFileDurable(const std::string& path, std::string_view contents) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return IoError("read failure on '" + path + "'");
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return NotFoundError("cannot open '" + path + "'");
+    return IoError(ErrnoMessage("open", path));
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status status = IoError(ErrnoMessage("fstat", path));
+    ::close(fd);
+    return status;
+  }
+  std::string contents(static_cast<size_t>(st.st_size), '\0');
+  size_t filled = 0;
+  while (filled < contents.size()) {
+    const ssize_t n =
+        ::read(fd, contents.data() + filled, contents.size() - filled);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status status = IoError(ErrnoMessage("read", path));
+      ::close(fd);
+      return status;
+    }
+    if (n == 0) break;  // the file shrank since fstat
+    filled += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  contents.resize(filled);
+  return contents;
 }
 
 AppendFile::~AppendFile() { CloseNoSync(); }
@@ -202,7 +250,6 @@ Result<AppendFile> AppendFile::Open(const std::string& path) {
   file.fd_ = fd;
   file.path_ = path;
   file.size_ = static_cast<uint64_t>(end);
-  file.synced_size_ = file.size_;
   return file;
 }
 

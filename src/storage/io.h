@@ -5,7 +5,9 @@
 // WAL's "no loss beyond the last synced entry" contract is written in).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -13,8 +15,9 @@
 
 namespace avoc::storage {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected).  `seed` chains partial
-/// computations: Crc32(b, Crc32(a)) == Crc32(a + b).
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step
+/// (slicing-by-8).  `seed` chains partial computations:
+/// Crc32(b, Crc32(a)) == Crc32(a + b).
 uint32_t Crc32(std::string_view bytes, uint32_t seed = 0);
 
 // --- fixed-width little-endian encoding --------------------------------------
@@ -23,6 +26,45 @@ uint32_t Crc32(std::string_view bytes, uint32_t seed = 0);
 // decoders are easier to keep crash/corruption-safe, and the WAL is
 // about durability, not wire compactness (chunks carry the compressed
 // representation).
+//
+// The Put* writers store one field at `out` and return the byte past
+// it, so an encoder that sizes its record first writes every field
+// through one pointer.  The Append* forms append the same bytes to a
+// string, one append per field.
+
+inline char* PutU8(char* out, uint8_t value) {
+  *out = static_cast<char>(value);
+  return out + 1;
+}
+
+inline char* PutU32(char* out, uint32_t value) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &value, 4);
+  } else {
+    for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(value >> (8 * i));
+  }
+  return out + 4;
+}
+
+inline char* PutU64(char* out, uint64_t value) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &value, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(value >> (8 * i));
+  }
+  return out + 8;
+}
+
+inline char* PutF64(char* out, double value) {
+  return PutU64(out, std::bit_cast<uint64_t>(value));
+}
+
+/// u32 length prefix + raw bytes; 4 + bytes.size() bytes.
+inline char* PutBytes(char* out, std::string_view bytes) {
+  out = PutU32(out, static_cast<uint32_t>(bytes.size()));
+  if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
+  return out + bytes.size();
+}
 
 void AppendU8(std::string& out, uint8_t value);
 void AppendU32(std::string& out, uint32_t value);
@@ -67,7 +109,8 @@ Status SyncParentDirectory(const std::string& path);
 /// returns OK the new contents survive a crash.
 Status WriteFileDurable(const std::string& path, std::string_view contents);
 
-/// Whole file as a string; NotFound when the file does not exist.
+/// Whole file as a string, read with one sized buffer (fstat, then
+/// read calls straight into it); NotFound when the file does not exist.
 Result<std::string> ReadFileToString(const std::string& path);
 
 // --- append-only file --------------------------------------------------------
@@ -86,8 +129,9 @@ class AppendFile {
   AppendFile& operator=(const AppendFile&) = delete;
 
   /// Opens (creating if absent) for appending; `size()` starts at the
-  /// current file size and `synced_size()` assumes the existing prefix
-  /// is durable (recovery truncates to the valid prefix before opening).
+  /// current file size and `synced_size()` at 0.  After a process crash
+  /// the existing bytes may sit only in the page cache, so nothing counts
+  /// as durable until this handle's first Sync() covers it.
   static Result<AppendFile> Open(const std::string& path);
 
   Status Append(std::string_view bytes);

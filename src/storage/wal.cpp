@@ -1,5 +1,7 @@
 #include "storage/wal.h"
 
+#include <cstring>
+
 namespace avoc::storage {
 
 namespace {
@@ -20,25 +22,26 @@ Result<WalWriter> WalWriter::Open(const std::string& path,
   return writer;
 }
 
-Status WalWriter::Append(WalRecordType type, std::string_view payload) {
-  std::string body;
-  body.reserve(1 + payload.size());
-  body.push_back(static_cast<char>(type));
-  body.append(payload);
+char* WalWriter::BeginRecord(WalRecordType type, size_t payload_size) {
+  record_size_ = 8 + 1 + payload_size;
+  if (record_.size() < record_size_) record_.resize(record_size_);
+  return PutU8(record_.data() + 8, static_cast<uint8_t>(type));
+}
 
-  std::string record;
-  record.reserve(8 + body.size());
-  AppendU32(record, static_cast<uint32_t>(body.size()));
-  AppendU32(record, Crc32(body));
-  record.append(body);
-
-  AVOC_RETURN_IF_ERROR(file_.Append(record));
+Status WalWriter::CommitRecord() {
+  char* header = record_.data();
+  const std::string_view body(header + 8, record_size_ - 8);
+  PutU32(PutU32(header, static_cast<uint32_t>(body.size())), Crc32(body));
+  AVOC_RETURN_IF_ERROR(file_.Append(std::string_view(header, record_size_)));
   ++records_;
-  if (options_.sync_every_bytes == 0 ||
-      file_.size() - file_.synced_size() >= options_.sync_every_bytes) {
-    return Sync();
-  }
   return Status::Ok();
+}
+
+Status WalWriter::Append(WalRecordType type, std::string_view payload) {
+  char* out = BeginRecord(type, payload.size());
+  if (!payload.empty()) std::memcpy(out, payload.data(), payload.size());
+  AVOC_RETURN_IF_ERROR(CommitRecord());
+  return sync_due() ? Sync() : Status::Ok();
 }
 
 Status WalWriter::Sync() {

@@ -50,10 +50,29 @@ class WalWriter {
   static Result<WalWriter> Open(const std::string& path,
                                 WalWriterOptions options = {});
 
-  /// Appends one record and applies the sync policy.
+  /// Starts a record with a `payload_size`-byte payload in the writer's
+  /// reused record buffer and returns where the payload goes.  The
+  /// caller writes exactly `payload_size` bytes there, then calls
+  /// CommitRecord.
+  char* BeginRecord(WalRecordType type, size_t payload_size);
+
+  /// Patches the begun record's length and CRC into its header in
+  /// place and writes it with one write.  The owner then applies the
+  /// sync policy: Sync() when sync_due().
+  Status CommitRecord();
+
+  /// Whether the sync policy asks for an fsync now.
+  bool sync_due() const {
+    return file_.size() != file_.synced_size() &&
+           (options_.sync_every_bytes == 0 ||
+            file_.size() - file_.synced_size() >= options_.sync_every_bytes);
+  }
+
+  /// Appends one record holding a copy of `payload` and applies the
+  /// sync policy.
   Status Append(WalRecordType type, std::string_view payload);
 
-  /// Forces an fsync now (commit barrier).
+  /// fsyncs now if anything is unsynced (commit barrier).
   Status Sync();
 
   /// Closes without syncing — crash simulation and teardown paths.
@@ -69,6 +88,8 @@ class WalWriter {
  private:
   AppendFile file_;
   WalWriterOptions options_;
+  std::string record_;       ///< reused record buffer; never shrinks
+  size_t record_size_ = 0;   ///< bytes of the begun record in record_
   uint64_t records_ = 0;
   uint64_t fsyncs_ = 0;
 };

@@ -4,8 +4,9 @@
 // and chunk size) backs a real RemoteVoterServer on the deterministic
 // simulation; a client submits rounds; at a seeded point the process
 // "loses power" (StorageEngine::SimulateCrash closes every descriptor
-// unsynced), the seed decides how much of the unsynced WAL tail reached
-// the platter (truncation anywhere in [synced, written], sometimes a bit
+// unsynced), the seed decides how much of the unsynced WAL tail and of
+// the unsynced chunks-file tail (chunk seals do not fsync) reached the
+// platter (truncation anywhere in [synced, written], sometimes a bit
 // flip in the unsynced region); the directory is reopened and a fresh
 // server resumes on a re-bound port.
 //
@@ -75,7 +76,30 @@ struct RecoveryRun {
   size_t synced_floor = 0;     ///< points guaranteed by the last barrier
   size_t recovered_points = 0;
   bool truncated_tail = false;
+  uint64_t unsynced_chunk_bytes = 0;  ///< the chunks file's crash window
 };
+
+/// The seeded crash window of one append-only file: keeps anywhere in
+/// [synced, written] and, one time in three, flips one bit in the
+/// surviving unsynced region (a torn sector).  CRC framing must stop
+/// recovery there, never crash it.
+void TearUnsyncedTail(Rng& rng, const std::string& path, uint64_t synced,
+                      uint64_t written) {
+  const uint64_t torn_span = written - synced;
+  const uint64_t keep =
+      synced + (torn_span == 0 ? 0 : rng.UniformInt(torn_span + 1));
+  std::filesystem::resize_file(path, keep);
+  if (keep > synced && rng.UniformInt(3) == 0) {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    const uint64_t at = synced + rng.UniformInt(keep - synced);
+    file.seekg(static_cast<std::streamoff>(at));
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ (1u << rng.UniformInt(8)));
+    file.seekp(static_cast<std::streamoff>(at));
+    file.write(&byte, 1);
+  }
+}
 
 #define RECOVERY_CHECK(cond, what)                  \
   do {                                              \
@@ -99,6 +123,12 @@ RecoveryRun RunSchedule(uint64_t seed) {
   store_options.wal_sync_every_bytes = sync_choices[rng.UniformInt(4)];
   store_options.chunk_max_points = rng.UniformInt(2) == 0 ? 4 : 512;
   const bool sync_every_commit = store_options.wal_sync_every_bytes == 0;
+  // Half the schedules compact every few hundred WAL bytes, so crashes
+  // also land after compactions, which retire the WAL behind the sealed
+  // chunks.  Drawn from its own stream: the draws below keep their
+  // values.
+  Rng compaction(seed ^ 0xC0A1E5CEull);
+  if (compaction.UniformInt(2) == 0) store_options.compact_wal_bytes = 512;
 
   const size_t crash_round = 3 + rng.UniformInt(10);
   const size_t barrier_round = rng.UniformInt(crash_round);
@@ -173,25 +203,13 @@ RecoveryRun RunSchedule(uint64_t seed) {
     run.failure = "sync-every-commit left an unsynced tail";
     return run;
   }
-  const uint64_t torn_span = crash.wal_bytes - crash.wal_synced_bytes;
-  const uint64_t keep =
-      crash.wal_synced_bytes + (torn_span == 0 ? 0 : rng.UniformInt(torn_span + 1));
-  std::filesystem::resize_file(crash.wal_path, keep);
-  if (keep > crash.wal_synced_bytes && rng.UniformInt(3) == 0) {
-    // A torn sector: flip one bit somewhere in the surviving unsynced
-    // region.  CRC framing must stop replay there, never crash.
-    std::fstream file(crash.wal_path,
-                      std::ios::binary | std::ios::in | std::ios::out);
-    const uint64_t at =
-        crash.wal_synced_bytes +
-        rng.UniformInt(keep - crash.wal_synced_bytes);
-    file.seekg(static_cast<std::streamoff>(at));
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ (1u << rng.UniformInt(8)));
-    file.seekp(static_cast<std::streamoff>(at));
-    file.write(&byte, 1);
-  }
+  TearUnsyncedTail(rng, crash.wal_path, crash.wal_synced_bytes,
+                   crash.wal_bytes);
+  run.unsynced_chunk_bytes = crash.chunks_bytes - crash.chunks_synced_bytes;
+  // Sealed chunk entries since the last sync: the WAL still holds their
+  // points, so losing or corrupting them must lose nothing more.
+  TearUnsyncedTail(rng, crash.chunks_path, crash.chunks_synced_bytes,
+                   crash.chunks_bytes);
 
   // --- recovery + phase 2: restart the server on the recovered store --------
   {
@@ -356,15 +374,18 @@ TEST(CrashRecoverySweep, ScheduleMixCoversTornAndCleanTails) {
   size_t torn = 0;
   size_t clean = 0;
   size_t partial_loss = 0;
+  size_t unsynced_chunks = 0;
   for (uint64_t seed = 5000; seed < 5000 + kSeedsPerShard; ++seed) {
     const RecoveryRun run = RunSchedule(seed);
     ASSERT_TRUE(run.ok) << "seed " << seed << ": " << run.failure;
     if (run.truncated_tail) ++torn;
     if (run.recovered == run.reference) ++clean;
     if (run.recovered != run.reference) ++partial_loss;
+    if (run.unsynced_chunk_bytes != 0) ++unsynced_chunks;
   }
   EXPECT_GT(clean, 0u);
   EXPECT_GT(partial_loss, 0u);  // batched-fsync seeds really lose a tail
+  EXPECT_GT(unsynced_chunks, 0u);  // seals left a chunks window to tear
   (void)torn;
 }
 

@@ -15,6 +15,7 @@
 //     │    └─ server.submit_batch_seq (route=forwarded dedup=miss)
 //     │         └─ engine.batch
 //     │              └─ wal.append (storage)
+//     │                   └─ wal.fsync (storage, fsync per commit)
 //     ├─ client.backoff (event)
 //     └─ client.attempt #2 (resend=yes outcome=ok)
 //          └─ server.submit_batch_seq (dedup=replay)
@@ -26,6 +27,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -352,13 +354,28 @@ TEST_F(TraceDstTest, SpanTreeFollowsRetriedSubmitAcrossForwardAndWal) {
   // Storage: the history/trace WAL appends for the closed round, under
   // the engine span on the same trace.
   size_t wal_appends = 0;
+  std::vector<uint64_t> wal_append_ids;
   for (const ParsedSpan* span : in_trace) {
     if (span->name != "wal.append") continue;
     ++wal_appends;
+    wal_append_ids.push_back(span->span_id);
     EXPECT_EQ(span->kind, "storage");
     EXPECT_EQ(span->parent_id, engine->span_id);
   }
   EXPECT_GE(wal_appends, 1u);
+
+  // Under fsync per commit each append's fsync is a timed storage span
+  // inside it.
+  size_t wal_fsyncs = 0;
+  for (const ParsedSpan* span : in_trace) {
+    if (span->name != "wal.fsync") continue;
+    ++wal_fsyncs;
+    EXPECT_EQ(span->kind, "storage");
+    EXPECT_NE(std::find(wal_append_ids.begin(), wal_append_ids.end(),
+                        span->parent_id),
+              wal_append_ids.end());
+  }
+  EXPECT_EQ(wal_fsyncs, wal_appends);
 
   // The backoff between the attempts is on the trace as a point event.
   bool saw_backoff = false;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -507,6 +508,36 @@ TEST_F(StorageEngineTest, AutoCompactionTriggersOnWalGrowth) {
   EXPECT_GT((*engine)->stats().compactions, 0u);
 }
 
+// An auto-compaction retires the WAL that holds the record which
+// triggered it, so its snapshot must already hold that record: every
+// put, erase and trace append survives a clean reopen.
+TEST_F(StorageEngineTest, AutoCompactionKeepsTheRecordThatTriggeredIt) {
+  auto options = Options();
+  options.compact_wal_bytes = 1;  // every record compacts
+  options.chunk_max_points = 8;
+  const std::vector<TracePoint> points = DriftPoints(0, 30);
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->Put("g", Snapshot({0.5}, 1)).ok());
+    ASSERT_TRUE((*engine)->Put("erased", Snapshot({0.25}, 1)).ok());
+    for (size_t at = 0; at < points.size(); at += 3) {
+      ASSERT_TRUE(
+          (*engine)->AppendTrace("g", std::span(points).subspan(at, 3)).ok());
+    }
+    ASSERT_TRUE(*(*engine)->Erase("erased"));
+    ASSERT_TRUE((*engine)->Put("g", Snapshot({0.75}, 2)).ok());
+    EXPECT_GT((*engine)->stats().compactions, 10u);
+  }
+  auto reopened = StorageEngine::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Groups(), std::vector<std::string>{"g"});
+  auto history = (*reopened)->Get("g");
+  ASSERT_TRUE(history.ok());
+  EXPECT_EQ(history->rounds, 2u);
+  EXPECT_EQ(CheckWindows(**reopened, points, 3 * 30 + 1), 0u);
+}
+
 TEST_F(StorageEngineTest, MetricsRegisteredWhenRegistryProvided) {
   obs::Registry registry;
   auto options = Options();
@@ -588,6 +619,203 @@ TEST_F(StorageEngineTest, CompressionRatioReportedOnSealedTraces) {
   const auto stats = (*engine)->stats();
   ASSERT_GT(stats.sealed_chunks, 0u);
   EXPECT_GT(stats.compression_ratio(), 4.0);
+}
+
+// A seal appends its entry without an fsync; compaction syncs the
+// chunks file, then writes its snapshot durably (file + directory).
+// Every one of those fsyncs reaches stats().fsyncs.
+TEST_F(StorageEngineTest, CompactionCountsEveryFsync) {
+  auto options = Options();
+  options.chunk_max_points = 8;
+  auto engine = StorageEngine::Open(options);
+  ASSERT_TRUE(engine.ok());
+  const uint64_t opened = (*engine)->stats().fsyncs;
+  ASSERT_TRUE((*engine)->AppendTrace("g", DriftPoints(0, 20)).ok());
+  const uint64_t appended = (*engine)->stats().fsyncs;
+  EXPECT_EQ(appended - opened, 1u);  // the WAL record; the seals sync nothing
+
+  ASSERT_TRUE((*engine)->Compact().ok());  // unsynced chunk bytes
+  const uint64_t first = (*engine)->stats().fsyncs;
+  EXPECT_EQ(first - appended, 3u);
+  ASSERT_TRUE((*engine)->Compact().ok());  // nothing left to sync
+  EXPECT_EQ((*engine)->stats().fsyncs - first, 2u);
+}
+
+// A crash loses the chunk entries sealed since the last sync; the WAL
+// still holds their points, so reopening loses nothing.
+TEST_F(StorageEngineTest, UnsyncedChunkEntriesComeBackFromTheWal) {
+  auto options = Options();
+  options.chunk_max_points = 8;
+  const std::vector<TracePoint> points = DriftPoints(0, 30);
+  StorageEngine::CrashState crash;
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->AppendTrace("g", points).ok());
+    ASSERT_EQ((*engine)->stats().sealed_chunks, 3u);
+    crash = (*engine)->SimulateCrash();
+  }
+  EXPECT_EQ(crash.chunks_path, dir_ + "/chunks");
+  EXPECT_EQ(crash.chunks_synced_bytes, 0u);
+  EXPECT_GT(crash.chunks_bytes, 0u);
+  std::filesystem::resize_file(crash.chunks_path, crash.chunks_synced_bytes);
+  auto reopened = StorageEngine::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(CheckWindows(**reopened, points, 3 * 30 + 1), 0u);
+}
+
+// After a process crash the chunk entries sealed since the last sync
+// may sit only in the page cache.  A reopened store must not take them
+// for durable: its first compaction syncs them before its snapshot
+// retires the WAL that also holds their points.
+TEST_F(StorageEngineTest, ReopenedChunkBytesAreSyncedBeforeTheNextSnapshot) {
+  auto options = Options();
+  options.chunk_max_points = 8;
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->AppendTrace("g", DriftPoints(0, 30)).ok());
+    (void)(*engine)->SimulateCrash();  // the process dies, the disk stays
+  }
+  auto reopened = StorageEngine::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ((*reopened)->stats().sealed_chunks, 3u);
+  const uint64_t before = (*reopened)->stats().fsyncs;
+  ASSERT_TRUE((*reopened)->Compact().ok());
+  EXPECT_EQ((*reopened)->stats().fsyncs - before, 3u);
+  const StorageEngine::CrashState crash = (*reopened)->SimulateCrash();
+  EXPECT_GT(crash.chunks_bytes, 0u);
+  EXPECT_EQ(crash.chunks_synced_bytes, crash.chunks_bytes);
+}
+
+// Compaction retires the WAL that holds the sealed points, so it must
+// sync the chunks file first: cutting that file to its synced size
+// after a compaction loses nothing.
+TEST_F(StorageEngineTest, CompactionSyncsTheChunksItsSnapshotDependsOn) {
+  auto options = Options();
+  options.chunk_max_points = 8;
+  const std::vector<TracePoint> points = DriftPoints(0, 30);
+  StorageEngine::CrashState crash;
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->AppendTrace("g", points).ok());
+    ASSERT_EQ((*engine)->stats().sealed_chunks, 3u);
+    ASSERT_TRUE((*engine)->Compact().ok());
+    crash = (*engine)->SimulateCrash();
+  }
+  EXPECT_EQ(crash.chunks_synced_bytes, crash.chunks_bytes);
+  std::filesystem::resize_file(crash.chunks_path, crash.chunks_synced_bytes);
+  auto reopened = StorageEngine::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().sealed_chunks, 3u);
+  EXPECT_EQ(CheckWindows(**reopened, points, 3 * 30 + 1), 0u);
+}
+
+// Sync() is a commit barrier for both append-only files.
+TEST_F(StorageEngineTest, SyncCoversTheChunksFile) {
+  auto options = Options();
+  options.chunk_max_points = 8;
+  options.wal_sync_every_bytes = 1u << 20;
+  auto engine = StorageEngine::Open(options);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->AppendTrace("g", DriftPoints(0, 20)).ok());
+  ASSERT_TRUE((*engine)->Sync().ok());
+  const StorageEngine::CrashState crash = (*engine)->SimulateCrash();
+  EXPECT_EQ(crash.wal_synced_bytes, crash.wal_bytes);
+  EXPECT_GT(crash.chunks_bytes, 0u);
+  EXPECT_EQ(crash.chunks_synced_bytes, crash.chunks_bytes);
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return hex;
+}
+
+double FromBits(uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Pins the on-disk bytes of every file kind: the WAL's three record
+// types, one chunks entry and a snapshot, over NaN payloads, both
+// infinities, -0.0 and points that were not engaged.
+TEST_F(StorageEngineTest, GoldenBytesOfWalChunksAndSnapshot) {
+  auto options = Options();
+  options.chunk_max_points = 4;
+  options.compact_wal_bytes = 0;
+  const double nan = FromBits(0x7FF8000000000DEFull);
+  const double inf = std::numeric_limits<double>::infinity();
+  auto engine = StorageEngine::Open(options);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->Put("g", Snapshot({1.0, nan, -0.0, inf}, 7)).ok());
+  ASSERT_TRUE((*engine)->Put("h", Snapshot({-inf, 0.5}, 2)).ok());
+  ASSERT_TRUE(*(*engine)->Erase("h"));
+  ASSERT_TRUE((*engine)
+                  ->AppendTrace("g", std::vector<TracePoint>{{10, nan, true},
+                                                             {11, -0.0, false},
+                                                             {12, inf, true}})
+                  .ok());
+  ASSERT_TRUE((*engine)
+                  ->AppendTrace("g", std::vector<TracePoint>{{14, -inf, true},
+                                                             {15, 1.25, true}})
+                  .ok());
+  ASSERT_EQ((*engine)->stats().sealed_chunks, 1u);
+
+  auto wal = ReadFileToString(dir_ + "/wal-000001");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(Hex(*wal),
+      // HISTORY_PUT g: rounds 7, records 1.0, NaN(0xDEF), -0.0, +inf
+      "36000000" "c7a9bfe1" "01" "01000000" "67" "0700000000000000"
+      "0400000000000000" "000000000000f03f" "ef0d00000000f87f"
+      "0000000000000080" "000000000000f07f"
+      // HISTORY_PUT h: rounds 2, records -inf, 0.5
+      "26000000" "e16ca810" "01" "01000000" "68" "0200000000000000"
+      "0200000000000000" "000000000000f0ff" "000000000000e03f"
+      // HISTORY_ERASE h
+      "06000000" "72c00382" "02" "01000000" "68"
+      // TRACE_APPEND g from index 0: (10, NaN, 1) (11, -0.0, 0) (12, +inf, 1)
+      "49000000" "01d42caa" "03" "01000000" "67" "0000000000000000"
+      "0300000000000000" "0a00000000000000" "ef0d00000000f87f" "01"
+      "0b00000000000000" "0000000000000080" "00" "0c00000000000000"
+      "000000000000f07f" "01"
+      // TRACE_APPEND g from index 3: (14, -inf, 1) (15, 1.25, 1)
+      "38000000" "a40c9eeb" "03" "01000000" "67" "0300000000000000"
+      "0200000000000000" "0e00000000000000" "000000000000f0ff" "01"
+      "0f00000000000000" "000000000000f43f" "01");
+  auto chunks = ReadFileToString(dir_ + "/chunks");
+  ASSERT_TRUE(chunks.ok());
+  EXPECT_EQ(Hex(*chunks),
+      // "AVCK", group g, base_index 0, count 4, rounds 10..14
+      "4156434b" "01000000" "67" "0000000000000000" "0400000000000000"
+      "0a00000000000000" "0e00000000000000"
+      // body length 46, body CRC, Gorilla body
+      "2e000000" "5675d256"
+      "000000000000000a7ff8000000000defc0b03ffff8000000000def2fff00000000"
+      "00000c0a800000000000000080");
+
+  ASSERT_TRUE((*engine)->Compact().ok());
+  auto snapshot = ReadFileToString(dir_ + "/snap-000002");
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(Hex(*snapshot),
+      // "AVSN", version 1, body CRC
+      "4156534e" "01000000" "56cacf6e"
+      // one history: g, rounds 7, the four records
+      "0100000000000000" "01000000" "67" "0700000000000000"
+      "0400000000000000" "000000000000f03f" "ef0d00000000f87f"
+      "0000000000000080" "000000000000f07f"
+      // one trace tail: g, tail_base 4, one point (15, 1.25, 1)
+      "0100000000000000" "01000000" "67" "0400000000000000"
+      "0100000000000000" "0f00000000000000" "000000000000f43f" "01");
+  auto rotated = ReadFileToString(dir_ + "/wal-000002");
+  ASSERT_TRUE(rotated.ok());
+  EXPECT_TRUE(rotated->empty());
 }
 
 TEST_F(StorageEngineTest, OpenRejectsEmptyDir) {

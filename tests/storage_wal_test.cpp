@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "storage/io.h"
+#include "util/rng.h"
 
 namespace avoc::storage {
 namespace {
@@ -163,6 +165,41 @@ TEST(IoTest, Crc32Chains) {
   const uint32_t chained =
       Crc32(data.substr(8), Crc32(data.substr(0, 8)));
   EXPECT_EQ(whole, chained);
+  // Every split point, including the empty prefix and suffix.
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32(data.substr(split), Crc32(data.substr(0, split))), whole)
+        << "split " << split;
+  }
+  EXPECT_EQ(Crc32("", 0x12345678u), 0x12345678u);
+}
+
+// One table lookup per byte: the definition the faster Crc32 must match.
+uint32_t BytewiseCrc32(std::string_view bytes, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(IoTest, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  Rng rng(20);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.UniformInt(256));
+  for (int trial = 0; trial < 64; ++trial) {
+    const size_t length =
+        trial < 9 ? static_cast<size_t>(trial) : rng.UniformInt(4097);
+    const uint32_t seed = static_cast<uint32_t>(rng.UniformInt(1ull << 32));
+    for (size_t start = 0; start < 8; ++start) {
+      const std::string_view bytes =
+          std::string_view(buffer).substr(start, length);
+      ASSERT_EQ(Crc32(bytes), BytewiseCrc32(bytes, 0))
+          << "length " << length << " start " << start;
+      ASSERT_EQ(Crc32(bytes, seed), BytewiseCrc32(bytes, seed))
+          << "length " << length << " start " << start;
+    }
+  }
 }
 
 TEST(IoTest, ByteRoundTrip) {
