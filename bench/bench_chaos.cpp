@@ -68,11 +68,14 @@ std::string SinkTrace(const VoterGroupManager& manager) {
   auto sink = manager.sink("bench");
   if (!sink.ok()) return "<no sink>";
   std::string trace;
-  for (const auto& out : (*sink)->outputs()) {
-    trace += avoc::StrFormat("%zu %d %a\n", out.round,
-                             static_cast<int>(out.result.outcome),
-                             out.result.value.value_or(-0.0));
-  }
+  (*sink)->WithTrace([&trace](const avoc::core::BatchTrace& rows,
+                              const std::vector<size_t>& rounds) {
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      trace += avoc::StrFormat("%zu %d %a\n", rounds[i],
+                               static_cast<int>(rows.outcome(i)),
+                               rows.output(i).value_or(-0.0));
+    }
+  });
   return trace;
 }
 

@@ -121,6 +121,7 @@ void BM_HistoryAwareRoundWithMemoryStore(benchmark::State& state) {
     return;
   }
   avoc::runtime::HistoryStore store;
+  avoc::runtime::HistorySnapshot out;
   avoc::Rng rng(4);
   for (auto _ : state) {
     state.PauseTiming();
@@ -128,15 +129,10 @@ void BM_HistoryAwareRoundWithMemoryStore(benchmark::State& state) {
     state.ResumeTiming();
     // Read-modify-write against the store, as the voter service does.
     auto snapshot = store.Get("group");
-    if (snapshot.ok()) {
-      (void)engine->RestoreHistory(snapshot->records, snapshot->rounds);
-    }
+    if (snapshot.ok()) (void)engine->RestoreState(*snapshot);
     auto result = engine->CastVote(round);
     benchmark::DoNotOptimize(result);
-    avoc::runtime::HistorySnapshot out;
-    const auto records = engine->history().records();
-    out.records.assign(records.begin(), records.end());
-    out.rounds = engine->history().round_count();
+    engine->ExportState(out);
     (void)store.Put("group", out);
   }
 }
@@ -160,21 +156,17 @@ void BM_HistoryAwareRoundWithFileStore(benchmark::State& state) {
     state.SkipWithError("store open failed");
     return;
   }
+  avoc::runtime::HistorySnapshot out;
   avoc::Rng rng(5);
   for (auto _ : state) {
     state.PauseTiming();
     const avoc::core::Round round = ToRound(MakeRound(modules, rng));
     state.ResumeTiming();
     auto snapshot = store->Get("group");
-    if (snapshot.ok()) {
-      (void)engine->RestoreHistory(snapshot->records, snapshot->rounds);
-    }
+    if (snapshot.ok()) (void)engine->RestoreState(*snapshot);
     auto result = engine->CastVote(round);
     benchmark::DoNotOptimize(result);
-    avoc::runtime::HistorySnapshot out;
-    const auto records = engine->history().records();
-    out.records.assign(records.begin(), records.end());
-    out.rounds = engine->history().round_count();
+    engine->ExportState(out);
     (void)store->Put("group", out);
   }
   std::filesystem::remove(path);
@@ -296,10 +288,12 @@ void BM_StoragePut(benchmark::State& state) {
     return;
   }
   avoc::Rng rng(5);
-  avoc::storage::HistorySnapshot ledger;
+  std::vector<double> records;
   for (size_t m = 0; m < modules; ++m) {
-    ledger.records.push_back(rng.Uniform(0.0, 1.0));
+    records.push_back(rng.Uniform(0.0, 1.0));
   }
+  avoc::storage::HistorySnapshot ledger =
+      avoc::core::UpgradeRecordsOnly(records, 0);
   for (auto _ : state) {
     ledger.rounds += rounds;
     const avoc::Status status = store.get()->Put("group-00", ledger);

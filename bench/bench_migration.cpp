@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   driver.join();
   const size_t fused = [&]() -> size_t {
     auto sink = (*cluster)->sink(kGroup);
-    return sink.ok() ? (*sink)->outputs().size() : 0;
+    return sink.ok() ? (*sink)->output_count() : 0;
   }();
   (*cluster)->Stop();
 

@@ -46,14 +46,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 std::string GroupName(size_t g) { return "group" + std::to_string(g); }
 
 HistorySnapshot SnapshotFor(size_t g, size_t sweep, size_t modules) {
-  HistorySnapshot snapshot;
-  snapshot.rounds = sweep + 1;
-  snapshot.records.reserve(modules);
+  std::vector<double> records;
+  records.reserve(modules);
   for (size_t m = 0; m < modules; ++m) {
-    snapshot.records.push_back(
-        1.0 / (1.0 + 0.01 * static_cast<double>(g + m + sweep)));
+    records.push_back(1.0 / (1.0 + 0.01 * static_cast<double>(g + m + sweep)));
   }
-  return snapshot;
+  return avoc::core::UpgradeRecordsOnly(records, sweep + 1);
 }
 
 /// Puts every group `sweeps` times through `backend`; seconds, or -1.

@@ -201,14 +201,17 @@ int SelfTest() {
     auto legacy = HistoryStore::Open(legacy_path);
     if (!legacy.ok()) return 1;
     for (size_t g = 0; g < 32; ++g) {
-      HistorySnapshot snapshot;
-      snapshot.rounds = 10 * g + 1;
+      std::vector<double> records;
       for (size_t m = 0; m < 1 + g % 5; ++m) {
-        snapshot.records.push_back(
-            std::sin(0.1 * static_cast<double>(g * 7 + m)));
+        records.push_back(std::sin(0.1 * static_cast<double>(g * 7 + m)));
       }
-      snapshot.records.push_back(-0.0);  // signed zero must round-trip
-      if (!legacy->Put("group" + std::to_string(g), snapshot).ok()) return 1;
+      records.push_back(-0.0);  // signed zero must round-trip
+      if (!legacy
+               ->Put("group" + std::to_string(g),
+                     avoc::core::UpgradeRecordsOnly(records, 10 * g + 1))
+               .ok()) {
+        return 1;
+      }
     }
   }
   if (Migrate(legacy_path, dir) != 0) return 1;

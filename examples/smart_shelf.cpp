@@ -11,6 +11,8 @@
 // Usage: smart_shelf [--rounds N] [--seed S] [--sensors N]
 #include <cmath>
 #include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "core/algorithms.h"
 #include "runtime/group_manager.h"
@@ -81,11 +83,15 @@ int main(int argc, char** argv) {
     }
     shelves.CloseRoundAll(r);
 
-    const auto outputs = (*shelves.sink("shelf-dairy"))->outputs();
-    if (!outputs.empty() && outputs.back().result.value.has_value()) {
-      const double fused = *outputs.back().result.value;
-      error.Add(std::abs(fused - truth_dairy));
-      if (fused < 100.0) ++nearby_rounds_fused;
+    std::optional<double> fused;
+    (*shelves.sink("shelf-dairy"))
+        ->WithTrace([&fused](const avoc::core::BatchTrace& trace,
+                             const std::vector<size_t>& rounds) {
+          if (!rounds.empty()) fused = trace.output(rounds.size() - 1);
+        });
+    if (fused.has_value()) {
+      error.Add(std::abs(*fused - truth_dairy));
+      if (*fused < 100.0) ++nearby_rounds_fused;
     }
     if (truth_dairy < 100.0) ++nearby_rounds_truth;
   }
@@ -97,26 +103,31 @@ int main(int argc, char** argv) {
   std::printf("'shopper nearby' rounds: truth %zu, fused decision %zu\n",
               nearby_rounds_truth, nearby_rounds_fused);
 
-  const auto snack_outputs = (*shelves.sink("shelf-snacks"))->outputs();
-  size_t false_alarms = 0;
-  for (const auto& output : snack_outputs) {
-    if (output.result.value.has_value() && *output.result.value < 100.0) {
-      ++false_alarms;
-    }
-  }
-  std::printf("snacks shelf: %zu false 'nearby' alarms in %zu rounds\n",
-              false_alarms, snack_outputs.size());
+  (*shelves.sink("shelf-snacks"))
+      ->WithTrace([](const avoc::core::BatchTrace& trace,
+                     const std::vector<size_t>& rounds) {
+        size_t false_alarms = 0;
+        for (size_t i = 0; i < rounds.size(); ++i) {
+          const auto value = trace.output(i);
+          if (value.has_value() && *value < 100.0) ++false_alarms;
+        }
+        std::printf("snacks shelf: %zu false 'nearby' alarms in %zu rounds\n",
+                    false_alarms, rounds.size());
+      });
 
   // Show the learned reliability map of the dairy shelf.
-  const auto dairy_outputs = (*shelves.sink("shelf-dairy"))->outputs();
-  if (!dairy_outputs.empty()) {
-    std::printf("\nlearned sensor records (dairy):");
-    const auto& history = dairy_outputs.back().result.history;
-    for (size_t m = 0; m < history.size(); ++m) {
-      if (m % 8 == 0) std::printf("\n  ");
-      std::printf("s%02zu=%.2f ", m, history[m]);
-    }
-    std::printf("\n(mis-mounted sensors 0-2 end with the lowest records)\n");
-  }
+  (*shelves.sink("shelf-dairy"))
+      ->WithTrace([](const avoc::core::BatchTrace& trace,
+                     const std::vector<size_t>& rounds) {
+        if (rounds.empty()) return;
+        std::printf("\nlearned sensor records (dairy):");
+        const auto history = trace.history(rounds.size() - 1);
+        for (size_t m = 0; m < history.size(); ++m) {
+          if (m % 8 == 0) std::printf("\n  ");
+          std::printf("s%02zu=%.2f ", m, history[m]);
+        }
+        std::printf(
+            "\n(mis-mounted sensors 0-2 end with the lowest records)\n");
+      });
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "core/algorithms.h"
 #include "runtime/service.h"
@@ -86,20 +87,23 @@ int main(int argc, char** argv) {
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   (*service)->Stop();
 
-  const auto outputs = (*service)->sink().outputs();
-  std::printf("rounds completed: %zu\n", outputs.size());
-  for (const auto& output : outputs) {
-    if (!output.result.value.has_value()) continue;
-    std::printf("round %3zu  output %.0f lux  weights:", output.round,
-                *output.result.value);
-    for (const double w : output.result.weights) std::printf(" %.2f", w);
-    std::printf("%s\n", output.result.used_clustering ? "  [clustered]" : "");
-  }
-  if (!outputs.empty()) {
-    const auto& last = outputs.back().result;
-    std::printf("final records:");
-    for (const double h : last.history) std::printf(" %.2f", h);
-    std::printf("\n");
-  }
+  (*service)->sink().WithTrace([](const avoc::core::BatchTrace& trace,
+                                  const std::vector<size_t>& rounds) {
+    std::printf("rounds completed: %zu\n", rounds.size());
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      const auto value = trace.output(i);
+      if (!value.has_value()) continue;
+      std::printf("round %3zu  output %.0f lux  weights:", rounds[i], *value);
+      for (const double w : trace.weights(i)) std::printf(" %.2f", w);
+      std::printf("%s\n", trace.used_clustering(i) ? "  [clustered]" : "");
+    }
+    if (!rounds.empty()) {
+      std::printf("final records:");
+      for (const double h : trace.history(rounds.size() - 1)) {
+        std::printf(" %.2f", h);
+      }
+      std::printf("\n");
+    }
+  });
   return 0;
 }

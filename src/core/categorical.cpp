@@ -101,10 +101,10 @@ Result<CategoricalVoteResult> CategoricalEngine::CastVote(
 
   std::vector<size_t> present_index;
   std::vector<std::string> present_labels;
-  std::vector<bool> present(module_count_, false);
+  std::vector<uint8_t> present(module_count_, 0);
   for (size_t i = 0; i < module_count_; ++i) {
     if (round[i].has_value()) {
-      present[i] = true;
+      present[i] = 1;
       present_index.push_back(i);
       present_labels.push_back(*round[i]);
     }

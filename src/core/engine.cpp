@@ -158,21 +158,14 @@ Result<VoteResult> VotingEngine::CastVote(const Round& round) {
   return trace.MaterializeRound(0);
 }
 
-Status VotingEngine::RestoreHistory(std::span<const double> records,
-                                    size_t rounds) {
-  return ledger_.Restore(records, rounds);
-}
-
-VotingEngine::State VotingEngine::ExportState() const {
-  State state;
-  state.ledger = ledger_.ExportState();
+void VotingEngine::ExportState(State& state) const {
+  ledger_.ExportTo(state);
   state.last_output = last_output_;
   state.round_index = static_cast<uint64_t>(round_index_);
-  return state;
 }
 
 Status VotingEngine::RestoreState(const State& state) {
-  AVOC_RETURN_IF_ERROR(ledger_.RestoreState(state.ledger));
+  AVOC_RETURN_IF_ERROR(ledger_.ImportFrom(state));
   last_output_ = state.last_output;
   round_index_ = static_cast<size_t>(state.round_index);
   return Status::Ok();

@@ -66,20 +66,13 @@ class VotingEngine {
 
   const HistoryLedger& history() const { return ledger_; }
 
-  /// Replaces history records (datastore restore); see HistoryLedger.
-  Status RestoreHistory(std::span<const double> records, size_t rounds);
-
-  /// Full mutable engine state, for migrating a live voter between
-  /// nodes.  RestoreHistory reseeds the cumulative accumulators
-  /// approximately and loses the last accepted output; a migrated engine
-  /// must keep voting bit-identically with the source, so this form
-  /// round-trips everything verbatim.
-  struct State {
-    HistoryLedger::State ledger;
-    std::optional<double> last_output;
-    uint64_t round_index = 0;
-  };
-  State ExportState() const;
+  /// The engine's full mutable state (core/group_state.h): ledger
+  /// records and accumulators, last accepted output and round counter.
+  /// A restart and a migration both restore through RestoreState, so a
+  /// restored engine keeps voting bit-identically with the exporter.
+  using State = GroupState;
+  /// Writes the state into `state`, reusing its vectors' capacity.
+  void ExportState(State& state) const;
   Status RestoreState(const State& state);
 
   /// Forgets all state: history, last output, round counter.

@@ -19,48 +19,6 @@ HistoryLedger::HistoryLedger(size_t module_count, HistoryParams params)
       observations_(module_count, 0) {}
 
 Status HistoryLedger::Update(std::span<const double> agreement_with_output,
-                             const std::vector<bool>& present) {
-  if (agreement_with_output.size() != records_.size() ||
-      present.size() != records_.size()) {
-    return InvalidArgumentError(
-        StrFormat("history update arity %zu/%zu, ledger has %zu modules",
-                  agreement_with_output.size(), present.size(),
-                  records_.size()));
-  }
-  ++rounds_;
-  if (params_.rule == HistoryRule::kNone) return Status::Ok();
-
-  for (size_t i = 0; i < records_.size(); ++i) {
-    if (!present[i]) {
-      if (params_.missing_penalty > 0.0) {
-        records_[i] = Clamp01(records_[i] - params_.missing_penalty);
-      }
-      continue;
-    }
-    const double g = Clamp01(agreement_with_output[i]);
-    switch (params_.rule) {
-      case HistoryRule::kNone:
-        break;
-      case HistoryRule::kCumulativeRatio: {
-        agreement_sums_[i] += g;
-        ++observations_[i];
-        // Laplace prior (1 agreement / 1 observation) keeps fresh modules
-        // at record 1 and makes the decay of a disagreer gradual.
-        records_[i] = (1.0 + agreement_sums_[i]) /
-                      (1.0 + static_cast<double>(observations_[i]));
-        break;
-      }
-      case HistoryRule::kRewardPenalty:
-        records_[i] =
-            Clamp01(records_[i] + g * params_.reward -
-                    (1.0 - g) * params_.penalty);
-        break;
-    }
-  }
-  return Status::Ok();
-}
-
-Status HistoryLedger::Update(std::span<const double> agreement_with_output,
                              std::span<const uint8_t> present) {
   if (agreement_with_output.size() != records_.size() ||
       present.size() != records_.size()) {
@@ -72,8 +30,8 @@ Status HistoryLedger::Update(std::span<const double> agreement_with_output,
   ++rounds_;
   if (params_.rule == HistoryRule::kNone) return Status::Ok();
 
-  // Same per-module arithmetic as the vector<bool> overload, with the
-  // rule and missing-penalty switches hoisted out of the module loop.
+  // The rule and missing-penalty switches are hoisted out of the module
+  // loop.
   const size_t n = records_.size();
   const bool penalize_missing = params_.missing_penalty > 0.0;
   switch (params_.rule) {
@@ -127,55 +85,30 @@ bool HistoryLedger::AllRecordsAre(double value, double epsilon) const {
 void HistoryLedger::Reset() {
   std::fill(records_.begin(), records_.end(), 1.0);
   std::fill(agreement_sums_.begin(), agreement_sums_.end(), 0.0);
-  std::fill(observations_.begin(), observations_.end(), size_t{0});
+  std::fill(observations_.begin(), observations_.end(), uint64_t{0});
   rounds_ = 0;
 }
 
-Status HistoryLedger::Restore(std::span<const double> records, size_t rounds) {
-  if (records.size() != records_.size()) {
-    return InvalidArgumentError(
-        StrFormat("restore arity %zu, ledger has %zu modules", records.size(),
-                  records_.size()));
-  }
-  for (size_t i = 0; i < records_.size(); ++i) {
-    records_[i] = Clamp01(records[i]);
-    // Rebuild a consistent cumulative state: treat the restored record as
-    // the mean agreement over `rounds` observations.
-    observations_[i] = rounds;
-    agreement_sums_[i] =
-        records_[i] * (1.0 + static_cast<double>(rounds)) - 1.0;
-    agreement_sums_[i] = std::max(0.0, agreement_sums_[i]);
-  }
-  rounds_ = rounds;
-  return Status::Ok();
-}
-
-HistoryLedger::State HistoryLedger::ExportState() const {
-  State state;
-  state.records = records_;
-  state.agreement_sums = agreement_sums_;
-  state.observations.reserve(observations_.size());
-  for (const size_t n : observations_) {
-    state.observations.push_back(static_cast<uint64_t>(n));
-  }
+void HistoryLedger::ExportTo(GroupState& state) const {
+  state.records.assign(records_.begin(), records_.end());
+  state.agreement_sums.assign(agreement_sums_.begin(), agreement_sums_.end());
+  state.observations.assign(observations_.begin(), observations_.end());
   state.rounds = static_cast<uint64_t>(rounds_);
-  return state;
 }
 
-Status HistoryLedger::RestoreState(const State& state) {
-  if (state.records.size() != records_.size() ||
-      state.agreement_sums.size() != records_.size() ||
-      state.observations.size() != records_.size()) {
+Status HistoryLedger::ImportFrom(const GroupState& state) {
+  AVOC_RETURN_IF_ERROR(ValidateGroupState(state));
+  if (state.records.size() != records_.size()) {
     return InvalidArgumentError(
-        StrFormat("state restore arity %zu/%zu/%zu, ledger has %zu modules",
-                  state.records.size(), state.agreement_sums.size(),
-                  state.observations.size(), records_.size()));
+        StrFormat("state restore of %zu modules, ledger has %zu",
+                  state.records.size(), records_.size()));
   }
-  records_ = state.records;
+  // Clamped as every update clamps them: an exported state passes
+  // through bit-identically, NaN and -0.0 included.
+  std::transform(state.records.begin(), state.records.end(),
+                 records_.begin(), Clamp01);
   agreement_sums_ = state.agreement_sums;
-  for (size_t i = 0; i < observations_.size(); ++i) {
-    observations_[i] = static_cast<size_t>(state.observations[i]);
-  }
+  observations_ = state.observations;
   rounds_ = static_cast<size_t>(state.rounds);
   return Status::Ok();
 }

@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "core/group_state.h"
 #include "util/status.h"
 
 namespace avoc::core {
@@ -61,15 +62,9 @@ class HistoryLedger {
   size_t round_count() const { return rounds_; }
 
   /// Applies one round's update.  `agreement_with_output[i]` is module i's
-  /// agreement score against the voted output in [0,1]; `present[i]` says
-  /// whether the module submitted a reading.
-  Status Update(std::span<const double> agreement_with_output,
-                const std::vector<bool>& present);
-
-  /// Flat-mask form — the per-round hot path.  `present` holds 0/1 bytes
-  /// (the VoteContext mask column); the update rule is resolved once
-  /// outside the module loop.  Identical results to the vector<bool>
-  /// overload, bit for bit.
+  /// agreement score against the voted output in [0,1]; `present[i]` is 1
+  /// when the module submitted a reading (the VoteContext mask column).
+  /// The update rule is resolved once outside the module loop.
   Status Update(std::span<const double> agreement_with_output,
                 std::span<const uint8_t> present);
 
@@ -83,25 +78,12 @@ class HistoryLedger {
   /// Resets to a fresh set (all records 1, round count 0).
   void Reset();
 
-  /// Replaces the records wholesale (datastore restore path).  Values are
-  /// clamped to [0,1]; the count must match.
-  Status Restore(std::span<const double> records, size_t rounds);
-
-  /// Full internal state, for migrating a live ledger between nodes.
-  /// Restore() reseeds the cumulative-ratio accumulators from the records
-  /// alone (an approximation good enough for cold restarts); a migrated
-  /// voter must keep voting bit-identically, so this form carries every
-  /// accumulator verbatim.
-  struct State {
-    std::vector<double> records;
-    std::vector<double> agreement_sums;
-    std::vector<uint64_t> observations;
-    uint64_t rounds = 0;
-  };
-  State ExportState() const;
-  /// Installs an exported state verbatim (no clamping).  All vectors must
-  /// match the module count.
-  Status RestoreState(const State& state);
+  /// Writes the ledger's part of a GroupState (records, accumulators,
+  /// round count) into `state`, reusing its vectors' capacity.
+  void ExportTo(GroupState& state) const;
+  /// Installs the ledger's part of `state`, records clamped to [0,1];
+  /// `state` must pass ValidateGroupState with this ledger's module count.
+  Status ImportFrom(const GroupState& state);
 
  private:
   HistoryParams params_;
@@ -109,7 +91,7 @@ class HistoryLedger {
   /// kCumulativeRatio state: per-module summed agreement and observation
   /// count (Laplace prior of one full agreement).
   std::vector<double> agreement_sums_;
-  std::vector<size_t> observations_;
+  std::vector<uint64_t> observations_;
   size_t rounds_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include "json/parse.h"
 #include "json/write.h"
 #include "storage/io.h"
+#include "storage/snapshot.h"
 
 namespace avoc::runtime {
 
@@ -20,21 +21,24 @@ Result<HistoryStore> HistoryStore::Open(const std::string& path) {
   if (!doc.is_object()) {
     return ParseError("history store file must hold a JSON object");
   }
+  // The file holds records and round counts only, so a loaded state is
+  // the records-only upgrade: approximate across a restart.
   for (const auto& [group, entry] : doc.object().entries()) {
-    HistorySnapshot snapshot;
-    if (const json::Value* rounds = entry.Find("rounds")) {
-      snapshot.rounds = static_cast<size_t>(rounds->DoubleOr(0));
+    uint64_t rounds = 0;
+    std::vector<double> records;
+    if (const json::Value* value = entry.Find("rounds")) {
+      rounds = static_cast<uint64_t>(value->DoubleOr(0));
     }
-    if (const json::Value* records = entry.Find("records")) {
-      if (!records->is_array()) {
+    if (const json::Value* value = entry.Find("records")) {
+      if (!value->is_array()) {
         return ParseError("records of '" + group + "' must be an array");
       }
-      for (const json::Value& r : records->array()) {
-        AVOC_ASSIGN_OR_RETURN(const double value, r.AsDouble());
-        snapshot.records.push_back(value);
+      for (const json::Value& r : value->array()) {
+        AVOC_ASSIGN_OR_RETURN(const double record, r.AsDouble());
+        records.push_back(record);
       }
     }
-    store.snapshots_[group] = std::move(snapshot);
+    store.snapshots_[group] = core::UpgradeRecordsOnly(records, rounds);
   }
   return store;
 }
@@ -59,6 +63,7 @@ Status HistoryStore::Flush() const {
 
 Status HistoryStore::Put(const std::string& group,
                          const HistorySnapshot& snapshot) {
+  AVOC_RETURN_IF_ERROR(core::ValidateGroupState(snapshot));
   std::lock_guard<std::mutex> lock(*mutex_);
   snapshots_[group] = snapshot;
   return Flush();

@@ -26,7 +26,7 @@
 
 namespace avoc::runtime {
 
-/// One persisted history snapshot (alias of the seam's type).
+/// One persisted group state (alias of the seam's type).
 using HistorySnapshot = storage::HistorySnapshot;
 
 class HistoryStore : public storage::HistoryBackend {
@@ -35,13 +35,17 @@ class HistoryStore : public storage::HistoryBackend {
   HistoryStore() = default;
 
   /// File-backed store: loads `path` when it exists; every Put rewrites
-  /// the file.  The file holds one JSON object {group: {records, rounds}}.
+  /// the file.  The file holds one JSON object {group: {records, rounds}}:
+  /// records only, so a state loaded from it is the records-only upgrade
+  /// (core::UpgradeRecordsOnly) and a restart through this store stays
+  /// approximate.  StorageEngine persists the full state.
   static Result<HistoryStore> Open(const std::string& path);
 
   HistoryStore(HistoryStore&&) = default;
   HistoryStore& operator=(HistoryStore&&) = default;
 
-  /// Writes (replaces) the snapshot of `group`.
+  /// Writes (replaces) the state of `group`; InvalidArgument unless it
+  /// passes core::ValidateGroupState.
   Status Put(const std::string& group,
              const HistorySnapshot& snapshot) override;
 

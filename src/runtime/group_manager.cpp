@@ -63,10 +63,12 @@ Status VoterGroupManager::RemoveGroup(const std::string& name) {
   return Status::Ok();
 }
 
-Result<GroupRunner::State> VoterGroupManager::ExportGroupState(
-    const std::string& name) const {
+Status VoterGroupManager::ExportGroupState(
+    const std::string& name,
+    const std::function<void(const GroupRunner::State&)>& fn) const {
   AVOC_ASSIGN_OR_RETURN(GroupRunner * runner, Find(name));
-  return runner->ExportState();
+  runner->ExportState(fn);
+  return Status::Ok();
 }
 
 Status VoterGroupManager::RestoreGroupState(const std::string& name,

@@ -10,6 +10,7 @@
 // the service manages the voters.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -51,8 +52,11 @@ class VoterGroupManager {
   /// NotFound when absent.
   Status RemoveGroup(const std::string& name);
 
-  /// Full pipeline state of one group (see GroupRunner::State).
-  Result<GroupRunner::State> ExportGroupState(const std::string& name) const;
+  /// Calls `fn` with the full pipeline state of one group (see
+  /// GroupRunner::ExportState); NotFound when absent.
+  Status ExportGroupState(
+      const std::string& name,
+      const std::function<void(const GroupRunner::State&)>& fn) const;
 
   /// Installs migrated state into a freshly added group.
   Status RestoreGroupState(const std::string& name,

@@ -189,18 +189,28 @@ void GroupRunner::ReturnScratch(std::unique_ptr<PassScratch> scratch) {
   scratch_.push_back(std::move(scratch));
 }
 
-GroupRunner::State GroupRunner::ExportState() const {
+void GroupRunner::ExportState(
+    const std::function<void(const State&)>& fn) const {
   State state;
   state.engine = voter_->ExportEngineState();
   state.hub = hub_->ExportState();
-  state.outputs = sink_->outputs();
-  return state;
+  sink_->WithTrace([&](const core::BatchTrace& trace,
+                       const std::vector<size_t>& rounds) {
+    state.sink_trace = trace.view();
+    state.sink_rounds = rounds;
+    fn(state);
+  });
 }
 
 Status GroupRunner::RestoreState(const State& state) {
+  if (state.sink_rounds.size() != state.sink_trace.round_count()) {
+    return InvalidArgumentError(
+        StrFormat("sink state has %zu rounds for %zu trace rows",
+                  state.sink_rounds.size(), state.sink_trace.round_count()));
+  }
   AVOC_RETURN_IF_ERROR(voter_->RestoreEngineState(state.engine));
   hub_->RestoreState(state.hub);
-  sink_->RestoreOutputs(state.outputs);
+  sink_->Append(state.sink_rounds, state.sink_trace);
   return Status::Ok();
 }
 

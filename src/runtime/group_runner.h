@@ -119,14 +119,21 @@ class GroupRunner {
   // --- Migration ------------------------------------------------------------
 
   /// The whole mutable pipeline state, for handing this group to another
-  /// node: engine accumulators, hub assembly state, and the sink trace.
-  /// A restored runner votes bit-identically to the exporter.
+  /// node: engine accumulators, hub assembly state, and the sink rows
+  /// (row i of sink_trace is round sink_rounds[i]).  The sink rows are
+  /// views, not copies: of the live sink while ExportState's callback
+  /// runs, of the decoded blob on import.  A restored runner votes
+  /// bit-identically to the exporter; its sink appends the rows through
+  /// SinkNode::Append like live ones.
   struct State {
     core::VotingEngine::State engine;
     HubNode::State hub;
-    std::vector<OutputMessage> outputs;
+    core::TraceView sink_trace;
+    std::span<const size_t> sink_rounds;
   };
-  State ExportState() const;
+  /// Calls `fn` with the whole state; the sink stays locked for the call
+  /// so its rows are read in place.
+  void ExportState(const std::function<void(const State&)>& fn) const;
   Status RestoreState(const State& state);
 
   // --- Introspection --------------------------------------------------------

@@ -1,6 +1,8 @@
 #include "runtime/migration.h"
 
 #include <cinttypes>
+#include <cstdint>
+#include <memory>
 
 #include "runtime/framing.h"
 #include "storage/io.h"
@@ -12,7 +14,9 @@ namespace {
 
 // "AVGS" magic + version byte; trailing CRC32 over everything before it.
 constexpr char kBlobMagic[4] = {'A', 'V', 'G', 'S'};
-constexpr uint8_t kBlobVersion = 1;
+/// Version 2 carries the engine state in the storage group-state
+/// encoding, the closed set as runs and the sink rows as columns.
+constexpr uint8_t kBlobVersion = 2;
 // Replication records get their own magic: they travel independently
 // (the shipped-WAL-segment unit), so a record must never decode as a blob.
 constexpr char kRecordMagic[4] = {'A', 'V', 'R', 'L'};
@@ -20,88 +24,155 @@ constexpr uint8_t kRecordVersion = 1;
 
 constexpr std::string_view kMovedPrefix = "MOVED ";
 
-void AppendVoteResult(std::string& out, const core::VoteResult& result) {
-  out.push_back(result.value.has_value() ? '\x01' : '\x00');
-  if (result.value.has_value()) AppendDouble(out, *result.value);
-  out.push_back(static_cast<char>(result.outcome));
-  out.push_back(result.status.ok() ? '\x01' : '\x00');
-  if (!result.status.ok()) {
-    AppendVarint(out, static_cast<uint64_t>(result.status.code()));
-    AppendLengthPrefixedString(out, result.status.message());
-  }
-  out.push_back(result.used_clustering ? '\x01' : '\x00');
-  AppendVarint(out, result.present_count);
-  out.push_back(result.had_majority ? '\x01' : '\x00');
-  // The per-module columns always share one arity.
-  AppendVarint(out, result.weights.size());
-  for (size_t i = 0; i < result.weights.size(); ++i) {
-    AppendDouble(out, result.weights[i]);
-    AppendDouble(out, i < result.agreement.size() ? result.agreement[i] : 0.0);
-    AppendDouble(out, i < result.history.size() ? result.history[i] : 0.0);
-    out.push_back(i < result.excluded.size() && result.excluded[i] ? '\x01'
-                                                                   : '\x00');
-    out.push_back(i < result.eliminated.size() && result.eliminated[i]
-                      ? '\x01'
-                      : '\x00');
-  }
-}
-
 Result<uint8_t> ReadBool(PayloadReader& reader) {
   AVOC_ASSIGN_OR_RETURN(const uint64_t raw, reader.ReadVarint());
   if (raw > 1) return ParseError("group state: flag byte not 0/1");
   return static_cast<uint8_t>(raw);
 }
 
-Result<core::VoteResult> ReadVoteResult(PayloadReader& reader) {
-  core::VoteResult result;
-  AVOC_ASSIGN_OR_RETURN(const uint8_t engaged, ReadBool(reader));
-  if (engaged != 0) {
-    AVOC_ASSIGN_OR_RETURN(const double value, reader.ReadDouble());
-    result.value = value;
+/// A varint count that must leave at least `min_bytes` per item.
+Result<uint64_t> ReadCount(PayloadReader& reader, size_t min_bytes,
+                           const char* what) {
+  AVOC_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
+  if (count > reader.remaining() / min_bytes) {
+    return ParseError(StrFormat("group state: %s count exceeds payload", what));
   }
-  AVOC_ASSIGN_OR_RETURN(const uint64_t outcome, reader.ReadVarint());
-  if (outcome > static_cast<uint64_t>(core::RoundOutcome::kError)) {
-    return ParseError("group state: unknown round outcome");
+  return count;
+}
+
+void AppendFlags(std::string& out, std::span<const uint8_t> flags) {
+  for (const uint8_t flag : flags) out.push_back(flag != 0 ? '\x01' : '\x00');
+}
+
+Status ReadFlags(PayloadReader& reader, std::vector<uint8_t>& flags) {
+  for (uint8_t& flag : flags) {
+    AVOC_ASSIGN_OR_RETURN(flag, ReadBool(reader));
   }
-  result.outcome = static_cast<core::RoundOutcome>(outcome);
-  AVOC_ASSIGN_OR_RETURN(const uint8_t status_ok, ReadBool(reader));
-  if (status_ok == 0) {
+  return Status::Ok();
+}
+
+Status ReadDoubles(PayloadReader& reader, std::vector<double>& values) {
+  for (double& value : values) {
+    AVOC_ASSIGN_OR_RETURN(value, reader.ReadDouble());
+  }
+  return Status::Ok();
+}
+
+/// The sink rows as columns: row count and arity, the round column, the
+/// per-round scalars, the per-module blocks, then the sparse errors.
+void AppendSinkRows(std::string& out, const core::TraceView& trace,
+                    std::span<const size_t> rounds) {
+  const core::TraceColumns& c = trace.columns();
+  AppendVarint(out, c.rounds);
+  AppendVarint(out, c.modules);
+  for (const size_t round : rounds) AppendVarint(out, round);
+  for (const double value : c.values) AppendDouble(out, value);
+  AppendFlags(out, c.engaged);
+  for (const core::RoundOutcome outcome : c.outcomes) {
+    AppendVarint(out, static_cast<uint64_t>(outcome));
+  }
+  AppendFlags(out, c.used_clustering);
+  AppendFlags(out, c.had_majority);
+  for (const uint32_t present : c.present_counts) AppendVarint(out, present);
+  for (const double weight : c.weights) AppendDouble(out, weight);
+  for (const double agreement : c.agreement) AppendDouble(out, agreement);
+  for (const double history : c.history) AppendDouble(out, history);
+  AppendFlags(out, c.excluded);
+  AppendFlags(out, c.eliminated);
+  AppendVarint(out, c.errors.size());
+  for (const core::RoundError& error : c.errors) {
+    AppendVarint(out, error.round);
+    AppendVarint(out, static_cast<uint64_t>(error.status.code()));
+    AppendLengthPrefixedString(out, error.status.message());
+  }
+}
+
+/// Decoded sink rows: the columns a GroupStateBlob's sink views point at.
+struct SinkColumns {
+  SinkColumns(size_t n, size_t cells)
+      : rounds(n), values(n), engaged(n), outcomes(n), used_clustering(n),
+        had_majority(n), present_counts(n), weights(cells), agreement(cells),
+        history(cells), excluded(cells), eliminated(cells) {}
+
+  std::vector<size_t> rounds;
+  std::vector<double> values;
+  std::vector<uint8_t> engaged;
+  std::vector<core::RoundOutcome> outcomes;
+  std::vector<uint8_t> used_clustering;
+  std::vector<uint8_t> had_majority;
+  std::vector<uint32_t> present_counts;
+  std::vector<double> weights;
+  std::vector<double> agreement;
+  std::vector<double> history;
+  std::vector<uint8_t> excluded;
+  std::vector<uint8_t> eliminated;
+  std::vector<core::RoundError> errors;
+};
+
+/// Decodes the sink rows into columns `blob` keeps and points its sink
+/// views at them.
+Status ReadSinkRows(PayloadReader& reader, GroupStateBlob& blob) {
+  // Each row takes at least 13 bytes (round, value, five scalar bytes),
+  // each module cell at least 26 (three doubles, two flags).
+  AVOC_ASSIGN_OR_RETURN(const uint64_t rows, ReadCount(reader, 13, "sink row"));
+  AVOC_ASSIGN_OR_RETURN(const uint64_t modules, reader.ReadVarint());
+  if (rows != 0 && modules > reader.remaining() / 26 / rows) {
+    return ParseError("group state: sink arity exceeds payload");
+  }
+  const size_t n = static_cast<size_t>(rows);
+  const size_t cells = n * static_cast<size_t>(modules);
+  auto owned = std::make_shared<SinkColumns>(n, cells);
+  SinkColumns& c = *owned;
+  for (size_t& round : c.rounds) {
+    AVOC_ASSIGN_OR_RETURN(const uint64_t value, reader.ReadVarint());
+    round = static_cast<size_t>(value);
+  }
+  AVOC_RETURN_IF_ERROR(ReadDoubles(reader, c.values));
+  AVOC_RETURN_IF_ERROR(ReadFlags(reader, c.engaged));
+  for (core::RoundOutcome& outcome : c.outcomes) {
+    AVOC_ASSIGN_OR_RETURN(const uint64_t raw, reader.ReadVarint());
+    if (raw > static_cast<uint64_t>(core::RoundOutcome::kError)) {
+      return ParseError("group state: unknown round outcome");
+    }
+    outcome = static_cast<core::RoundOutcome>(raw);
+  }
+  AVOC_RETURN_IF_ERROR(ReadFlags(reader, c.used_clustering));
+  AVOC_RETURN_IF_ERROR(ReadFlags(reader, c.had_majority));
+  for (uint32_t& present : c.present_counts) {
+    AVOC_ASSIGN_OR_RETURN(const uint64_t raw, reader.ReadVarint());
+    if (raw > modules) return ParseError("group state: present count > arity");
+    present = static_cast<uint32_t>(raw);
+  }
+  AVOC_RETURN_IF_ERROR(ReadDoubles(reader, c.weights));
+  AVOC_RETURN_IF_ERROR(ReadDoubles(reader, c.agreement));
+  AVOC_RETURN_IF_ERROR(ReadDoubles(reader, c.history));
+  AVOC_RETURN_IF_ERROR(ReadFlags(reader, c.excluded));
+  AVOC_RETURN_IF_ERROR(ReadFlags(reader, c.eliminated));
+  AVOC_ASSIGN_OR_RETURN(const uint64_t error_count,
+                        ReadCount(reader, 3, "sink error"));
+  for (uint64_t i = 0; i < error_count; ++i) {
+    AVOC_ASSIGN_OR_RETURN(const uint64_t row, reader.ReadVarint());
     AVOC_ASSIGN_OR_RETURN(const uint64_t code, reader.ReadVarint());
-    if (code > static_cast<uint64_t>(ErrorCode::kInternal)) {
+    AVOC_ASSIGN_OR_RETURN(const std::string_view message, reader.ReadString());
+    // Errors are sparse and ascending, one per kError row.
+    if (row >= rows || (!c.errors.empty() && row <= c.errors.back().round) ||
+        c.outcomes[static_cast<size_t>(row)] != core::RoundOutcome::kError) {
+      return ParseError("group state: sink error on a row that has none");
+    }
+    if (code == 0 || code > static_cast<uint64_t>(ErrorCode::kInternal)) {
       return ParseError("group state: unknown status code");
     }
-    AVOC_ASSIGN_OR_RETURN(const std::string_view message, reader.ReadString());
-    result.status =
-        Status(static_cast<ErrorCode>(code), std::string(message));
+    c.errors.push_back(core::RoundError{
+        static_cast<uint32_t>(row),
+        Status(static_cast<ErrorCode>(code), std::string(message))});
   }
-  AVOC_ASSIGN_OR_RETURN(const uint8_t used_clustering, ReadBool(reader));
-  result.used_clustering = used_clustering != 0;
-  AVOC_ASSIGN_OR_RETURN(const uint64_t present, reader.ReadVarint());
-  result.present_count = static_cast<size_t>(present);
-  AVOC_ASSIGN_OR_RETURN(const uint8_t had_majority, ReadBool(reader));
-  result.had_majority = had_majority != 0;
-  AVOC_ASSIGN_OR_RETURN(const uint64_t modules, reader.ReadVarint());
-  if (modules > reader.remaining() / 26) {  // 3 doubles + 2 flag bytes each
-    return ParseError("group state: module count exceeds payload");
-  }
-  result.weights.reserve(modules);
-  result.agreement.reserve(modules);
-  result.history.reserve(modules);
-  result.excluded.reserve(modules);
-  result.eliminated.reserve(modules);
-  for (uint64_t i = 0; i < modules; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const double weight, reader.ReadDouble());
-    AVOC_ASSIGN_OR_RETURN(const double agreement, reader.ReadDouble());
-    AVOC_ASSIGN_OR_RETURN(const double history, reader.ReadDouble());
-    AVOC_ASSIGN_OR_RETURN(const uint8_t excluded, ReadBool(reader));
-    AVOC_ASSIGN_OR_RETURN(const uint8_t eliminated, ReadBool(reader));
-    result.weights.push_back(weight);
-    result.agreement.push_back(agreement);
-    result.history.push_back(history);
-    result.excluded.push_back(excluded != 0);
-    result.eliminated.push_back(eliminated != 0);
-  }
-  return result;
+  blob.state.sink_rounds = c.rounds;
+  blob.state.sink_trace = core::TraceView(core::TraceColumns{
+      n, static_cast<size_t>(modules), c.values, c.engaged, c.outcomes,
+      c.used_clustering, c.had_majority, c.present_counts, c.weights,
+      c.agreement, c.history, c.excluded, c.eliminated, c.errors});
+  blob.sink_columns = std::move(owned);
+  return Status::Ok();
 }
 
 /// Splits off and checks the trailing CRC32; returns the checked body
@@ -135,24 +206,13 @@ std::string EncodeGroupState(const GroupStateBlob& blob) {
   out.push_back(static_cast<char>(kBlobVersion));
   AppendLengthPrefixedString(out, blob.group);
 
-  // History core in the HistoryBackend seam's portable snapshot format;
-  // the cumulative accumulators follow as bit-exact extras.
-  const auto& ledger = blob.state.engine.ledger;
-  storage::HistorySnapshot snapshot;
-  snapshot.records = ledger.records;
-  snapshot.rounds = static_cast<size_t>(ledger.rounds);
-  AppendLengthPrefixedString(out, storage::EncodeHistorySnapshot(snapshot));
-  AppendVarint(out, ledger.agreement_sums.size());
-  for (const double sum : ledger.agreement_sums) AppendDouble(out, sum);
-  AppendVarint(out, ledger.observations.size());
-  for (const uint64_t n : ledger.observations) AppendVarint(out, n);
+  // The engine state in the storage layer's one group-state encoding.
+  const core::VotingEngine::State& engine = blob.state.engine;
+  std::string state(storage::GroupStateSize(engine), '\0');
+  storage::PutGroupState(state.data(), engine);
+  AppendLengthPrefixedString(out, state);
 
-  const auto& engine = blob.state.engine;
-  out.push_back(engine.last_output.has_value() ? '\x01' : '\x00');
-  if (engine.last_output.has_value()) AppendDouble(out, *engine.last_output);
-  AppendVarint(out, engine.round_index);
-
-  const auto& hub = blob.state.hub;
+  const HubNode::State& hub = blob.state.hub;
   AppendVarint(out, hub.pending.size());
   for (const auto& [round, readings] : hub.pending) {
     AppendVarint(out, round);
@@ -162,14 +222,14 @@ std::string EncodeGroupState(const GroupStateBlob& blob) {
       if (reading.has_value()) AppendDouble(out, *reading);
     }
   }
-  AppendVarint(out, hub.closed_rounds.size());
-  for (const uint64_t round : hub.closed_rounds) AppendVarint(out, round);
-
-  AppendVarint(out, blob.state.outputs.size());
-  for (const OutputMessage& output : blob.state.outputs) {
-    AppendVarint(out, output.round);
-    AppendVoteResult(out, output.result);
+  // Closed rounds as runs: first, then the run's length minus one.
+  AppendVarint(out, hub.closed.run_count());
+  for (const ClosedRounds::Run& run : hub.closed.runs()) {
+    AppendVarint(out, run.first);
+    AppendVarint(out, run.last - run.first);
   }
+
+  AppendSinkRows(out, blob.state.sink_trace, blob.state.sink_rounds);
 
   AppendVarint(out, blob.dedup.size());
   for (const GroupStateBlob::DedupEntry& entry : blob.dedup) {
@@ -192,50 +252,19 @@ Result<GroupStateBlob> DecodeGroupState(std::string_view bytes) {
   AVOC_ASSIGN_OR_RETURN(const std::string_view group, reader.ReadString());
   blob.group.assign(group);
 
-  AVOC_ASSIGN_OR_RETURN(const std::string_view snapshot_bytes,
-                        reader.ReadString());
-  AVOC_ASSIGN_OR_RETURN(const storage::HistorySnapshot snapshot,
-                        storage::DecodeHistorySnapshot(snapshot_bytes));
-  auto& ledger = blob.state.engine.ledger;
-  ledger.records = snapshot.records;
-  ledger.rounds = static_cast<uint64_t>(snapshot.rounds);
-  AVOC_ASSIGN_OR_RETURN(const uint64_t sums, reader.ReadVarint());
-  if (sums > reader.remaining() / 8) {
-    return ParseError("group state: agreement sums exceed payload");
-  }
-  ledger.agreement_sums.reserve(sums);
-  for (uint64_t i = 0; i < sums; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const double sum, reader.ReadDouble());
-    ledger.agreement_sums.push_back(sum);
-  }
-  AVOC_ASSIGN_OR_RETURN(const uint64_t observations, reader.ReadVarint());
-  if (observations > reader.remaining()) {
-    return ParseError("group state: observation count exceeds payload");
-  }
-  ledger.observations.reserve(observations);
-  for (uint64_t i = 0; i < observations; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const uint64_t n, reader.ReadVarint());
-    ledger.observations.push_back(n);
-  }
+  AVOC_ASSIGN_OR_RETURN(const std::string_view state, reader.ReadString());
+  storage::ByteReader state_reader(state);
+  AVOC_ASSIGN_OR_RETURN(blob.state.engine,
+                        storage::ReadGroupState(state_reader));
+  AVOC_RETURN_IF_ERROR(state_reader.ExpectEnd());
 
-  AVOC_ASSIGN_OR_RETURN(const uint8_t has_last, ReadBool(reader));
-  if (has_last != 0) {
-    AVOC_ASSIGN_OR_RETURN(const double last, reader.ReadDouble());
-    blob.state.engine.last_output = last;
-  }
-  AVOC_ASSIGN_OR_RETURN(blob.state.engine.round_index, reader.ReadVarint());
-
-  AVOC_ASSIGN_OR_RETURN(const uint64_t pending, reader.ReadVarint());
-  if (pending > reader.remaining()) {
-    return ParseError("group state: pending round count exceeds payload");
-  }
+  AVOC_ASSIGN_OR_RETURN(const uint64_t pending,
+                        ReadCount(reader, 2, "pending round"));
   blob.state.hub.pending.reserve(pending);
   for (uint64_t i = 0; i < pending; ++i) {
     AVOC_ASSIGN_OR_RETURN(const uint64_t round, reader.ReadVarint());
-    AVOC_ASSIGN_OR_RETURN(const uint64_t modules, reader.ReadVarint());
-    if (modules > reader.remaining()) {
-      return ParseError("group state: pending arity exceeds payload");
-    }
+    AVOC_ASSIGN_OR_RETURN(const uint64_t modules,
+                          ReadCount(reader, 1, "pending arity"));
     core::Round readings;
     readings.reserve(modules);
     for (uint64_t m = 0; m < modules; ++m) {
@@ -249,32 +278,21 @@ Result<GroupStateBlob> DecodeGroupState(std::string_view bytes) {
     }
     blob.state.hub.pending.emplace_back(round, std::move(readings));
   }
-  AVOC_ASSIGN_OR_RETURN(const uint64_t closed, reader.ReadVarint());
-  if (closed > reader.remaining()) {
-    return ParseError("group state: closed round count exceeds payload");
-  }
-  blob.state.hub.closed_rounds.reserve(closed);
-  for (uint64_t i = 0; i < closed; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const uint64_t round, reader.ReadVarint());
-    blob.state.hub.closed_rounds.push_back(round);
-  }
-
-  AVOC_ASSIGN_OR_RETURN(const uint64_t outputs, reader.ReadVarint());
-  if (outputs > reader.remaining()) {
-    return ParseError("group state: output count exceeds payload");
-  }
-  blob.state.outputs.reserve(outputs);
-  for (uint64_t i = 0; i < outputs; ++i) {
-    AVOC_ASSIGN_OR_RETURN(const uint64_t round, reader.ReadVarint());
-    AVOC_ASSIGN_OR_RETURN(core::VoteResult result, ReadVoteResult(reader));
-    blob.state.outputs.push_back(
-        OutputMessage{static_cast<size_t>(round), std::move(result)});
+  AVOC_ASSIGN_OR_RETURN(const uint64_t runs,
+                        ReadCount(reader, 2, "closed run"));
+  for (uint64_t i = 0; i < runs; ++i) {
+    AVOC_ASSIGN_OR_RETURN(const uint64_t first, reader.ReadVarint());
+    AVOC_ASSIGN_OR_RETURN(const uint64_t span, reader.ReadVarint());
+    if (span > UINT64_MAX - first ||
+        !blob.state.hub.closed.AppendRun(first, first + span)) {
+      return ParseError("group state: closed runs not ascending and disjoint");
+    }
   }
 
-  AVOC_ASSIGN_OR_RETURN(const uint64_t dedup, reader.ReadVarint());
-  if (dedup > reader.remaining()) {
-    return ParseError("group state: dedup count exceeds payload");
-  }
+  AVOC_RETURN_IF_ERROR(ReadSinkRows(reader, blob));
+
+  AVOC_ASSIGN_OR_RETURN(const uint64_t dedup,
+                        ReadCount(reader, 3, "dedup"));
   blob.dedup.reserve(dedup);
   for (uint64_t i = 0; i < dedup; ++i) {
     GroupStateBlob::DedupEntry entry;

@@ -8,10 +8,10 @@
 //     the cluster (placement lookups, state transfer, standby
 //     replication).  Installed before traffic flows, like ShardLink.
 //   * GroupStateBlob — the serialized full pipeline state of one group
-//     (engine accumulators, hub assembly state, sink trace, travelling
+//     (engine state, hub assembly state, sink trace, travelling
 //     SUBMIT_BATCH_SEQ dedup entries) shipped on MIGRATE_GROUP.  The
-//     history core rides the storage snapshot codec (storage/snapshot.h),
-//     i.e. the HistoryBackend seam's own portable format.
+//     engine state rides the storage layer's one group-state encoding
+//     (storage/snapshot.h), the bytes a restart restores from.
 //   * ReplicationRecord — the unit shipped to a hot standby: a raw frame
 //     to re-execute, a whole group import, or a group removal.  CRC-framed
 //     like a WAL segment, so a torn record fails typed.
@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,6 +93,9 @@ struct ClusterLink {
 struct GroupStateBlob {
   std::string group;
   GroupRunner::State state;
+  /// Keeps alive the columns state.sink_trace and state.sink_rounds view
+  /// (DecodeGroupState's decoded rows); copies of the blob share them.
+  std::shared_ptr<const void> sink_columns;
 
   /// SUBMIT_BATCH_SEQ acknowledgements addressed to this group: they
   /// travel with it so a client retry after the MOVED redirect replays
@@ -105,8 +109,9 @@ struct GroupStateBlob {
 };
 
 std::string EncodeGroupState(const GroupStateBlob& blob);
-/// ParseError on truncation, bad magic/version, CRC mismatch (the nested
-/// history snapshot), or trailing bytes.
+/// ParseError on truncation, bad magic/version, CRC mismatch, a
+/// malformed field (closed runs out of order, an error on a row that has
+/// none), or trailing bytes.
 Result<GroupStateBlob> DecodeGroupState(std::string_view bytes);
 
 // --- replication records -----------------------------------------------------

@@ -96,8 +96,7 @@ MultiGroupEngine::MultiGroupEngine(std::vector<core::VotingEngine> engines,
                                    MultiGroupOptions options)
     : module_count_(module_count),
       options_(options),
-      engines_(std::move(engines)),
-      history_block_(engines_.size() * module_count, 1.0) {
+      engines_(std::move(engines)) {
   if (options_.registry != nullptr) {
     const size_t shards = std::max<size_t>(1, options_.metrics_shards);
     observers_.reserve(engines_.size());
@@ -117,7 +116,6 @@ MultiGroupEngine::MultiGroupEngine(std::vector<core::VotingEngine> engines,
       engines_[g].set_observer(observers_.back().get());
     }
   }
-  SyncHistory();
 }
 
 Result<MultiGroupEngine> MultiGroupEngine::Create(
@@ -211,7 +209,6 @@ Status MultiGroupEngine::RunBatch(std::span<const data::RoundTable> tables,
   }
   // The pool join above orders every worker's pending counts before this.
   FlushObservers();
-  SyncHistory();
   return Status::Ok();
 }
 
@@ -231,7 +228,6 @@ Status MultiGroupEngine::RunBatchSequential(
     AVOC_RETURN_IF_ERROR(core::RunOverTable(engines_[g], tables[g], sink));
   }
   FlushObservers();
-  SyncHistory();
   return Status::Ok();
 }
 
@@ -240,74 +236,6 @@ Result<MultiGroupTrace> MultiGroupEngine::RunBatchSequential(
   MultiGroupTrace trace;
   AVOC_RETURN_IF_ERROR(RunBatchSequential(tables, trace));
   return trace;
-}
-
-std::span<const double> MultiGroupEngine::GroupHistory(size_t g) const {
-  return std::span<const double>(history_block_)
-      .subspan(g * module_count_, module_count_);
-}
-
-void MultiGroupEngine::SyncHistory() {
-  for (size_t g = 0; g < engines_.size(); ++g) {
-    const std::span<const double> records = engines_[g].history().records();
-    std::copy(records.begin(), records.end(),
-              history_block_.begin() +
-                  static_cast<ptrdiff_t>(g * module_count_));
-  }
-}
-
-Status MultiGroupEngine::RestoreAll(std::span<const double> block,
-                                    size_t rounds) {
-  if (block.size() != history_block_.size()) {
-    return InvalidArgumentError(
-        StrFormat("restore block has %zu records, deployment has %zu",
-                  block.size(), history_block_.size()));
-  }
-  for (size_t g = 0; g < engines_.size(); ++g) {
-    AVOC_RETURN_IF_ERROR(engines_[g].RestoreHistory(
-        block.subspan(g * module_count_, module_count_), rounds));
-  }
-  SyncHistory();
-  return Status::Ok();
-}
-
-Status MultiGroupEngine::PersistAllHistory(storage::HistoryBackend& backend,
-                                           std::string_view key_prefix) {
-  SyncHistory();
-  for (size_t g = 0; g < engines_.size(); ++g) {
-    storage::HistorySnapshot snapshot;
-    const std::span<const double> records = GroupHistory(g);
-    snapshot.records.assign(records.begin(), records.end());
-    snapshot.rounds = engines_[g].history().round_count();
-    AVOC_RETURN_IF_ERROR(
-        backend.Put(StrFormat("%.*s%zu", static_cast<int>(key_prefix.size()),
-                              key_prefix.data(), g),
-                    snapshot));
-  }
-  return Status::Ok();
-}
-
-Status MultiGroupEngine::RestoreAllHistory(
-    const storage::HistoryBackend& backend, std::string_view key_prefix) {
-  for (size_t g = 0; g < engines_.size(); ++g) {
-    auto snapshot =
-        backend.Get(StrFormat("%.*s%zu", static_cast<int>(key_prefix.size()),
-                              key_prefix.data(), g));
-    if (!snapshot.ok()) {
-      if (snapshot.status().code() == ErrorCode::kNotFound) continue;
-      return snapshot.status();
-    }
-    if (snapshot->records.size() != module_count_) {
-      return InvalidArgumentError(
-          StrFormat("group %zu snapshot has %zu records, engine has %zu "
-                    "modules",
-                    g, snapshot->records.size(), module_count_));
-    }
-    AVOC_RETURN_IF_ERROR(
-        engines_[g].RestoreHistory(snapshot->records, snapshot->rounds));
-  }
-  SyncHistory();
-  return Status::Ok();
 }
 
 void MultiGroupEngine::FlushObservers() {
@@ -342,7 +270,6 @@ void MultiGroupEngine::ResetAll() {
   for (core::VotingEngine& engine : engines_) {
     engine.Reset();
   }
-  SyncHistory();
 }
 
 }  // namespace avoc::runtime

@@ -3,11 +3,10 @@
 // The paper's smart-shopping motivation is one voter group per shelf —
 // hundreds of independent fusion problems with identical configuration.
 // MultiGroupEngine owns N VotingEngines compiled from one EngineConfig
-// (they share the immutable stage pipeline), keeps every group's history
-// records in one contiguous group-major block for cache-friendly
-// persistence snapshots, and runs batch workloads across groups on a
-// worker pool (util/thread_pool.h): groups are independent, so each
-// worker drives whole groups with no cross-group synchronisation.
+// (they share the immutable stage pipeline) and runs batch workloads
+// across groups on a worker pool (util/thread_pool.h): groups are
+// independent, so each worker drives whole groups with no cross-group
+// synchronisation.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +19,6 @@
 #include "core/trace.h"
 #include "data/round_table.h"
 #include "obs/stage_metrics.h"
-#include "storage/backend.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "vdx/spec.h"
@@ -176,40 +174,15 @@ class MultiGroupEngine {
   Result<MultiGroupTrace> RunBatchSequential(
       std::span<const data::RoundTable> tables);
 
-  // --- Contiguous history block --------------------------------------------
-  //
-  // Group-major layout: record of module m in group g lives at
-  // [g * module_count() + m].  One snapshot of the whole deployment is a
-  // single contiguous copy — the unit a datastore round-trip works in.
+  // --- History ---------------------------------------------------------------
 
-  /// The block as of the last SyncHistory / RunBatch / RestoreAll.
-  std::span<const double> history_block() const { return history_block_; }
+  /// Group g's live reliability records.
+  std::span<const double> GroupHistory(size_t g) const {
+    return engines_[g].history().records();
+  }
 
-  /// One group's slice of the block.
-  std::span<const double> GroupHistory(size_t g) const;
-
-  /// Copies every engine's live ledger into the block.
-  void SyncHistory();
-
-  /// Restores every group's ledger from a full block (datastore restore);
-  /// `rounds` is the per-group absorbed-round count.
-  Status RestoreAll(std::span<const double> block, size_t rounds);
-
-  /// Resets every group to a fresh set and re-syncs the block.
+  /// Resets every group to a fresh set.
   void ResetAll();
-
-  /// Syncs the block, then persists every group's ledger to `backend`
-  /// under "<key_prefix><group index>".  Fails on the first Put error.
-  Status PersistAllHistory(storage::HistoryBackend& backend,
-                           std::string_view key_prefix = "g");
-
-  /// Restores every group whose "<key_prefix><group index>" snapshot
-  /// exists in `backend` (absent groups keep their current ledger — a
-  /// partially-persisted deployment restores partially) and re-syncs the
-  /// block.  A snapshot whose record count does not match module_count()
-  /// is an error.
-  Status RestoreAllHistory(const storage::HistoryBackend& backend,
-                           std::string_view key_prefix = "g");
 
   // --- Telemetry ------------------------------------------------------------
 
@@ -240,7 +213,6 @@ class MultiGroupEngine {
   /// addresses engines hold stable across engine moves.
   std::vector<std::unique_ptr<obs::MetricsObserver>> observers_;
   /// Group-major record snapshot; see the layout note above.
-  std::vector<double> history_block_;
   /// Created on first RunBatch; sequential use never pays for threads.
   std::unique_ptr<util::ThreadPool> pool_;
 };

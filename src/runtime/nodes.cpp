@@ -49,13 +49,15 @@ bool ClosedRounds::Insert(uint64_t round) {
   return true;
 }
 
-void ClosedRounds::AppendRounds(std::vector<uint64_t>& out) const {
-  for (const Run& run : runs_) {
-    for (uint64_t round = run.first;; ++round) {
-      out.push_back(round);
-      if (round == run.last) break;
-    }
+bool ClosedRounds::AppendRun(uint64_t first, uint64_t last) {
+  if (first > last) return false;
+  // back().last + 1 would wrap when the last run ends at 2^64-1.
+  if (!runs_.empty() && (runs_.back().last == UINT64_MAX ||
+                         first <= runs_.back().last + 1)) {
+    return false;
   }
+  runs_.push_back(Run{first, last});
+  return true;
 }
 
 HubNode::HubNode(size_t module_count, size_t close_at_count,
@@ -215,7 +217,7 @@ HubNode::State HubNode::ExportState() const {
     state.pending.emplace_back(static_cast<uint64_t>(open.round),
                                std::move(readings));
   }
-  closed_.AppendRounds(state.closed_rounds);
+  state.closed = closed_;
   return state;
 }
 
@@ -239,10 +241,7 @@ void HubNode::RestoreState(const State& state) {
   // A restored round may be closed as well; the cache holds only
   // unclosed rounds.
   cached_slot_ = kNoSlot;
-  closed_.Clear();
-  std::vector<uint64_t> closed = state.closed_rounds;
-  std::sort(closed.begin(), closed.end());
-  for (const uint64_t round : closed) closed_.Insert(round);
+  closed_ = state.closed;
   if (telemetry_.open_rounds != nullptr) {
     telemetry_.open_rounds->Set(static_cast<double>(open_.size()));
   }
@@ -251,14 +250,13 @@ void HubNode::RestoreState(const State& state) {
 VoterNode::VoterNode(core::VotingEngine engine, VoterOptions options)
     : engine_(std::move(engine)), options_(std::move(options)) {
   if (options_.store != nullptr) {
-    // Restore learned history from the datastore, if present.
-    auto snapshot = options_.store->Get(options_.group);
-    if (snapshot.ok() &&
-        snapshot->records.size() == engine_.module_count()) {
-      const Status restored =
-          engine_.RestoreHistory(snapshot->records, snapshot->rounds);
+    // Restore the group's persisted state, if present, exactly as a
+    // migration restores it.
+    auto state = options_.store->Get(options_.group);
+    if (state.ok()) {
+      const Status restored = engine_.RestoreState(*state);
       if (!restored.ok()) {
-        AVOC_LOG_WARN("voter '%s': history restore failed: %s",
+        AVOC_LOG_WARN("voter '%s': state restore failed: %s",
                       options_.group.c_str(),
                       restored.ToString().c_str());
       }
@@ -268,7 +266,7 @@ VoterNode::VoterNode(core::VotingEngine engine, VoterOptions options)
 
 void VoterNode::Vote(std::span<const size_t> rounds,
                      const data::RoundTable& table, SinkNode& sink) {
-  // One lock acquisition, one columnar engine call, one history persist
+  // One lock acquisition, one columnar engine call, one state persist
   // for the whole pass.  The sink appends under this lock because it
   // copies out of batch_trace_, which the next pass reuses.
   std::lock_guard<std::mutex> lock(mutex_);
@@ -282,16 +280,14 @@ void VoterNode::Vote(std::span<const size_t> rounds,
                    status.ToString().c_str());
     return;
   }
-  PersistHistoryLocked();
+  PersistStateLocked();
   sink.Append(rounds, batch_trace_.view());
 }
 
-void VoterNode::PersistHistoryLocked() {
+void VoterNode::PersistStateLocked() {
   if (options_.store != nullptr) {
-    const auto records = engine_.history().records();
-    persist_snapshot_.records.assign(records.begin(), records.end());
-    persist_snapshot_.rounds = engine_.history().round_count();
-    last_status_ = options_.store->Put(options_.group, persist_snapshot_);
+    engine_.ExportState(persist_state_);
+    last_status_ = options_.store->Put(options_.group, persist_state_);
   } else {
     last_status_ = Status::Ok();
   }
@@ -304,13 +300,15 @@ Status VoterNode::last_status() const {
 
 core::VotingEngine::State VoterNode::ExportEngineState() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return engine_.ExportState();
+  core::VotingEngine::State state;
+  engine_.ExportState(state);
+  return state;
 }
 
 Status VoterNode::RestoreEngineState(const core::VotingEngine::State& state) {
   std::lock_guard<std::mutex> lock(mutex_);
   AVOC_RETURN_IF_ERROR(engine_.RestoreState(state));
-  PersistHistoryLocked();
+  PersistStateLocked();
   return last_status_;
 }
 
@@ -367,30 +365,9 @@ void SinkNode::NoteAppendedLocked(size_t last_round, size_t appended) {
   }
 }
 
-std::vector<OutputMessage> SinkNode::outputs() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<OutputMessage> out;
-  out.reserve(rounds_.size());
-  for (size_t i = 0; i < rounds_.size(); ++i) {
-    out.push_back(OutputMessage{rounds_[i], trace_.MaterializeRound(i)});
-  }
-  return out;
-}
-
 size_t SinkNode::output_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return rounds_.size();
-}
-
-void SinkNode::RestoreOutputs(std::span<const OutputMessage> restored) {
-  if (restored.empty()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const OutputMessage& message : restored) {
-    trace_.Append(message.result);
-    rounds_.push_back(message.round);
-  }
-  NoteAppendedLocked(restored.back().round, restored.size());
-  PersistAppendedLocked(restored.size());
 }
 
 std::optional<double> SinkNode::last_value() const {

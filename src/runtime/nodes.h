@@ -47,13 +47,6 @@ struct SinkTelemetry {
   obs::Gauge* lag_rounds = nullptr;
 };
 
-/// The voter's fused output for one round, materialized (migration blob
-/// and tests; the live path stays columnar).
-struct OutputMessage {
-  size_t round = 0;
-  core::VoteResult result;
-};
-
 /// What one IngestBatch call did with its readings.
 struct BatchIngestStats {
   size_t accepted = 0;       ///< readings stored into open rounds
@@ -69,20 +62,25 @@ struct BatchIngestStats {
 /// round 2^64-1 needs no past-the-end bound that would wrap to 0.
 class ClosedRounds {
  public:
-  bool Contains(uint64_t round) const;
-  /// Adds `round`; false when it was already in the set.
-  bool Insert(uint64_t round);
-  void Clear() { runs_.clear(); }
-
-  size_t run_count() const { return runs_.size(); }
-  /// Appends every round of the set in ascending order.
-  void AppendRounds(std::vector<uint64_t>& out) const;
-
- private:
   struct Run {
     uint64_t first = 0;
     uint64_t last = 0;  ///< inclusive
   };
+
+  bool Contains(uint64_t round) const;
+  /// Adds `round`; false when it was already in the set.
+  bool Insert(uint64_t round);
+  /// Adds the run [first, last] past the set's last run, as runs() lists
+  /// them (rebuilding a set from its export).  False, adding nothing,
+  /// when first > last or the run does not start past the last run plus
+  /// one.
+  bool AppendRun(uint64_t first, uint64_t last);
+
+  /// The set, ascending by first.
+  std::span<const Run> runs() const { return runs_; }
+  size_t run_count() const { return runs_.size(); }
+
+ private:
   std::vector<Run> runs_;  ///< ascending by first
 };
 
@@ -130,11 +128,11 @@ class HubNode {
   size_t closed_run_count() const;
 
   /// Assembly state for migrating a live hub between nodes: partially
-  /// filled rounds plus the closed-round set (the late-reading filter),
-  /// both ascending by round.
+  /// filled rounds, ascending by round, plus the closed-round set (the
+  /// late-reading filter) as its runs.
   struct State {
     std::vector<std::pair<uint64_t, core::Round>> pending;
-    std::vector<uint64_t> closed_rounds;
+    ClosedRounds closed;
   };
   State ExportState() const;
   void RestoreState(const State& state);
@@ -195,8 +193,9 @@ struct VoterOptions {
 };
 
 /// Runs the voting engine over closed rounds; optionally persists the
-/// history ledger to a HistoryBackend after every pass (the datastore
-/// round-trip of the paper's latency notes) and restores it on start.
+/// engine's full state to a HistoryBackend after every pass (the
+/// datastore round-trip of the paper's latency notes) and restores it on
+/// start through the same RestoreState a migration uses.
 class VoterNode {
  public:
   explicit VoterNode(core::VotingEngine engine, VoterOptions options = {});
@@ -207,7 +206,7 @@ class VoterNode {
   const core::VotingEngine& engine() const { return engine_; }
 
   /// Votes every row of `table` (row i is round rounds[i]) in one
-  /// columnar engine pass, persists the history once, and appends the
+  /// columnar engine pass, persists the state once, and appends the
   /// trace rows to `sink` — all under the voter lock, so the sink copies
   /// out of the scratch trace before the next pass can reuse it.  A
   /// failed pass appends nothing; its status shows in last_status().
@@ -223,8 +222,8 @@ class VoterNode {
   Status RestoreEngineState(const core::VotingEngine::State& state);
 
  private:
-  /// Persists the engine's history ledger; caller holds mutex_.
-  void PersistHistoryLocked();
+  /// Persists the engine's state; caller holds mutex_.
+  void PersistStateLocked();
 
   core::VotingEngine engine_;
   VoterOptions options_;
@@ -232,15 +231,15 @@ class VoterNode {
   Status last_status_;
   /// Scratch trace reused across passes (guarded by mutex_).
   core::BatchTrace batch_trace_;
-  /// Scratch ledger copy PersistHistoryLocked reuses (guarded by mutex_).
-  HistorySnapshot persist_snapshot_;
+  /// State copy PersistStateLocked reuses (guarded by mutex_).
+  core::VotingEngine::State persist_state_;
 };
 
 /// Records outputs (the LCD display / downstream consumer stand-in).
 /// Storage is columnar: arriving results land in a BatchTrace (one flat
 /// column per field) plus a round-number column, so a long-running sink
-/// holds no per-round heap objects; outputs() materializes messages on
-/// demand for consumers that still speak VoteResult.
+/// holds no per-round heap objects; WithTrace reads the columns and
+/// BatchTrace::MaterializeRound one row as a VoteResult.
 class SinkNode {
  public:
   /// When `trace_store` is set, every appended row is also persisted as a
@@ -255,21 +254,14 @@ class SinkNode {
   SinkNode& operator=(const SinkNode&) = delete;
 
   /// Appends the rows of `trace` (row i is round rounds[i]), copying
-  /// them out of the borrowed view.
+  /// them out of the borrowed view.  Migrated rows arrive here too, with
+  /// the same gauge and persistence side effects as live ones.
   void Append(std::span<const size_t> rounds, core::TraceView trace);
 
-  /// Outputs received so far, in arrival order (materialized per call;
-  /// prefer trace() for bulk reads).
-  std::vector<OutputMessage> outputs() const;
   size_t output_count() const;
 
   /// Most recent fused value, if any round voted successfully.
   std::optional<double> last_value() const;
-
-  /// Appends migrated rows as if they had arrived live (same gauge and
-  /// persistence side effects), keeping the trace bit-identical across a
-  /// handoff.
-  void RestoreOutputs(std::span<const OutputMessage> restored);
 
   /// Columnar read access under the sink lock: calls `fn(trace, rounds)`
   /// where rounds[i] is the round number of trace row i.

@@ -913,7 +913,6 @@ Result<std::string> RemoteVoterServer::ExportGroupBlob(
     const std::string& group) {
   GroupStateBlob blob;
   blob.group = group;
-  AVOC_ASSIGN_OR_RETURN(blob.state, manager_->ExportGroupState(group));
   // Travelling dedup: every remembered ack addressed to this group moves
   // with it (collected here, erased only once the transfer committed).
   for (const auto& [client_id, dedup] : dedup_) {
@@ -923,7 +922,14 @@ Result<std::string> RemoteVoterServer::ExportGroupBlob(
           GroupStateBlob::DedupEntry{client_id, seq, ack.accepted});
     }
   }
-  return EncodeGroupState(blob);
+  // Encoded while the sink is locked: its rows go to the wire in place.
+  std::string bytes;
+  AVOC_RETURN_IF_ERROR(manager_->ExportGroupState(
+      group, [&](const GroupRunner::State& state) {
+        blob.state = state;
+        bytes = EncodeGroupState(blob);
+      }));
+  return bytes;
 }
 
 Status RemoteVoterServer::ImportGroupBlob(std::string_view bytes) {

@@ -9,8 +9,9 @@
 // chunk engine (storage::StorageEngine, see storage/engine.h and
 // docs/STORAGE.md).
 //
-//   HistoryBackend  per-group history snapshots (the voter's reliability
-//                   ledger), keyed by group name.
+//   HistoryBackend  per-group engine state (the voter's reliability
+//                   ledger, its accumulators, last output and round
+//                   counter), keyed by group name.
 //   TraceBackend    append-only per-group vote traces (round, engaged,
 //                   fused value) with round-range queries — what the
 //                   QUERY_RANGE wire verb serves.
@@ -21,15 +22,16 @@
 #include <string>
 #include <vector>
 
+#include "core/group_state.h"
 #include "util/status.h"
 
 namespace avoc::storage {
 
-/// One persisted history snapshot.
-struct HistorySnapshot {
-  std::vector<double> records;  ///< per-module reliability records
-  size_t rounds = 0;            ///< rounds absorbed when snapshotted
-};
+/// One persisted group state: the engine's full state
+/// (core/group_state.h), so a restart restores exactly what a migration
+/// restores.  `records` and `rounds` are the reliability records and the
+/// rounds the ledger absorbed.
+using HistorySnapshot = core::GroupState;
 
 /// One persisted vote-trace point.  `value` carries the exact IEEE-754
 /// bits of the fused output (0.0 when the round produced none), so a

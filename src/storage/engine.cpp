@@ -9,13 +9,18 @@
 #include <string_view>
 #include <utility>
 
+#include "storage/snapshot.h"
+
 namespace avoc::storage {
 
 namespace {
 
 constexpr std::string_view kSnapshotMagic = "AVSN";
 constexpr std::string_view kChunkMagic = "AVCK";
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
+/// Snapshots written before the full group state was persisted: their
+/// history entries hold records only (read through the upgrade).
+constexpr uint32_t kRecordsOnlySnapshotVersion = 1;
 
 /// Uncompressed footprint of one TracePoint on disk (u64 round + u64
 /// value bits + u8 engaged) — the numerator of the compression ratio.
@@ -44,20 +49,27 @@ double BitsToDouble(uint64_t bits) {
 /// `bytes group`: the field every record and entry starts with.
 size_t GroupSize(const std::string& group) { return 4 + group.size(); }
 
-/// HISTORY_PUT payload, also a snapshot's history entry:
-/// bytes group, u64 rounds, u64 n, n x f64.
-size_t HistoryPutSize(const std::string& group,
-                      const HistorySnapshot& snapshot) {
-  return GroupSize(group) + 16 + 8 * snapshot.records.size();
+/// STATE_PUT payload, also a snapshot's history entry: bytes group, then
+/// the group state (storage/snapshot.h).
+size_t HistoryEntrySize(const std::string& group,
+                        const HistorySnapshot& state) {
+  return GroupSize(group) + GroupStateSize(state);
 }
 
-char* PutHistoryPut(char* out, const std::string& group,
-                    const HistorySnapshot& snapshot) {
-  out = PutBytes(out, group);
-  out = PutU64(out, snapshot.rounds);
-  out = PutU64(out, snapshot.records.size());
-  for (const double record : snapshot.records) out = PutF64(out, record);
-  return out;
+char* PutHistoryEntry(char* out, const std::string& group,
+                      const HistorySnapshot& state) {
+  return PutGroupState(PutBytes(out, group), state);
+}
+
+/// The one history-entry reader, for WAL records and snapshot entries
+/// alike.  `records_only` reads the format-1 entry (a HISTORY_PUT record,
+/// a version-1 snapshot) through the records-only upgrade.
+Result<std::pair<std::string_view, HistorySnapshot>> ReadHistoryEntry(
+    ByteReader& reader, bool records_only) {
+  AVOC_ASSIGN_OR_RETURN(const std::string_view name, reader.ReadBytes());
+  AVOC_ASSIGN_OR_RETURN(HistorySnapshot state,
+                        ReadGroupState(reader, records_only));
+  return std::pair{name, std::move(state)};
 }
 
 /// u64 n, n x (u64 round, u64 value_bits, u8 engaged): the points of a
@@ -340,7 +352,9 @@ Status StorageEngine::LoadSnapshotLocked() {
     const uint32_t crc = *header.ReadU32();
     const std::string_view body =
         std::string_view(data).substr(kSnapshotMagic.size() + 8);
-    if (version != kSnapshotVersion || Crc32(body) != crc) {
+    if ((version != kSnapshotVersion &&
+         version != kRecordsOnlySnapshotVersion) ||
+        Crc32(body) != crc) {
       recovered_truncated_tail_ = true;
       continue;
     }
@@ -353,19 +367,10 @@ Status StorageEngine::LoadSnapshotLocked() {
     const Status parsed = [&]() -> Status {
       AVOC_ASSIGN_OR_RETURN(const uint64_t history_count, reader.ReadU64());
       for (uint64_t i = 0; i < history_count; ++i) {
-        AVOC_ASSIGN_OR_RETURN(const std::string_view name,
-                              reader.ReadBytes());
-        HistorySnapshot snapshot;
-        AVOC_ASSIGN_OR_RETURN(const uint64_t rounds, reader.ReadU64());
-        snapshot.rounds = static_cast<size_t>(rounds);
-        AVOC_ASSIGN_OR_RETURN(const uint64_t n, reader.ReadU64());
-        snapshot.records.reserve(
-            static_cast<size_t>(std::min<uint64_t>(n, 1u << 20)));
-        for (uint64_t j = 0; j < n; ++j) {
-          AVOC_ASSIGN_OR_RETURN(const double record, reader.ReadF64());
-          snapshot.records.push_back(record);
-        }
-        history[std::string(name)] = std::move(snapshot);
+        AVOC_ASSIGN_OR_RETURN(
+            auto entry,
+            ReadHistoryEntry(reader, version == kRecordsOnlySnapshotVersion));
+        history[std::string(entry.first)] = std::move(entry.second);
       }
       AVOC_ASSIGN_OR_RETURN(const uint64_t trace_count, reader.ReadU64());
       for (uint64_t i = 0; i < trace_count; ++i) {
@@ -435,21 +440,14 @@ Status StorageEngine::ReplayWalLocked() {
   for (const WalRecord& record : replay.records) {
     ByteReader reader(record.payload);
     switch (record.type) {
-      case WalRecordType::kHistoryPut: {
-        AVOC_ASSIGN_OR_RETURN(const std::string_view name,
-                              reader.ReadBytes());
-        HistorySnapshot snapshot;
-        AVOC_ASSIGN_OR_RETURN(const uint64_t rounds, reader.ReadU64());
-        snapshot.rounds = static_cast<size_t>(rounds);
-        AVOC_ASSIGN_OR_RETURN(const uint64_t n, reader.ReadU64());
-        snapshot.records.reserve(
-            static_cast<size_t>(std::min<uint64_t>(n, 1u << 20)));
-        for (uint64_t j = 0; j < n; ++j) {
-          AVOC_ASSIGN_OR_RETURN(const double value, reader.ReadF64());
-          snapshot.records.push_back(value);
-        }
+      case WalRecordType::kHistoryPut:
+      case WalRecordType::kStatePut: {
+        AVOC_ASSIGN_OR_RETURN(
+            auto entry,
+            ReadHistoryEntry(reader,
+                             record.type == WalRecordType::kHistoryPut));
         AVOC_RETURN_IF_ERROR(reader.ExpectEnd());
-        history_[std::string(name)] = std::move(snapshot);
+        history_[std::string(entry.first)] = std::move(entry.second);
         break;
       }
       case WalRecordType::kHistoryErase: {
@@ -468,9 +466,19 @@ Status StorageEngine::ReplayWalLocked() {
         AVOC_RETURN_IF_ERROR(reader.ExpectEnd());
         GroupTrace& trace = traces_[std::string(name)];
         const uint64_t next = trace.next_index();
+        if (base_index > next) {
+          // Points past a gap cannot be placed: appending them at
+          // next_index would renumber them.  Replay stops here as at a
+          // torn tail, and the log is cut so later appends follow the
+          // last applied record.
+          recovered_truncated_tail_ = true;
+          std::error_code ec;
+          std::filesystem::resize_file(WalPath(seq_), record.offset, ec);
+          if (ec) return IoError("truncate WAL at a gap: " + ec.message());
+          return Status::Ok();
+        }
         if (base_index + points.size() <= next) break;  // fully covered
-        size_t skip = 0;
-        if (base_index < next) skip = static_cast<size_t>(next - base_index);
+        const size_t skip = static_cast<size_t>(next - base_index);
         trace.tail.insert(trace.tail.end(),
                           points.begin() + static_cast<ptrdiff_t>(skip),
                           points.end());
@@ -575,10 +583,11 @@ Status StorageEngine::Put(const std::string& group,
                           const HistorySnapshot& snapshot) {
   std::lock_guard lock(mutex_);
   if (dead_) return FailedPreconditionError("storage engine crashed");
-  const size_t size = HistoryPutSize(group, snapshot);
-  PutHistoryPut(wal_.BeginRecord(WalRecordType::kHistoryPut, size), group,
-                snapshot);
-  AVOC_RETURN_IF_ERROR(CommitWalLocked(WalRecordType::kHistoryPut, size));
+  AVOC_RETURN_IF_ERROR(core::ValidateGroupState(snapshot));
+  const size_t size = HistoryEntrySize(group, snapshot);
+  PutHistoryEntry(wal_.BeginRecord(WalRecordType::kStatePut, size), group,
+                  snapshot);
+  AVOC_RETURN_IF_ERROR(CommitWalLocked(WalRecordType::kStatePut, size));
   history_[group] = snapshot;
   UpdateGaugesLocked();
   return MaybeCompactLocked();
@@ -703,7 +712,7 @@ Status StorageEngine::SealLocked(const std::string& group, GroupTrace& trace) {
 std::string StorageEngine::EncodeSnapshotLocked() const {
   size_t body_size = 16;  // the two u64 counts
   for (const auto& [group, snapshot] : history_) {
-    body_size += HistoryPutSize(group, snapshot);
+    body_size += HistoryEntrySize(group, snapshot);
   }
   for (const auto& [group, trace] : traces_) {
     body_size += GroupSize(group) + 8 + TracePointsSize(trace.tail.size());
@@ -713,7 +722,7 @@ std::string StorageEngine::EncodeSnapshotLocked() const {
   char* const body = file.data() + header_size;
   char* out = PutU64(body, history_.size());
   for (const auto& [group, snapshot] : history_) {
-    out = PutHistoryPut(out, group, snapshot);
+    out = PutHistoryEntry(out, group, snapshot);
   }
   out = PutU64(out, traces_.size());
   for (const auto& [group, trace] : traces_) {

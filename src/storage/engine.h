@@ -3,9 +3,9 @@
 //
 // One StorageEngine owns one directory:
 //
-//   wal-<seq>    CRC-framed mutation log (storage/wal.h): HISTORY_PUT,
+//   wal-<seq>    CRC-framed mutation log (storage/wal.h): STATE_PUT,
 //                HISTORY_ERASE, TRACE_APPEND.  fsynced per policy.
-//   snap-<seq>   compacted snapshot: the full history map plus every
+//   snap-<seq>   compacted snapshot: the full group-state map plus every
 //                group's unsealed trace tail.  Written durably
 //                (tmp + fsync + rename + dir fsync); compaction bumps
 //                <seq>, rotates the WAL and deletes the old generation.

@@ -74,6 +74,7 @@ Result<WalReplay> ReadWal(const std::string& path) {
     WalRecord record;
     record.type = static_cast<WalRecordType>(static_cast<uint8_t>(body[0]));
     record.payload.assign(body.substr(1));
+    record.offset = pos;
     replay.records.push_back(std::move(record));
     pos += 8 + body_len;
   }

@@ -25,15 +25,18 @@
 namespace avoc::storage {
 
 enum class WalRecordType : uint8_t {
-  kHistoryPut = 1,    ///< str group, u64 rounds, u64 n, n x f64
+  kHistoryPut = 1,    ///< str group, u64 rounds, u64 n, n x f64 (format 1:
+                      ///<   read, upgraded, never written)
   kHistoryErase = 2,  ///< str group
   kTraceAppend = 3,   ///< str group, u64 base_index, u64 n,
                       ///<   n x (u64 round, u64 value_bits, u8 engaged)
+  kStatePut = 4,      ///< str group, group state (storage/snapshot.h)
 };
 
 struct WalRecord {
   WalRecordType type = WalRecordType::kHistoryPut;
   std::string payload;
+  uint64_t offset = 0;  ///< where the record starts in the file
 };
 
 struct WalWriterOptions {

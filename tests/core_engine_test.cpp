@@ -310,7 +310,7 @@ TEST(EngineTest, ResetForgetsEverything) {
 TEST(EngineTest, RestoreHistorySeedsRecords) {
   VotingEngine engine = MustCreate(3, MakeConfig(AlgorithmId::kHybrid));
   const std::vector<double> records = {1.0, 1.0, 0.0};
-  ASSERT_TRUE(engine.RestoreHistory(records, 100).ok());
+  ASSERT_TRUE(engine.RestoreState(UpgradeRecordsOnly(records, 100)).ok());
   // The zero-record module is eliminated immediately.
   auto result = engine.CastVote(Round{10.0, 10.1, 10.05});
   ASSERT_TRUE(result.ok());

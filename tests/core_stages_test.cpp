@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -119,7 +120,7 @@ TEST(StageObserverTest, FormatStageTraceRendersEveryRow) {
   EXPECT_NE(rendered.find("clustered"), std::string::npos);
 }
 
-// --- RestoreHistory / Reset round-trip through the stage pipeline ----------
+// --- RestoreState / Reset round-trip through the stage pipeline ------------
 
 TEST(HistoryRestoreTest, RestoredLedgerDoesNotRetriggerBootstrap) {
   // AVOC gates clustering on a pristine ledger (all records 1: "new set").
@@ -132,7 +133,8 @@ TEST(HistoryRestoreTest, RestoredLedgerDoesNotRetriggerBootstrap) {
   // A restored mid-life ledger is neither a new set nor a collapse, so
   // the clustering stage must stay closed after a datastore round-trip.
   const std::vector<double> records = {0.9, 0.7, 0.8};
-  ASSERT_TRUE(engine->RestoreHistory(records, /*rounds=*/25).ok());
+  ASSERT_TRUE(
+      engine->RestoreState(UpgradeRecordsOnly(records, /*rounds=*/25)).ok());
   EXPECT_EQ(engine->history().round_count(), 25u);
   auto restored = engine->CastVote(Round{10.0, 10.1, 9.9});
   ASSERT_TRUE(restored.ok());
@@ -150,33 +152,33 @@ TEST(HistoryRestoreTest, RestoredLedgerDoesNotRetriggerBootstrap) {
 }
 
 TEST(HistoryRestoreTest, RestoreRoundTripsThroughStoreSnapshot) {
-  // Run an engine for a while, snapshot its ledger, restore it into a
-  // fresh engine: the two engines must then vote identically.
+  // Run an engine for a while, export its state, restore it into a
+  // fresh engine: the two engines must then vote bit-identically.
   auto source = MakeEngine(AlgorithmId::kAvoc, 3);
   ASSERT_TRUE(source.ok());
   for (int r = 0; r < 10; ++r) {
     ASSERT_TRUE(
         source->CastVote(Round{10.0, 10.2, 12.0}).ok());
   }
-  const std::vector<double> snapshot(source->history().records().begin(),
-                                     source->history().records().end());
+  VotingEngine::State snapshot;
+  source->ExportState(snapshot);
 
   auto restored = MakeEngine(AlgorithmId::kAvoc, 3);
   ASSERT_TRUE(restored.ok());
-  ASSERT_TRUE(
-      restored
-          ->RestoreHistory(snapshot, source->history().round_count())
-          .ok());
-  // Seed the previous-output dependence identically before comparing.
+  ASSERT_TRUE(restored->RestoreState(snapshot).ok());
+  EXPECT_EQ(restored->last_output(), source->last_output());
+  EXPECT_EQ(restored->round_index(), source->round_index());
   auto a = source->CastVote(Round{10.1, 10.3, 12.1});
   auto b = restored->CastVote(Round{10.1, 10.3, 12.1});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(a->value.has_value());
   ASSERT_TRUE(b->value.has_value());
-  EXPECT_DOUBLE_EQ(*a->value, *b->value);
+  EXPECT_EQ(std::bit_cast<uint64_t>(*a->value),
+            std::bit_cast<uint64_t>(*b->value));
   EXPECT_EQ(a->used_clustering, b->used_clustering);
   EXPECT_EQ(a->weights, b->weights);
+  EXPECT_EQ(a->history, b->history);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "runtime/nodes.h"
 #include "vdx/registry.h"
 #include "test_temp_dir.h"
+#include "sink_rows.h"
 
 namespace avoc {
 namespace {
@@ -40,7 +41,7 @@ TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
   runtime::SinkNode sink;
 
   VoteOneRound(voter, sink, {10.0, 10.1, 9.9});
-  const auto outputs = sink.outputs();
+  const auto outputs = SinkRows(sink);
   // The vote itself succeeded and reached the sink...
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_NEAR(*outputs[0].result.value, 10.0, 0.2);
@@ -66,10 +67,10 @@ TEST(FailureInjectionTest, MismatchedSnapshotArityIsIgnoredOnRestore) {
   // A snapshot recorded for a 5-module group must not poison a 3-module
   // voter that reuses the group name.
   runtime::HistoryStore store;
-  runtime::HistorySnapshot snapshot;
-  snapshot.records = {0.0, 0.0, 0.0, 0.0, 0.0};
-  snapshot.rounds = 99;
-  ASSERT_TRUE(store.Put("renamed", snapshot).ok());
+  ASSERT_TRUE(store
+                  .Put("renamed",
+                       core::UpgradeRecordsOnly({{0.0, 0.0, 0.0, 0.0, 0.0}}, 99))
+                  .ok());
 
   runtime::VoterOptions options;
   options.group = "renamed";
@@ -80,7 +81,7 @@ TEST(FailureInjectionTest, MismatchedSnapshotArityIsIgnoredOnRestore) {
   runtime::SinkNode sink;
   // Records must still be the fresh-set 1.0, not the stale zeros.
   VoteOneRound(voter, sink, {5.0, 5.0, 5.0});
-  const auto outputs = sink.outputs();
+  const auto outputs = SinkRows(sink);
   ASSERT_EQ(outputs.size(), 1u);
   for (const double h : outputs[0].result.history) {
     EXPECT_DOUBLE_EQ(h, 1.0);

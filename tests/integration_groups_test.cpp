@@ -13,6 +13,7 @@
 #include "sim/ble.h"
 #include "stats/ambiguity.h"
 #include "vdx/factory.h"
+#include "sink_rows.h"
 
 namespace avoc {
 namespace {
@@ -48,8 +49,8 @@ TEST(GroupsIntegrationTest, TwoStacksThroughTheManager) {
     manager.CloseRoundAll(r);
   }
 
-  const auto outputs_a = (*manager.sink("stack-a"))->outputs();
-  const auto outputs_b = (*manager.sink("stack-b"))->outputs();
+  const auto outputs_a = SinkRows(**manager.sink("stack-a"));
+  const auto outputs_b = SinkRows(**manager.sink("stack-b"));
   ASSERT_EQ(outputs_a.size(), 297u);
   ASSERT_EQ(outputs_b.size(), 297u);
 
@@ -68,7 +69,7 @@ TEST(GroupsIntegrationTest, TwoStacksThroughTheManager) {
   }
 
   // Proximity decision: start near A, end near B.
-  auto fused = [](const std::vector<runtime::OutputMessage>& outputs,
+  auto fused = [](const std::vector<runtime::SinkRow>& outputs,
                   size_t r) {
     return outputs[r].result.value;
   };

@@ -12,6 +12,7 @@
 #include "vdx/factory.h"
 #include "vdx/registry.h"
 #include "test_temp_dir.h"
+#include "sink_rows.h"
 
 namespace avoc {
 namespace {
@@ -68,7 +69,7 @@ TEST_F(VdxE2eTest, FileToVoterToPipeline) {
 
   // 4. The sink sees one fused output per round; the faulty E4 never
   // drags the output out of the healthy band.
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), 500u);
   for (const auto& output : outputs) {
     ASSERT_TRUE(output.result.value.has_value());

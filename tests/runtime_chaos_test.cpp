@@ -30,6 +30,7 @@
 #include "runtime/resilient.h"
 #include "runtime/sim_net.h"
 #include "util/strings.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -61,7 +62,7 @@ std::string SinkTrace(const VoterGroupManager& manager) {
   auto sink = manager.sink("lights");
   if (!sink.ok()) return "<no sink>";
   std::string trace;
-  for (const OutputMessage& out : (*sink)->outputs()) {
+  for (const SinkRow& out : SinkRows(**sink)) {
     trace += StrFormat("%zu %d %a\n", out.round,
                        static_cast<int>(out.result.outcome),
                        out.result.value.value_or(-0.0));

@@ -11,7 +11,9 @@
 //   * the line protocol: raw request lines replicate to the standby, get
 //     MOVED from a non-owner, and park during a handoff, like frames;
 //   * negative paths: every malformed or impossible migration request
-//     answers a TYPED error — nothing hangs, nothing crashes;
+//     answers a TYPED error — nothing hangs, nothing crashes — and a
+//     blob of an older version aborts the handoff, the source keeping
+//     the group;
 //   * telemetry identity: HEALTH lines, TRACE_DUMP spans, and metric
 //     families carry the node="<id>" label so fan-outs across nodes stay
 //     attributable;
@@ -35,8 +37,10 @@
 #include "runtime/remote.h"
 #include "runtime/resilient.h"
 #include "runtime/sim_net.h"
+#include "storage/io.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -64,7 +68,7 @@ std::vector<std::vector<BatchReading>> WorkloadFor(uint64_t seed) {
 
 std::string RenderOutputs(const SinkNode* sink) {
   std::string trace;
-  for (const OutputMessage& out : sink->outputs()) {
+  for (const SinkRow& out : SinkRows(*sink)) {
     trace += StrFormat("%zu %d %a\n", out.round,
                        static_cast<int>(out.result.outcome),
                        out.result.value.value_or(-0.0));
@@ -199,7 +203,7 @@ TEST(ClusterMigrationTest, DedupEntriesTravelWithTheGroup) {
 
   auto sink = (*cluster)->sink("lights");
   ASSERT_TRUE(sink.ok());
-  EXPECT_EQ((*sink)->outputs().size(), 1u);  // round 0 fused exactly once
+  EXPECT_EQ(SinkRows(**sink).size(), 1u);  // round 0 fused exactly once
   (*cluster)->Stop();
 }
 
@@ -510,6 +514,94 @@ TEST(ClusterMigrationNegativeTest, DoubleMigrationRaceSecondIsTyped) {
   (*cluster)->Stop();
 }
 
+/// Forwards to the cluster, but every blob it ships carries AVGS version
+/// 1 with its CRC re-sealed: what a node that predates version 2 sends.
+class VersionOneTransfers : public ClusterControl {
+ public:
+  explicit VersionOneTransfers(ClusterControl* inner) : inner_(inner) {}
+
+  size_t OwnerOf(const std::string& group) const override {
+    return inner_->OwnerOf(group);
+  }
+  size_t NodeCount() const override { return inner_->NodeCount(); }
+  std::string NodeAddress(size_t node) const override {
+    return inner_->NodeAddress(node);
+  }
+  bool NodeAlive(size_t node) const override { return inner_->NodeAlive(node); }
+  bool HasStandby(size_t node) const override {
+    return inner_->HasStandby(node);
+  }
+  void TransferGroup(size_t from, size_t dest, std::string blob,
+                     std::function<void(Status)> done) override {
+    blob.resize(blob.size() - 4);
+    blob[4] = '\x01';
+    storage::AppendU32(blob, storage::Crc32(blob));
+    inner_->TransferGroup(from, dest, std::move(blob), std::move(done));
+  }
+  void CommitPlacement(const std::string& group, size_t dest) override {
+    inner_->CommitPlacement(group, dest);
+  }
+  void Replicate(size_t node, std::string record,
+                 std::function<void(Status)> done) override {
+    inner_->Replicate(node, std::move(record), std::move(done));
+  }
+
+ private:
+  ClusterControl* inner_;
+};
+
+TEST(ClusterMigrationNegativeTest, VersionOneBlobAbortsAndSourceKeepsGroup) {
+  // Blob version 1 is no longer decoded: in a mixed-version cluster the
+  // handoff fails typed on import and the group stays where it was.
+  SimWorld world(kSeed);
+  VoterCluster::Options options;
+  options.nodes = 2;
+  auto cluster = VoterCluster::StartOnWorld(&world, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ASSERT_TRUE((*cluster)->AddGroup("lights", AvocMaker()).ok());
+  const size_t source = (*cluster)->OwnerOf("lights");
+  const size_t dest = 1 - source;
+
+  ResilientVoterClient client(
+      []() -> Result<std::unique_ptr<Transport>> {
+        return IoError("node directory only");
+      },
+      &world, "cluster-client", TestPolicy(), kSeed);
+  client.UseNodeDirectory(
+      [&](size_t node) { return (*cluster)->DialNode(node); }, options.nodes,
+      /*initial_node=*/source);
+  const auto workload = WorkloadFor(kSeed);
+  for (size_t r = 0; r < kRounds / 2; ++r) {
+    auto accepted = client.SubmitBatch("lights", workload[r]);
+    ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  }
+
+  VersionOneTransfers old_blobs(cluster->get());
+  ClusterLink link;
+  link.node_index = source;
+  link.control = &old_blobs;
+  (*cluster)->ActiveServer(source)->LinkCluster(std::move(link));
+  const Status status = MigrateAndPump(world, **cluster, "lights", dest);
+  EXPECT_EQ(status.code(), ErrorCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ((*cluster)->OwnerOf("lights"), source);
+  EXPECT_FALSE((*cluster)->ActiveManager(dest)->HasGroup("lights"));
+  EXPECT_EQ((*cluster)->ActiveServer(source)->group_migrations_out(), 0u);
+  EXPECT_EQ((*cluster)->ActiveServer(dest)->group_migrations_in(), 0u);
+
+  // The source still serves the group, as if no migration was tried.
+  for (size_t r = kRounds / 2; r < kRounds; ++r) {
+    auto accepted = client.SubmitBatch("lights", workload[r]);
+    ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  }
+  EXPECT_EQ(client.redirects_followed(), 0u);
+  auto sink = (*cluster)->sink("lights");
+  ASSERT_TRUE(sink.ok());
+  EXPECT_EQ(RenderOutputs(*sink), ReferenceTrace(kSeed));
+  (*cluster)->Stop();
+}
+
 TEST(ClusterMigrationNegativeTest, RedirectLoopToDeadOwnerFailsTyped) {
   SimWorld world(kSeed);
   VoterCluster::Options options;
@@ -626,28 +718,29 @@ TEST(ClusterTelemetryTest, HealthMetricsAndTraceDumpCarryNodeLabels) {
 GroupStateBlob SampleBlob() {
   GroupStateBlob blob;
   blob.group = "lights";
-  auto& ledger = blob.state.engine.ledger;
-  ledger.records = {0.5, std::numeric_limits<double>::quiet_NaN(), -0.0};
-  ledger.agreement_sums = {1.25, std::numeric_limits<double>::infinity(),
+  auto& engine = blob.state.engine;
+  engine.records = {0.5, std::numeric_limits<double>::quiet_NaN(), -0.0};
+  engine.agreement_sums = {1.25, std::numeric_limits<double>::infinity(),
                            -3.5};
-  ledger.observations = {4, 5, 6};
-  ledger.rounds = 9;
-  blob.state.engine.last_output = -0.0;
-  blob.state.engine.round_index = 9;
+  engine.observations = {4, 5, 6};
+  engine.rounds = 9;
+  engine.last_output = -0.0;
+  engine.round_index = 9;
   blob.state.hub.pending.push_back(
       {11, core::Round{core::Reading(21.5), core::Reading(std::nullopt),
                        core::Reading(22.5)}});
-  blob.state.hub.closed_rounds = {0, 1, 2};
-  OutputMessage out;
-  out.round = 2;
-  out.result.value = 21.0;
-  out.result.present_count = 3;
-  out.result.weights = {0.3, 0.3, 0.4};
-  out.result.agreement = {1.0, 0.0, 1.0};
-  out.result.history = {0.9, 0.1, 0.8};
-  out.result.excluded = {false, true, false};
-  out.result.eliminated = {false, false, false};
-  blob.state.outputs.push_back(out);
+  for (const uint64_t round : {0, 1, 2, 5}) blob.state.hub.closed.Insert(round);
+  core::VoteResult out;
+  out.value = 21.0;
+  out.present_count = 3;
+  out.weights = {0.3, 0.3, 0.4};
+  out.agreement = {1.0, 0.0, 1.0};
+  out.history = {0.9, 0.1, 0.8};
+  out.excluded = {false, true, false};
+  out.eliminated = {false, false, false};
+  core::BatchTrace trace;
+  trace.Append(out);
+  SetSinkRows(blob, std::move(trace), {2});
   blob.dedup.push_back({"edge-7", 3, 3});
   return blob;
 }
@@ -656,7 +749,7 @@ TEST(ClusterCodecTest, GroupStateRoundTripsSpecialDoublesBitExactly) {
   const GroupStateBlob blob = SampleBlob();
   auto decoded = DecodeGroupState(EncodeGroupState(blob));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const auto& ledger = decoded->state.engine.ledger;
+  const auto& ledger = decoded->state.engine;
   ASSERT_EQ(ledger.records.size(), 3u);
   EXPECT_EQ(std::bit_cast<uint64_t>(ledger.records[1]),
             std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN()));
@@ -672,6 +765,11 @@ TEST(ClusterCodecTest, GroupStateRoundTripsSpecialDoublesBitExactly) {
   EXPECT_EQ(decoded->dedup[0].seq, 3u);
   ASSERT_EQ(decoded->state.hub.pending.size(), 1u);
   EXPECT_FALSE(decoded->state.hub.pending[0].second[1].has_value());
+  EXPECT_EQ(decoded->state.hub.closed.run_count(), 2u);
+  ASSERT_EQ(decoded->state.sink_rounds.size(), 1u);
+  EXPECT_EQ(decoded->state.sink_rounds[0], 2u);
+  EXPECT_EQ(decoded->state.sink_trace.output(0), std::optional<double>(21.0));
+  EXPECT_EQ(decoded->state.sink_trace.excluded(0)[1], 1u);
 }
 
 TEST(ClusterCodecTest, GroupStateDecodeRejectsHostileBytes) {

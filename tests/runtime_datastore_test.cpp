@@ -10,11 +10,10 @@
 namespace avoc::runtime {
 namespace {
 
-HistorySnapshot Snapshot(std::vector<double> records, size_t rounds) {
-  HistorySnapshot snapshot;
-  snapshot.records = std::move(records);
-  snapshot.rounds = rounds;
-  return snapshot;
+/// A valid state from records and a round count (the records-only
+/// upgrade fills the accumulators).
+HistorySnapshot Snapshot(const std::vector<double>& records, size_t rounds) {
+  return core::UpgradeRecordsOnly(records, rounds);
 }
 
 TEST(HistoryStoreTest, InMemoryPutGet) {

@@ -28,6 +28,7 @@
 #include "runtime/sim_net.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -53,7 +54,7 @@ std::string SinkTrace(const VoterGroupManager& manager) {
   auto sink = manager.sink("lights");
   if (!sink.ok()) return "<no sink>";
   std::string trace;
-  for (const OutputMessage& out : (*sink)->outputs()) {
+  for (const SinkRow& out : SinkRows(**sink)) {
     trace += StrFormat("%zu %d %a\n", out.round,
                        static_cast<int>(out.result.outcome),
                        out.result.value.value_or(-0.0));
@@ -191,7 +192,7 @@ std::string ShardedChaosTrace(uint64_t seed) {
   std::string trace = "<no sink>";
   if (sink.ok()) {
     trace.clear();
-    for (const OutputMessage& out : (*sink)->outputs()) {
+    for (const SinkRow& out : SinkRows(**sink)) {
       trace += StrFormat("%zu %d %a\n", out.round,
                          static_cast<int>(out.result.outcome),
                          out.result.value.value_or(-0.0));
@@ -252,7 +253,7 @@ std::string ClusterMigrationTrace(uint64_t seed) {
   std::string trace = "<no sink>";
   if (sink.ok()) {
     trace.clear();
-    for (const OutputMessage& out : (*sink)->outputs()) {
+    for (const SinkRow& out : SinkRows(**sink)) {
       trace += StrFormat("%zu %d %a\n", out.round,
                          static_cast<int>(out.result.outcome),
                          out.result.value.value_or(-0.0));

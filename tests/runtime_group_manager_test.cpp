@@ -4,6 +4,7 @@
 
 #include "core/algorithms.h"
 #include "vdx/factory.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -64,7 +65,7 @@ TEST(GroupManagerTest, CloseRoundFlushesPartialRounds) {
   auto sink = manager.sink("g");
   ASSERT_TRUE(sink.ok());
   ASSERT_EQ((*sink)->output_count(), 1u);
-  const auto outputs = (*sink)->outputs();
+  const auto outputs = SinkRows(**sink);
   EXPECT_EQ(outputs[0].result.present_count, 2u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 10.0);
   EXPECT_FALSE(manager.CloseRound("ghost", 0).ok());
@@ -92,7 +93,7 @@ TEST(GroupManagerTest, GroupsFromVdxSpecs) {
   auto sink = manager.sink("shelf-1");
   ASSERT_TRUE(sink.ok());
   ASSERT_EQ((*sink)->output_count(), 1u);
-  const auto outputs = (*sink)->outputs();
+  const auto outputs = SinkRows(**sink);
   EXPECT_TRUE(outputs[0].result.used_clustering);  // AVOC bootstrap fired
   EXPECT_NEAR(*outputs[0].result.value, 10.15, 0.3);
 }
@@ -128,7 +129,7 @@ TEST(GroupManagerTest, SharedStorePersistsPerGroupKeys) {
   ASSERT_TRUE(revived.Submit("left", 0, 0, 10.0).ok());
   ASSERT_TRUE(revived.Submit("left", 1, 0, 10.1).ok());
   ASSERT_TRUE(revived.Submit("left", 2, 0, 10.05).ok());
-  const auto outputs = (*revived.sink("left"))->outputs();
+  const auto outputs = SinkRows(**revived.sink("left"));
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_TRUE(outputs[0].result.eliminated[2]);
 }

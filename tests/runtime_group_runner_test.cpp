@@ -10,6 +10,7 @@
 #include "core/batch.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -50,7 +51,7 @@ TEST(GroupRunnerTest, SynchronousRoundsMatchBatchRunner) {
   core::VotingEngine reference = AverageEngine(3);
   auto batch = core::RunOverTable(reference, table);
   ASSERT_TRUE(batch.ok());
-  const auto outputs = (*runner)->sink().outputs();
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), batch->round_count());
   for (size_t r = 0; r < outputs.size(); ++r) {
     EXPECT_EQ(outputs[r].result.value, batch->output(r)) << "round " << r;
@@ -66,7 +67,7 @@ TEST(GroupRunnerTest, RunRoundVotesGeneratorValues) {
   ASSERT_TRUE(runner.ok());
   (*runner)->RunRound(0);
   (*runner)->RunRound(1);
-  const auto outputs = (*runner)->sink().outputs();
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_EQ(outputs[1].round, 1u);
   EXPECT_EQ(outputs[0].result.present_count, 2u);
@@ -82,7 +83,7 @@ TEST(GroupRunnerTest, SilentGeneratorsCloseAnAllMissingRound) {
   auto runner = GroupRunner::WithGenerators({silent, silent}, AverageEngine(2));
   ASSERT_TRUE(runner.ok());
   (*runner)->RunRound(0);
-  const auto outputs = (*runner)->sink().outputs();
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].result.present_count, 0u);
   EXPECT_EQ((*runner)->hub().open_rounds(), 0u);
@@ -116,7 +117,7 @@ TEST(GroupRunnerTest, FlushTurnsSilenceIntoMissingValues) {
   EXPECT_TRUE((*runner)->Submit(2, 0, 10.0).ok());
   (*runner)->FlushRound(0);
   ASSERT_EQ((*runner)->sink().output_count(), 1u);
-  const auto outputs = (*runner)->sink().outputs();
+  const auto outputs = SinkRows((*runner)->sink());
   EXPECT_EQ(outputs[0].result.present_count, 2u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 9.0);
 }

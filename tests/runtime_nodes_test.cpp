@@ -11,6 +11,7 @@
 
 #include "core/algorithms.h"
 #include "util/rng.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -232,7 +233,7 @@ class MapHub {
       state.pending.emplace_back(static_cast<uint64_t>(round), readings);
     }
     for (const auto& [round, flag] : closed_) {
-      if (flag) state.closed_rounds.push_back(static_cast<uint64_t>(round));
+      if (flag) state.closed.Insert(static_cast<uint64_t>(round));
     }
     return state;
   }
@@ -245,8 +246,11 @@ class MapHub {
       copy.resize(module_count_);
       pending_[static_cast<size_t>(round)] = std::move(copy);
     }
-    for (const uint64_t round : state.closed_rounds) {
-      closed_[static_cast<size_t>(round)] = true;
+    for (const ClosedRounds::Run& run : state.closed.runs()) {
+      for (uint64_t round = run.first;; ++round) {
+        closed_[static_cast<size_t>(round)] = true;
+        if (round == run.last) break;
+      }
     }
   }
 
@@ -289,9 +293,18 @@ void ExpectSameOutput(const Closed& want, const Closed& got,
       << where;
 }
 
+/// The closed set as (first, last) pairs.
+std::vector<std::pair<uint64_t, uint64_t>> Runs(const ClosedRounds& closed) {
+  std::vector<std::pair<uint64_t, uint64_t>> runs;
+  for (const ClosedRounds::Run& run : closed.runs()) {
+    runs.emplace_back(run.first, run.last);
+  }
+  return runs;
+}
+
 void ExpectSameState(const HubNode::State& want, const HubNode::State& got,
                      const std::string& where) {
-  ASSERT_EQ(got.closed_rounds, want.closed_rounds) << where;
+  ASSERT_EQ(Runs(got.closed), Runs(want.closed)) << where;
   ASSERT_EQ(got.pending.size(), want.pending.size()) << where;
   for (size_t i = 0; i < want.pending.size(); ++i) {
     ASSERT_EQ(got.pending[i].first, want.pending[i].first) << where;
@@ -375,18 +388,18 @@ void RunDifferential(uint64_t seed) {
       hub->RestoreState(state);
       reference.RestoreState(state);
     } else {
-      // A foreign state: unsorted, repeated closed rounds and pending
-      // rows of the wrong width, restored over a live hub.
+      // A foreign state: more closed rounds (some already closed) and
+      // unsorted pending rows of the wrong width, restored over a live
+      // hub.
       HubNode::State state = hub->ExportState();
       for (size_t i = 0; i < 3; ++i) {
-        state.closed_rounds.push_back(pick_round());
+        state.closed.Insert(pick_round());
         core::Round row(rng.UniformInt(modules + 2));
         for (auto& cell : row) {
           if (rng.Bernoulli(0.5)) cell = rng.Gaussian(0.0, 1.0);
         }
         state.pending.emplace_back(pick_round(), std::move(row));
       }
-      std::reverse(state.closed_rounds.begin(), state.closed_rounds.end());
       hub->RestoreState(state);
       reference.RestoreState(state);
     }
@@ -414,7 +427,8 @@ TEST(HubNodeTest, InOrderClosingKeepsOneClosedRun) {
   EXPECT_EQ(closed.size(), 1001u);
   EXPECT_EQ(hub.closed_run_count(), 1u);
   EXPECT_EQ(hub.open_rounds(), 0u);
-  EXPECT_EQ(hub.ExportState().closed_rounds.size(), 1001u);
+  EXPECT_EQ(Runs(hub.ExportState().closed),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{0, 1000}}));
   // An out-of-order close opens a second run; filling the gap merges it.
   hub.Close(1002, closed.rounds, closed.table);
   EXPECT_EQ(hub.closed_run_count(), 2u);
@@ -434,8 +448,9 @@ TEST(HubNodeTest, TopRoundClosesWithoutWrapping) {
   EXPECT_EQ(Feed(hub, closed, {0, 0, 4.0}).accepted, 1u);
   EXPECT_FALSE(hub.Close(top, closed.rounds, closed.table));
   EXPECT_EQ(hub.closed_run_count(), 2u);
-  EXPECT_EQ(hub.ExportState().closed_rounds,
-            (std::vector<uint64_t>{0, top - 1, top}));
+  EXPECT_EQ(Runs(hub.ExportState().closed),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{0, 0},
+                                                        {top - 1, top}}));
 }
 
 TEST(ClosedRoundsTest, MergesNeighbouringRuns) {
@@ -452,16 +467,30 @@ TEST(ClosedRoundsTest, MergesNeighbouringRuns) {
   for (uint64_t r = 0; r < 10; ++r) {
     EXPECT_EQ(set.Contains(r), r >= 3 && r <= 7) << r;
   }
-  std::vector<uint64_t> rounds;
-  set.AppendRounds(rounds);
-  EXPECT_EQ(rounds, (std::vector<uint64_t>{3, 4, 5, 6, 7}));
+  EXPECT_EQ(Runs(set), (std::vector<std::pair<uint64_t, uint64_t>>{{3, 7}}));
+}
+
+TEST(ClosedRoundsTest, AppendRunTakesOnlyAscendingDisjointRuns) {
+  const uint64_t top = std::numeric_limits<uint64_t>::max();
+  ClosedRounds set;
+  EXPECT_FALSE(set.AppendRun(4, 3));  // first > last
+  EXPECT_TRUE(set.AppendRun(3, 5));
+  EXPECT_FALSE(set.AppendRun(6, 9));  // adjacent: would be one run
+  EXPECT_FALSE(set.AppendRun(5, 9));  // overlapping
+  EXPECT_FALSE(set.AppendRun(0, 1));  // not ascending
+  EXPECT_TRUE(set.AppendRun(7, top));
+  EXPECT_FALSE(set.AppendRun(top, top));  // nothing follows 2^64-1
+  EXPECT_EQ(Runs(set), (std::vector<std::pair<uint64_t, uint64_t>>{
+                           {3, 5}, {7, top}}));
+  EXPECT_TRUE(set.Contains(top));
+  EXPECT_FALSE(set.Contains(6));
 }
 
 TEST(VoterNodeTest, VotesOnIncomingRounds) {
   VoterNode voter(AverageEngine(3));
   SinkNode sink;
   VoteRounds(voter, sink, {{10.0, 20.0, 30.0}});
-  const auto outputs = sink.outputs();
+  const auto outputs = SinkRows(sink);
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].round, 0u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 20.0);
@@ -487,10 +516,8 @@ TEST(VoterNodeTest, PersistsHistoryToStore) {
 
 TEST(VoterNodeTest, RestoresHistoryFromStore) {
   HistoryStore store;
-  HistorySnapshot seed;
-  seed.records = {1.0, 1.0, 0.0};
-  seed.rounds = 50;
-  ASSERT_TRUE(store.Put("warm", seed).ok());
+  ASSERT_TRUE(
+      store.Put("warm", core::UpgradeRecordsOnly({{1.0, 1.0, 0.0}}, 50)).ok());
 
   VoterOptions options;
   options.group = "warm";
@@ -501,7 +528,7 @@ TEST(VoterNodeTest, RestoresHistoryFromStore) {
   SinkNode sink;
   // Module 2's restored record is 0 -> eliminated on the very first round.
   VoteRounds(voter, sink, {{10.0, 10.1, 10.05}});
-  const auto outputs = sink.outputs();
+  const auto outputs = SinkRows(sink);
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_TRUE(outputs[0].result.eliminated[2]);
 }
@@ -513,7 +540,7 @@ TEST(SinkNodeTest, CollectsOutputs) {
   EXPECT_EQ(sink.output_count(), 2u);
   ASSERT_TRUE(sink.last_value().has_value());
   EXPECT_DOUBLE_EQ(*sink.last_value(), 6.0);
-  EXPECT_DOUBLE_EQ(*sink.outputs()[0].result.value, 2.0);
+  EXPECT_DOUBLE_EQ(*SinkRows(sink)[0].result.value, 2.0);
 }
 
 TEST(SinkNodeTest, LastValueSkipsSuppressedRounds) {

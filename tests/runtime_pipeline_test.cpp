@@ -5,6 +5,7 @@
 #include "core/algorithms.h"
 #include "core/batch.h"
 #include "sim/light.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -43,7 +44,7 @@ TEST(PipelineTest, ReplaysTableThroughVoter) {
   ASSERT_TRUE(pipeline.ok());
   pipeline->Run(2);
   EXPECT_EQ(pipeline->rounds_run(), 2u);
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 2.0);
   EXPECT_DOUBLE_EQ(*outputs[1].result.value, 5.0);
@@ -57,7 +58,7 @@ TEST(PipelineTest, StepsBeyondTableProduceEmptyRounds) {
   auto pipeline = Pipeline::FromTable(SmallTable(), std::move(*engine));
   ASSERT_TRUE(pipeline.ok());
   pipeline->Run(3);  // one step past the table
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), 3u);
   // The starved round reverts to the last fused value.
   EXPECT_EQ(outputs[2].result.outcome, core::RoundOutcome::kRevertedLast);
@@ -75,7 +76,7 @@ TEST(PipelineTest, GeneratorsDriveRounds) {
       std::move(generators), MakeEngineOrDie(core::AlgorithmId::kAverage, 3));
   ASSERT_TRUE(pipeline.ok());
   pipeline->Run(2);
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 1.0);   // (0+1+2)/3
   EXPECT_DOUBLE_EQ(*outputs[1].result.value, 11.0);  // (10+11+12)/3
@@ -91,7 +92,7 @@ TEST(PipelineTest, MissingGeneratorsBecomeMissingValues) {
       std::move(generators), MakeEngineOrDie(core::AlgorithmId::kAverage, 2));
   ASSERT_TRUE(pipeline.ok());
   pipeline->Run(2);
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 15.0);
   EXPECT_EQ(outputs[1].result.present_count, 1u);
@@ -110,7 +111,7 @@ TEST(PipelineTest, MatchesBatchRunnerExactly) {
       table, MakeEngineOrDie(core::AlgorithmId::kAvoc, 5));
   ASSERT_TRUE(pipeline.ok());
   pipeline->Run(table.round_count());
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), table.round_count());
   for (size_t r = 0; r < table.round_count(); ++r) {
     const auto batch_output = batch->output(r);
@@ -143,7 +144,7 @@ TEST(PipelineTest, HistoryPersistsThroughStoreAcrossPipelines) {
       table, MakeEngineOrDie(core::AlgorithmId::kHybrid, 3), options);
   ASSERT_TRUE(pipeline.ok());
   pipeline->Step();
-  const auto outputs = pipeline->sink().outputs();
+  const auto outputs = SinkRows(pipeline->sink());
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_TRUE(outputs[0].result.eliminated[2]);
 }

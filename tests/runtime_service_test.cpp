@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/algorithms.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -103,7 +104,7 @@ TEST(VoterServiceTest, StopDrainsInFlightRound) {
   // a sink record, including the last one.
   EXPECT_GE((*service)->rounds_opened(), 1u);
   EXPECT_EQ((*service)->rounds_completed(), (*service)->rounds_opened());
-  const auto outputs = (*service)->sink().outputs();
+  const auto outputs = SinkRows((*service)->sink());
   ASSERT_FALSE(outputs.empty());
   EXPECT_EQ(outputs.back().round, (*service)->rounds_opened() - 1);
 }
@@ -134,7 +135,7 @@ TEST(VoterServiceTest, SlowSensorsBecomeMissingValues) {
   (*service)->Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   (*service)->Stop();
-  const auto outputs = (*service)->sink().outputs();
+  const auto outputs = SinkRows((*service)->sink());
   ASSERT_GE(outputs.size(), 2u);
   // The slow sensor never makes it into a round; the fused value is the
   // mean of the two fast ones (5, 6), never dragged to 9999.

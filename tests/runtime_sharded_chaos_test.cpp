@@ -29,6 +29,7 @@
 #include "runtime/sim_net.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "sink_rows.h"
 
 namespace avoc::runtime {
 namespace {
@@ -67,7 +68,7 @@ std::string SinkTraces(const ShardedVoterServer& server) {
     if (!sink.ok()) return "<no sink>";
     trace += group;
     trace += ":\n";
-    for (const OutputMessage& out : (*sink)->outputs()) {
+    for (const SinkRow& out : SinkRows(**sink)) {
       trace += StrFormat("%zu %d %a\n", out.round,
                          static_cast<int>(out.result.outcome),
                          out.result.value.value_or(-0.0));

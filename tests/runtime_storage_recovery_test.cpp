@@ -35,10 +35,13 @@
 #include <vector>
 
 #include "core/algorithms.h"
+#include "data/round_table.h"
 #include "obs/metrics.h"
+#include "runtime/group_runner.h"
 #include "runtime/remote.h"
 #include "runtime/sim_net.h"
 #include "storage/engine.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace avoc::runtime {
@@ -387,6 +390,160 @@ TEST(CrashRecoverySweep, ScheduleMixCoversTornAndCleanTails) {
   EXPECT_GT(partial_loss, 0u);  // batched-fsync seeds really lose a tail
   EXPECT_GT(unsynced_chunks, 0u);  // seals left a chunks window to tear
   (void)torn;
+}
+
+// --- restart exactness --------------------------------------------------------
+//
+// A restart restores a group's engine through the same RestoreState a
+// migration uses, so a group that restarts between passes must vote
+// exactly as one that never stopped.  The group is built to expose every
+// approximation a records-only restore makes: a cumulative-ratio preset
+// (per-module observation counts), a missing-value penalty (records that
+// move without an observation), missing readings, and a quorum failure
+// that reverts to the last output on the first round after the restart.
+
+constexpr size_t kExactModules = 5;
+constexpr size_t kPassesBefore = 40;
+constexpr size_t kPassesAfter = 30;
+
+core::VotingEngine ExactnessEngine() {
+  core::EngineConfig config = core::MakeConfig(core::AlgorithmId::kStandard);
+  config.history.missing_penalty = 0.05;
+  config.quorum.fraction = 0.5;
+  config.on_no_quorum = core::NoQuorumPolicy::kRevertLast;
+  return *core::VotingEngine::Create(kExactModules, config);
+}
+
+/// Readings with a drifting module 4, random gaps, and rounds (every
+/// seventh, and the first after the restart) that miss the quorum.
+data::RoundTable ExactnessTable() {
+  data::RoundTable table = data::RoundTable::WithModuleCount(kExactModules);
+  Rng rng(0xE4AC7ull);
+  for (size_t r = 0; r < kPassesBefore + kPassesAfter; ++r) {
+    const bool no_quorum = r % 7 == 3 || r == kPassesBefore;
+    std::vector<core::Reading> row;
+    for (size_t m = 0; m < kExactModules; ++m) {
+      const bool missing = no_quorum ? m >= 2 : rng.Bernoulli(0.2);
+      const double drift = m == 4 ? 0.3 * static_cast<double>(r) : 0.0;
+      if (missing) {
+        row.emplace_back(std::nullopt);
+      } else {
+        row.emplace_back(20.0 + drift + rng.Gaussian(0.0, 0.5));
+      }
+    }
+    EXPECT_TRUE(table.AppendRound(std::move(row)).ok());
+  }
+  return table;
+}
+
+/// Every column of every sink row, doubles as hex floats.
+std::string SinkText(const SinkNode& sink) {
+  std::string text;
+  sink.WithTrace([&text](const core::BatchTrace& trace,
+                         const std::vector<size_t>& rounds) {
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      text += StrFormat("%zu %d %d %a %zu %d %d", rounds[i],
+                        static_cast<int>(trace.outcome(i)),
+                        trace.output(i).has_value() ? 1 : 0,
+                        trace.output(i).value_or(0.0), trace.present_count(i),
+                        trace.used_clustering(i) ? 1 : 0,
+                        trace.had_majority(i) ? 1 : 0);
+      for (size_t m = 0; m < trace.module_count(); ++m) {
+        text += StrFormat(" %a/%a/%a/%u/%u", trace.weights(i)[m],
+                          trace.agreement(i)[m], trace.history(i)[m],
+                          unsigned{trace.excluded(i)[m]},
+                          unsigned{trace.eliminated(i)[m]});
+      }
+      text += "\n";
+    }
+  });
+  return text;
+}
+
+/// Every field of an exported engine state, doubles as hex floats.
+std::string StateText(const core::VotingEngine::State& state) {
+  std::string text = StrFormat(
+      "rounds %llu index %llu last %s\n",
+      static_cast<unsigned long long>(state.rounds),
+      static_cast<unsigned long long>(state.round_index),
+      state.last_output ? StrFormat("%a", *state.last_output).c_str() : "-");
+  for (size_t m = 0; m < state.records.size(); ++m) {
+    text += StrFormat("%a %a %llu\n", state.records[m],
+                      state.agreement_sums[m],
+                      static_cast<unsigned long long>(state.observations[m]));
+  }
+  return text;
+}
+
+struct ExactnessRun {
+  std::string sink;   ///< sink rows of every pass, in order
+  std::string state;  ///< exported engine state after the last pass
+  std::string store;  ///< the store's whole trace
+};
+
+enum class Restart { kNone, kGraceful, kCrash };
+
+ExactnessRun RunWithRestart(Restart restart, const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  storage::StorageEngineOptions options;
+  options.dir = dir;
+  options.chunk_max_points = 16;
+  options.compact_wal_bytes = 4096;
+  const data::RoundTable table = ExactnessTable();
+  ExactnessRun run;
+  auto store = storage::StorageEngine::Open(options);
+  EXPECT_TRUE(store.ok());
+  auto runner = [&]() {
+    GroupRunnerOptions group;
+    group.group = "lights";
+    group.store = store->get();
+    group.trace_store = store->get();
+    auto created = GroupRunner::FromTable(table, ExactnessEngine(), group);
+    EXPECT_TRUE(created.ok());
+    return std::move(*created);
+  };
+  auto live = runner();
+  for (size_t r = 0; r < kPassesBefore + kPassesAfter; ++r) {
+    if (r == kPassesBefore && restart != Restart::kNone) {
+      run.sink += SinkText(live->sink());
+      live.reset();
+      if (restart == Restart::kCrash) {
+        EXPECT_TRUE((*store)->Sync().ok());
+        const auto crash = (*store)->SimulateCrash();
+        EXPECT_EQ(crash.wal_synced_bytes, crash.wal_bytes);
+      }
+      store->reset();
+      store = storage::StorageEngine::Open(options);
+      EXPECT_TRUE(store.ok());
+      live = runner();
+    }
+    live->RunRound(r);
+    EXPECT_TRUE(live->voter().last_status().ok());
+  }
+  run.sink += SinkText(live->sink());
+  run.state = StateText(live->voter().ExportEngineState());
+  auto trace = (*store)->QueryTraceRange("lights", 0, ~uint64_t{0});
+  EXPECT_TRUE(trace.ok());
+  run.store = TraceText(*trace);
+  live.reset();
+  store->reset();
+  std::filesystem::remove_all(dir);
+  return run;
+}
+
+TEST(RestartExactnessTest, RestartedGroupVotesAsIfItNeverStopped) {
+  const std::string dir = RecoveryDir(0xE4AC7);
+  const ExactnessRun reference = RunWithRestart(Restart::kNone, dir);
+  // The schedule really exercises the reverted round after the restart.
+  EXPECT_NE(reference.sink.find(StrFormat("\n%zu 1 1 ", kPassesBefore)),
+            std::string::npos);
+  for (const Restart restart : {Restart::kGraceful, Restart::kCrash}) {
+    SCOPED_TRACE(restart == Restart::kCrash ? "crash" : "graceful");
+    const ExactnessRun restarted = RunWithRestart(restart, dir);
+    EXPECT_EQ(restarted.sink, reference.sink);
+    EXPECT_EQ(restarted.state, reference.state);
+    EXPECT_EQ(restarted.store, reference.store);
+  }
 }
 
 }  // namespace

@@ -39,12 +39,15 @@ void Populate(StorageEngine& engine, avoc::Rng& rng) {
   const size_t groups = 1 + rng.UniformInt(4);
   for (size_t g = 0; g < groups; ++g) {
     const std::string name = "g" + std::to_string(g);
-    HistorySnapshot snapshot;
+    std::vector<double> records;
     const size_t modules = 1 + rng.UniformInt(6);
     for (size_t m = 0; m < modules; ++m) {
-      snapshot.records.push_back(rng.NextDouble());
+      records.push_back(rng.NextDouble());
     }
-    snapshot.rounds = rng.UniformInt(100);
+    HistorySnapshot snapshot =
+        core::UpgradeRecordsOnly(records, rng.UniformInt(100));
+    snapshot.last_output = rng.NextDouble();
+    snapshot.round_index = snapshot.rounds + rng.UniformInt(4);
     ASSERT_TRUE(engine.Put(name, snapshot).ok());
 
     std::vector<TracePoint> points;

@@ -8,12 +8,15 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "storage/io.h"
+#include "storage/wal.h"
 
 namespace avoc::storage {
 namespace {
@@ -24,11 +27,10 @@ uint64_t Bits(double value) {
   return bits;
 }
 
-HistorySnapshot Snapshot(std::vector<double> records, size_t rounds) {
-  HistorySnapshot snapshot;
-  snapshot.records = std::move(records);
-  snapshot.rounds = rounds;
-  return snapshot;
+/// A valid state from records and a round count (the records-only
+/// upgrade fills the accumulators).
+HistorySnapshot Snapshot(const std::vector<double>& records, size_t rounds) {
+  return core::UpgradeRecordsOnly(records, rounds);
 }
 
 class StorageEngineTest : public ::testing::Test {
@@ -743,8 +745,51 @@ double FromBits(uint64_t bits) {
   return value;
 }
 
-// Pins the on-disk bytes of every file kind: the WAL's three record
-// types, one chunks entry and a snapshot, over NaN payloads, both
+// The chunks entry the golden calls below seal: "AVCK", group g,
+// base_index 0, count 4, rounds 10..14, body length 46, body CRC, Gorilla
+// body.  Format version 2 left the chunks file unchanged.
+constexpr const char* kGoldenChunks =
+    "4156434b" "01000000" "67" "0000000000000000" "0400000000000000"
+    "0a00000000000000" "0e00000000000000" "2e000000" "5675d256"
+    "000000000000000a7ff8000000000defc0b03ffff8000000000def2fff00000000"
+    "00000c0a800000000000000080";
+
+// A store the same calls wrote in format version 1, before the full group
+// state was persisted: its WAL (HISTORY_PUT records hold records only)
+// and the snapshot a compaction then wrote.
+constexpr const char* kVersionOneWal =
+    "36000000" "c7a9bfe1" "01" "01000000" "67" "0700000000000000"
+    "0400000000000000" "000000000000f03f" "ef0d00000000f87f"
+    "0000000000000080" "000000000000f07f"
+    "26000000" "e16ca810" "01" "01000000" "68" "0200000000000000"
+    "0200000000000000" "000000000000f0ff" "000000000000e03f"
+    "06000000" "72c00382" "02" "01000000" "68"
+    "49000000" "01d42caa" "03" "01000000" "67" "0000000000000000"
+    "0300000000000000" "0a00000000000000" "ef0d00000000f87f" "01"
+    "0b00000000000000" "0000000000000080" "00" "0c00000000000000"
+    "000000000000f07f" "01"
+    "38000000" "a40c9eeb" "03" "01000000" "67" "0300000000000000"
+    "0200000000000000" "0e00000000000000" "000000000000f0ff" "01"
+    "0f00000000000000" "000000000000f43f" "01";
+constexpr const char* kVersionOneSnapshot =
+    "4156534e" "01000000" "56cacf6e"
+    "0100000000000000" "01000000" "67" "0700000000000000"
+    "0400000000000000" "000000000000f03f" "ef0d00000000f87f"
+    "0000000000000080" "000000000000f07f"
+    "0100000000000000" "01000000" "67" "0400000000000000"
+    "0100000000000000" "0f00000000000000" "000000000000f43f" "01";
+
+std::string Unhex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Pins the on-disk bytes of every file kind: the WAL's three written
+// record types, one chunks entry and a snapshot, over NaN payloads, both
 // infinities, -0.0 and points that were not engaged.
 TEST_F(StorageEngineTest, GoldenBytesOfWalChunksAndSnapshot) {
   auto options = Options();
@@ -752,9 +797,14 @@ TEST_F(StorageEngineTest, GoldenBytesOfWalChunksAndSnapshot) {
   options.compact_wal_bytes = 0;
   const double nan = FromBits(0x7FF8000000000DEFull);
   const double inf = std::numeric_limits<double>::infinity();
+  HistorySnapshot g = Snapshot({1.0, nan, -0.0, inf}, 7);
+  g.agreement_sums = {7.0, nan, -0.0, -inf};
+  g.observations = {7, 0, 3, UINT64_MAX};
+  g.last_output = -0.0;
+  g.round_index = 9;
   auto engine = StorageEngine::Open(options);
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Put("g", Snapshot({1.0, nan, -0.0, inf}, 7)).ok());
+  ASSERT_TRUE((*engine)->Put("g", g).ok());
   ASSERT_TRUE((*engine)->Put("h", Snapshot({-inf, 0.5}, 2)).ok());
   ASSERT_TRUE(*(*engine)->Erase("h"));
   ASSERT_TRUE((*engine)
@@ -771,13 +821,22 @@ TEST_F(StorageEngineTest, GoldenBytesOfWalChunksAndSnapshot) {
   auto wal = ReadFileToString(dir_ + "/wal-000001");
   ASSERT_TRUE(wal.ok());
   EXPECT_EQ(Hex(*wal),
-      // HISTORY_PUT g: rounds 7, records 1.0, NaN(0xDEF), -0.0, +inf
-      "36000000" "c7a9bfe1" "01" "01000000" "67" "0700000000000000"
+      // STATE_PUT g: rounds 7, records 1.0, NaN(0xDEF), -0.0, +inf
+      "87000000" "77ff5fec" "04" "01000000" "67" "0700000000000000"
       "0400000000000000" "000000000000f03f" "ef0d00000000f87f"
       "0000000000000080" "000000000000f07f"
-      // HISTORY_PUT h: rounds 2, records -inf, 0.5
-      "26000000" "e16ca810" "01" "01000000" "68" "0200000000000000"
+      // agreement sums 7.0, NaN(0xDEF), -0.0, -inf
+      "0000000000001c40" "ef0d00000000f87f" "0000000000000080"
+      "000000000000f0ff"
+      // observations 7, 0, 3, 2^64-1; last output -0.0; round_index 9
+      "0700000000000000" "0000000000000000" "0300000000000000"
+      "ffffffffffffffff" "01" "0000000000000080" "0900000000000000"
+      // STATE_PUT h: rounds 2, records -inf, 0.5, sums 0, 0.5,
+      // observations 2, 2, no last output, round_index 0
+      "57000000" "6fc05720" "04" "01000000" "68" "0200000000000000"
       "0200000000000000" "000000000000f0ff" "000000000000e03f"
+      "0000000000000000" "000000000000e03f" "0200000000000000"
+      "0200000000000000" "00" "0000000000000000" "0000000000000000"
       // HISTORY_ERASE h
       "06000000" "72c00382" "02" "01000000" "68"
       // TRACE_APPEND g from index 0: (10, NaN, 1) (11, -0.0, 0) (12, +inf, 1)
@@ -791,31 +850,168 @@ TEST_F(StorageEngineTest, GoldenBytesOfWalChunksAndSnapshot) {
       "0f00000000000000" "000000000000f43f" "01");
   auto chunks = ReadFileToString(dir_ + "/chunks");
   ASSERT_TRUE(chunks.ok());
-  EXPECT_EQ(Hex(*chunks),
-      // "AVCK", group g, base_index 0, count 4, rounds 10..14
-      "4156434b" "01000000" "67" "0000000000000000" "0400000000000000"
-      "0a00000000000000" "0e00000000000000"
-      // body length 46, body CRC, Gorilla body
-      "2e000000" "5675d256"
-      "000000000000000a7ff8000000000defc0b03ffff8000000000def2fff00000000"
-      "00000c0a800000000000000080");
+  EXPECT_EQ(Hex(*chunks), kGoldenChunks);
 
   ASSERT_TRUE((*engine)->Compact().ok());
   auto snapshot = ReadFileToString(dir_ + "/snap-000002");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(Hex(*snapshot),
-      // "AVSN", version 1, body CRC
-      "4156534e" "01000000" "56cacf6e"
-      // one history: g, rounds 7, the four records
+      // "AVSN", version 2, body CRC
+      "4156534e" "02000000" "80856a03"
+      // one history: g and its state, as in the STATE_PUT record
       "0100000000000000" "01000000" "67" "0700000000000000"
       "0400000000000000" "000000000000f03f" "ef0d00000000f87f"
-      "0000000000000080" "000000000000f07f"
+      "0000000000000080" "000000000000f07f" "0000000000001c40"
+      "ef0d00000000f87f" "0000000000000080" "000000000000f0ff"
+      "0700000000000000" "0000000000000000" "0300000000000000"
+      "ffffffffffffffff" "01" "0000000000000080" "0900000000000000"
       // one trace tail: g, tail_base 4, one point (15, 1.25, 1)
       "0100000000000000" "01000000" "67" "0400000000000000"
       "0100000000000000" "0f00000000000000" "000000000000f43f" "01");
   auto rotated = ReadFileToString(dir_ + "/wal-000002");
   ASSERT_TRUE(rotated.ok());
   EXPECT_TRUE(rotated->empty());
+}
+
+// A store written in format version 1 opens, its Get answers records
+// and rounds bit-identically to what was written (the rest of the state
+// is the records-only upgrade), its traces answer unchanged, and it takes
+// version-2 records on top.  Once from the WAL alone, once from the
+// compacted snapshot, which must not be skipped as corrupt.
+TEST_F(StorageEngineTest, VersionOneStoreOpensAndAnswersIdentically) {
+  const double nan = FromBits(0x7FF8000000000DEFull);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> records = {1.0, nan, -0.0, inf};
+  const HistorySnapshot upgraded = core::UpgradeRecordsOnly(records, 7);
+  for (const bool compacted : {false, true}) {
+    SCOPED_TRACE(compacted ? "snapshot" : "wal");
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    auto write = [&](const std::string& name, std::string_view hex) {
+      ASSERT_TRUE(WriteFileDurable(dir_ + "/" + name, Unhex(hex)).ok());
+    };
+    write("chunks", kGoldenChunks);
+    if (compacted) {
+      write("snap-000002", kVersionOneSnapshot);
+      write("wal-000002", "");
+    } else {
+      write("wal-000001", kVersionOneWal);
+    }
+    auto options = Options();
+    options.chunk_max_points = 4;
+    options.compact_wal_bytes = 0;
+    {
+      auto engine = StorageEngine::Open(options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      EXPECT_FALSE((*engine)->stats().recovered_truncated_tail);
+      EXPECT_EQ((*engine)->stats().snapshot_seq, compacted ? 2u : 1u);
+      EXPECT_EQ((*engine)->Groups(), std::vector<std::string>{"g"});
+      auto got = (*engine)->Get("g");
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->rounds, 7u);
+      ASSERT_EQ(got->records.size(), records.size());
+      ASSERT_EQ(got->agreement_sums.size(), records.size());
+      for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(Bits(got->records[i]), Bits(records[i])) << i;
+        EXPECT_EQ(Bits(got->agreement_sums[i]),
+                  Bits(upgraded.agreement_sums[i]))
+            << i;
+      }
+      EXPECT_EQ(got->observations, upgraded.observations);
+      EXPECT_FALSE(got->last_output.has_value());
+      EXPECT_EQ(got->round_index, 0u);
+      auto trace = (*engine)->QueryTraceRange("g", 0, 100);
+      ASSERT_TRUE(trace.ok());
+      ASSERT_EQ(trace->size(), 5u);
+      EXPECT_EQ(Bits((*trace)[0].value), Bits(nan));
+      EXPECT_EQ(Bits((*trace)[4].value), Bits(1.25));
+
+      HistorySnapshot next = *got;
+      next.rounds = 8;
+      next.last_output = 0.5;
+      ASSERT_TRUE((*engine)->Put("g", next).ok());
+    }
+    auto reopened = StorageEngine::Open(options);
+    ASSERT_TRUE(reopened.ok());
+    auto got = (*reopened)->Get("g");
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->rounds, 8u);
+    EXPECT_EQ(got->last_output, std::optional<double>(0.5));
+    EXPECT_EQ(Bits(got->records[1]), Bits(nan));
+  }
+}
+
+// A TRACE_APPEND whose base_index lies past the group's next index
+// cannot be placed without renumbering its points.  Replay stops there
+// as at a torn tail: the record and everything after it are dropped, the
+// log is cut, and the next append continues the applied prefix.
+class WalReplayGapTest : public StorageEngineTest {};
+
+std::string TraceAppendPayload(uint64_t base_index,
+                               std::span<const TracePoint> points) {
+  std::string payload;
+  AppendBytes(payload, "g");
+  AppendU64(payload, base_index);
+  AppendU64(payload, points.size());
+  for (const TracePoint& point : points) {
+    AppendU64(payload, point.round);
+    AppendF64(payload, point.value);
+    AppendU8(payload, point.engaged ? 1 : 0);
+  }
+  return payload;
+}
+
+TEST_F(WalReplayGapTest, GapStopsReplayLikeATornTail) {
+  std::filesystem::create_directories(dir_);
+  const std::string wal_path = dir_ + "/wal-000001";
+  const std::vector<TracePoint> first = {{0, 1.0, true}, {1, 2.0, true}};
+  const std::vector<TracePoint> gap = {{9, 9.0, true}};
+  uint64_t applied_bytes = 0;
+  {
+    auto writer = WalWriter::Open(wal_path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer
+                    ->Append(WalRecordType::kTraceAppend,
+                             TraceAppendPayload(0, first))
+                    .ok());
+    applied_bytes = writer->bytes();
+    // Next index is 2; this record claims index 5.
+    ASSERT_TRUE(writer
+                    ->Append(WalRecordType::kTraceAppend,
+                             TraceAppendPayload(5, gap))
+                    .ok());
+    // A later record the replay must not apply either.
+    std::string put;
+    AppendBytes(put, "late");
+    AppendU64(put, 1);  // rounds
+    AppendU64(put, 1);  // one record
+    AppendF64(put, 0.5);
+    ASSERT_TRUE(writer->Append(WalRecordType::kHistoryPut, put).ok());
+  }
+  auto options = Options();
+  options.compact_wal_bytes = 0;
+  {
+    auto engine = StorageEngine::Open(options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_TRUE((*engine)->stats().recovered_truncated_tail);
+    auto trace = (*engine)->QueryTraceRange("g", 0, 100);
+    ASSERT_TRUE(trace.ok());
+    ASSERT_EQ(trace->size(), 2u);
+    EXPECT_EQ((*trace)[1].round, 1u);
+    EXPECT_FALSE((*engine)->Get("late").ok());
+    EXPECT_EQ((*engine)->stats().wal_bytes, applied_bytes);
+    ASSERT_TRUE((*engine)
+                    ->AppendTrace("g", std::vector<TracePoint>{{2, 3.0, true}})
+                    .ok());
+  }
+  auto reopened = StorageEngine::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_FALSE((*reopened)->stats().recovered_truncated_tail);
+  auto trace = (*reopened)->QueryTraceRange("g", 0, 100);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_EQ(trace->size(), 3u);
+  EXPECT_EQ((*trace)[2].round, 2u);
+  EXPECT_EQ((*trace)[2].value, 3.0);
 }
 
 TEST_F(StorageEngineTest, OpenRejectsEmptyDir) {
