@@ -26,7 +26,7 @@
 #include "obs/metrics.h"       // lock-free metrics registry
 #include "obs/stage_metrics.h"      // the production metrics observer
 #include "runtime/group_manager.h"  // multi-group voter management
-#include "runtime/pipeline.h"  // deterministic replay middleware
+#include "runtime/group_runner.h"   // one group; RunRound replays a table
 #include "runtime/remote.h"    // the TCP voter service + client
 #include "runtime/service.h"   // the threaded soft-real-time service
 #include "stats/filters.h"     // post-fusion filters

@@ -15,9 +15,9 @@
 //     silent rebalance.
 //   * Index-addressed groups (the multi-group engine's dense 0..N-1 id
 //     space) partition into contiguous ranges, one per shard: contiguous
-//     blocks keep each worker's slice of the group-major history block
-//     adjacent in memory, so workers never interleave writes within a
-//     cache line (the false-sharing fix).
+//     ranges keep each worker's rows of the group-major trace block
+//     (MultiGroupTrace) adjacent in memory, so workers never interleave
+//     writes within a cache line (the false-sharing fix).
 #pragma once
 
 #include <cstddef>

@@ -38,10 +38,11 @@ GroupRunner::GroupRunner(std::vector<Generator> generators,
     observer_options.tracer = options_.tracer;
     observer_ = std::make_unique<obs::MetricsObserver>(
         reg, std::move(observer_options));
-    // The voter serializes rounds under its mutex, satisfying the
-    // observer's one-scope threading contract.
+    // Passes run under the group lock, satisfying the observer's
+    // one-scope threading contract.
     engine.set_observer(observer_.get());
   }
+  pass_table_ = data::RoundTable::WithModuleCount(engine.module_count());
   hub_ = std::make_unique<HubNode>(engine.module_count(),
                                    options_.hub_close_at_count, hub_telemetry);
   VoterOptions voter_options;
@@ -50,7 +51,7 @@ GroupRunner::GroupRunner(std::vector<Generator> generators,
   voter_ = std::make_unique<VoterNode>(std::move(engine),
                                        std::move(voter_options));
   sink_ = std::make_unique<SinkNode>(sink_telemetry, options_.trace_store,
-                                     options_.group);
+                                     options_.group, &mutex_);
 }
 
 Result<std::unique_ptr<GroupRunner>> GroupRunner::Create(
@@ -152,15 +153,17 @@ BatchIngestStats GroupRunner::Pass(std::span<const ReadingMessage> readings,
   }
   obs::ScopedSpan span(options_.tracer, obs::SpanKind::kEngine,
                        "engine.batch", parent);
-  std::unique_ptr<PassScratch> scratch = TakeScratch();
-  std::vector<size_t>& rounds = scratch->rounds;
-  data::RoundTable& table = scratch->table;
-  BatchIngestStats stats = hub_->IngestBatch(readings, rounds, table);
-  if (close.has_value() && hub_->Close(*close, rounds, table)) {
-    ++stats.rounds_closed;
+  BatchIngestStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pass_rounds_.clear();
+    pass_table_.Clear();
+    stats = hub_->IngestBatch(readings, pass_rounds_, pass_table_);
+    if (close.has_value() && hub_->Close(*close, pass_rounds_, pass_table_)) {
+      ++stats.rounds_closed;
+    }
+    if (!pass_rounds_.empty()) voter_->Vote(pass_rounds_, pass_table_, *sink_);
   }
-  if (!rounds.empty()) voter_->Vote(rounds, table, *sink_);
-  ReturnScratch(std::move(scratch));
   if (span.active()) {
     span.SetDetailF("group=%s readings=%zu rounds=%zu",
                     options_.group.c_str(), readings.size(),
@@ -169,37 +172,15 @@ BatchIngestStats GroupRunner::Pass(std::span<const ReadingMessage> readings,
   return stats;
 }
 
-std::unique_ptr<GroupRunner::PassScratch> GroupRunner::TakeScratch() {
-  {
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!scratch_.empty()) {
-      std::unique_ptr<PassScratch> scratch = std::move(scratch_.back());
-      scratch_.pop_back();
-      scratch->rounds.clear();
-      scratch->table.Clear();
-      return scratch;
-    }
-  }
-  return std::make_unique<PassScratch>(PassScratch{
-      {}, data::RoundTable::WithModuleCount(module_count())});
-}
-
-void GroupRunner::ReturnScratch(std::unique_ptr<PassScratch> scratch) {
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  scratch_.push_back(std::move(scratch));
-}
-
 void GroupRunner::ExportState(
     const std::function<void(const State&)>& fn) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   State state;
   state.engine = voter_->ExportEngineState();
   state.hub = hub_->ExportState();
-  sink_->WithTrace([&](const core::BatchTrace& trace,
-                       const std::vector<size_t>& rounds) {
-    state.sink_trace = trace.view();
-    state.sink_rounds = rounds;
-    fn(state);
-  });
+  state.sink_trace = sink_->trace_.view();
+  state.sink_rounds = sink_->rounds_;
+  fn(state);
 }
 
 Status GroupRunner::RestoreState(const State& state) {
@@ -208,6 +189,7 @@ Status GroupRunner::RestoreState(const State& state) {
         StrFormat("sink state has %zu rounds for %zu trace rows",
                   state.sink_rounds.size(), state.sink_trace.round_count()));
   }
+  std::lock_guard<std::mutex> lock(mutex_);
   AVOC_RETURN_IF_ERROR(voter_->RestoreEngineState(state.engine));
   hub_->RestoreState(state.hub);
   sink_->Append(state.sink_rounds, state.sink_trace);

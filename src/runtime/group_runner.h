@@ -2,8 +2,8 @@
 //
 // GroupRunner owns one voter group's hub → voter → sink chain and every
 // round goes through one private engine pass: hub assembly into a
-// columnar table, one voter call over that table, one sink append.  It
-// exposes the three ways a round can be dispatched:
+// columnar table, then one voter call that votes that table straight
+// into the sink.  It exposes the three ways a round can be dispatched:
 //
 //   * RunRound    — synchronous emit-then-close (deterministic replay),
 //   * EmitAsync + FlushRound — per-sensor worker threads with a
@@ -11,9 +11,11 @@
 //   * Submit + FlushRound    — externally-fed readings (group manager,
 //     TCP voter service).
 //
-// The drivers above are thin adapters over these calls; a new execution
-// mode (sharded batch, remote shard, ...) starts here instead of
-// re-wiring nodes.
+// The runner is the one owner of its group's concurrency: one group
+// mutex, under which every pass, ExportState and RestoreState runs whole,
+// and which the sink's readers take.  The nodes hold no locks of their
+// own.  A new execution mode (sharded batch, remote shard, ...) starts
+// here instead of re-wiring nodes.
 #pragma once
 
 #include <functional>
@@ -131,8 +133,9 @@ class GroupRunner {
     core::TraceView sink_trace;
     std::span<const size_t> sink_rounds;
   };
-  /// Calls `fn` with the whole state; the sink stays locked for the call
-  /// so its rows are read in place.
+  /// Calls `fn` with the whole state, one snapshot under the group lock
+  /// held for the call, so the sink rows are read in place.  `fn` must
+  /// not call back into the runner.
   void ExportState(const std::function<void(const State&)>& fn) const;
   Status RestoreState(const State& state);
 
@@ -141,7 +144,10 @@ class GroupRunner {
   const std::string& group() const { return options_.group; }
   size_t module_count() const { return hub_->module_count(); }
   size_t sensor_count() const { return generators_.size(); }
+  /// The sink's readers take the group lock, so any thread may use it.
   const SinkNode& sink() const { return *sink_; }
+  /// Voter and hub reads take no lock: only the thread that runs the
+  /// passes (the owning reactor, a test) may make them.
   const VoterNode& voter() const { return *voter_; }
   const HubNode& hub() const { return *hub_; }
   /// The attached metrics observer; nullptr without a registry.
@@ -151,26 +157,20 @@ class GroupRunner {
   GroupRunner(std::vector<Generator> generators, core::VotingEngine engine,
               Options options);
 
-  /// The one engine pass: ingests `readings`, then closes `close` when
-  /// set, and votes every round that closed in one voter call.
+  /// The one engine pass, under the group lock: ingests `readings`, then
+  /// closes `close` when set, and votes every round that closed in one
+  /// voter call.
   BatchIngestStats Pass(std::span<const ReadingMessage> readings,
                         std::optional<size_t> close);
 
-  /// One pass's output buffers: the rounds it closed and their table.
-  struct PassScratch {
-    std::vector<size_t> rounds;
-    data::RoundTable table;
-  };
-  /// A cleared scratch from the free list (a new one when concurrent
-  /// passes hold them all), and its return after the pass.
-  std::unique_ptr<PassScratch> TakeScratch();
-  void ReturnScratch(std::unique_ptr<PassScratch> scratch);
-
   Options options_;
-  /// Free list of pass scratches: a pass reuses a warmed-up table, and
-  /// its module names, instead of building both.
-  std::mutex scratch_mutex_;
-  std::vector<std::unique_ptr<PassScratch>> scratch_;
+  /// The group lock; declared before the nodes, whose sink holds its
+  /// address.
+  mutable std::mutex mutex_;
+  /// The pass's output buffers, reused by every pass under mutex_: the
+  /// rounds it closed and their table (row i is round pass_rounds_[i]).
+  std::vector<size_t> pass_rounds_;
+  data::RoundTable pass_table_;
   /// Watches the voter engine; must outlive voter_ (declared first so it
   /// destructs last).  Null without a registry.
   std::unique_ptr<obs::MetricsObserver> observer_;

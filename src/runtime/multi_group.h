@@ -156,8 +156,7 @@ class MultiGroupEngine {
   /// into `trace`'s group-major block (resized to fit, capacity kept
   /// across calls).  Requires tables.size() == group_count() and every
   /// table to have module_count() modules.  Groups are sharded across
-  /// workers, each writing its own disjoint slice; the history block is
-  /// synced before returning.
+  /// workers, each writing its own disjoint slice.
   Status RunBatch(std::span<const data::RoundTable> tables,
                   MultiGroupTrace& trace);
 
@@ -212,7 +211,6 @@ class MultiGroupEngine {
   /// empty when options_.registry is null.  unique_ptr keeps the
   /// addresses engines hold stable across engine moves.
   std::vector<std::unique_ptr<obs::MetricsObserver>> observers_;
-  /// Group-major record snapshot; see the layout note above.
   /// Created on first RunBatch; sequential use never pays for threads.
   std::unique_ptr<util::ThreadPool> pool_;
 };

@@ -68,7 +68,7 @@ HubNode::HubNode(size_t module_count, size_t close_at_count,
                           : std::min(close_at_count, module_count)),
       telemetry_(telemetry) {}
 
-std::vector<HubNode::OpenRound>::iterator HubNode::OpenLowerBoundLocked(
+std::vector<HubNode::OpenRound>::iterator HubNode::OpenLowerBound(
     size_t round) {
   // Rounds usually open in ascending order: past the last, no search.
   if (open_.empty() || round > open_.back().round) return open_.end();
@@ -77,7 +77,7 @@ std::vector<HubNode::OpenRound>::iterator HubNode::OpenLowerBoundLocked(
       [](const OpenRound& open, size_t r) { return open.round < r; });
 }
 
-size_t HubNode::AcquireSlotLocked() {
+size_t HubNode::AcquireSlot() {
   if (!free_slots_.empty()) {
     const size_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -90,7 +90,7 @@ size_t HubNode::AcquireSlotLocked() {
   return slot;
 }
 
-void HubNode::ReleaseSlotLocked(size_t slot) {
+void HubNode::ReleaseSlot(size_t slot) {
   std::fill_n(present_.begin() + static_cast<ptrdiff_t>(slot * module_count_),
               module_count_, uint8_t{0});
   present_counts_[slot] = 0;
@@ -98,33 +98,32 @@ void HubNode::ReleaseSlotLocked(size_t slot) {
   if (cached_slot_ == slot) cached_slot_ = kNoSlot;
 }
 
-size_t HubNode::OpenSlotLocked(size_t round) {
-  auto it = OpenLowerBoundLocked(round);
+size_t HubNode::OpenSlot(size_t round) {
+  auto it = OpenLowerBound(round);
   if (it == open_.end() || it->round != round) {
-    it = open_.insert(it, OpenRound{round, AcquireSlotLocked()});
+    it = open_.insert(it, OpenRound{round, AcquireSlot()});
   }
   cached_round_ = round;
   cached_slot_ = it->slot;
   return it->slot;
 }
 
-void HubNode::CloseSlotLocked(size_t round, size_t slot,
-                              std::vector<size_t>& rounds,
-                              data::RoundTable& table) {
+void HubNode::CloseSlot(size_t round, size_t slot,
+                        std::vector<size_t>& rounds,
+                        data::RoundTable& table) {
   const size_t offset = slot * module_count_;
   (void)table.AppendRound(
       std::span<const double>(values_).subspan(offset, module_count_),
       std::span<const uint8_t>(present_).subspan(offset, module_count_));
   rounds.push_back(round);
   closed_.Insert(round);
-  ReleaseSlotLocked(slot);
+  ReleaseSlot(slot);
 }
 
 BatchIngestStats HubNode::IngestBatch(
     std::span<const ReadingMessage> readings, std::vector<size_t>& rounds,
     data::RoundTable& table) {
   BatchIngestStats stats;
-  std::lock_guard<std::mutex> lock(mutex_);
   for (const ReadingMessage& reading : readings) {
     if (reading.module >= module_count_) {
       ++stats.rejected;
@@ -137,7 +136,7 @@ BatchIngestStats HubNode::IngestBatch(
         ++stats.late;
         continue;
       }
-      slot = OpenSlotLocked(round);
+      slot = OpenSlot(round);
     }
     ++stats.accepted;
     const size_t cell = slot * module_count_ + reading.module;
@@ -147,8 +146,8 @@ BatchIngestStats HubNode::IngestBatch(
       ++present_counts_[slot];
     }
     if (present_counts_[slot] < close_at_count_) continue;
-    open_.erase(OpenLowerBoundLocked(round));
-    CloseSlotLocked(round, slot, rounds, table);
+    open_.erase(OpenLowerBound(round));
+    CloseSlot(round, slot, rounds, table);
     ++stats.rounds_closed;
   }
   if (telemetry_.readings != nullptr && stats.accepted > 0) {
@@ -173,16 +172,15 @@ BatchIngestStats HubNode::IngestBatch(
 
 bool HubNode::Close(size_t round, std::vector<size_t>& rounds,
                     data::RoundTable& table) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (closed_.Contains(round)) return false;
-  if (const auto it = OpenLowerBoundLocked(round);
+  if (const auto it = OpenLowerBound(round);
       it != open_.end() && it->round == round) {
     const size_t slot = it->slot;
     open_.erase(it);
-    CloseSlotLocked(round, slot, rounds, table);
+    CloseSlot(round, slot, rounds, table);
   } else {
     // Never seen: a fresh row is the all-missing round.
-    CloseSlotLocked(round, AcquireSlotLocked(), rounds, table);
+    CloseSlot(round, AcquireSlot(), rounds, table);
   }
   if (telemetry_.rounds_closed != nullptr) telemetry_.rounds_closed->Increment();
   if (telemetry_.open_rounds != nullptr) {
@@ -194,18 +192,7 @@ bool HubNode::Close(size_t round, std::vector<size_t>& rounds,
   return true;
 }
 
-size_t HubNode::open_rounds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return open_.size();
-}
-
-size_t HubNode::closed_run_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_.run_count();
-}
-
 HubNode::State HubNode::ExportState() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   State state;
   state.pending.reserve(open_.size());
   for (const OpenRound& open : open_) {
@@ -222,12 +209,11 @@ HubNode::State HubNode::ExportState() const {
 }
 
 void HubNode::RestoreState(const State& state) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const OpenRound& open : open_) ReleaseSlotLocked(open.slot);
+  for (const OpenRound& open : open_) ReleaseSlot(open.slot);
   open_.clear();
   for (const auto& [round, readings] : state.pending) {
     // A repeated round keeps its last entry, as the old map insert did.
-    const size_t slot = OpenSlotLocked(static_cast<size_t>(round));
+    const size_t slot = OpenSlot(static_cast<size_t>(round));
     const size_t offset = slot * module_count_;
     size_t present = 0;
     for (size_t m = 0; m < module_count_; ++m) {
@@ -266,25 +252,22 @@ VoterNode::VoterNode(core::VotingEngine engine, VoterOptions options)
 
 void VoterNode::Vote(std::span<const size_t> rounds,
                      const data::RoundTable& table, SinkNode& sink) {
-  // One lock acquisition, one columnar engine call, one state persist
-  // for the whole pass.  The sink appends under this lock because it
-  // copies out of batch_trace_, which the next pass reuses.
-  std::lock_guard<std::mutex> lock(mutex_);
-  batch_trace_.Reset(engine_.module_count());
-  batch_trace_.ReserveRounds(table.round_count());
-  const Status status = core::RunOverTable(engine_, table, batch_trace_);
-  if (!status.ok()) {
+  // One columnar engine call straight into the sink's trace, one state
+  // persist, then the sink records the rows the engine committed.
+  const size_t first_row = sink.trace_.round_count();
+  const Status status = core::RunOverTable(engine_, table, sink.trace_);
+  if (status.ok()) {
+    PersistState();
+  } else {
     last_status_ = status;
     AVOC_LOG_ERROR("voter '%s': pass of %zu rounds failed: %s",
                    options_.group.c_str(), table.round_count(),
                    status.ToString().c_str());
-    return;
   }
-  PersistStateLocked();
-  sink.Append(rounds, batch_trace_.view());
+  sink.CommitRows(rounds, first_row);
 }
 
-void VoterNode::PersistStateLocked() {
+void VoterNode::PersistState() {
   if (options_.store != nullptr) {
     engine_.ExportState(persist_state_);
     last_status_ = options_.store->Put(options_.group, persist_state_);
@@ -293,52 +276,60 @@ void VoterNode::PersistStateLocked() {
   }
 }
 
-Status VoterNode::last_status() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return last_status_;
-}
-
 core::VotingEngine::State VoterNode::ExportEngineState() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   core::VotingEngine::State state;
   engine_.ExportState(state);
   return state;
 }
 
 Status VoterNode::RestoreEngineState(const core::VotingEngine::State& state) {
-  std::lock_guard<std::mutex> lock(mutex_);
   AVOC_RETURN_IF_ERROR(engine_.RestoreState(state));
-  PersistStateLocked();
+  PersistState();
   return last_status_;
 }
 
 SinkNode::SinkNode(SinkTelemetry telemetry,
-                   storage::TraceBackend* trace_store, std::string group)
+                   storage::TraceBackend* trace_store, std::string group,
+                   std::mutex* group_mutex)
     : telemetry_(telemetry),
       trace_store_(trace_store),
-      group_(std::move(group)) {}
+      group_(std::move(group)),
+      group_mutex_(group_mutex) {}
 
 void SinkNode::Append(std::span<const size_t> rounds, core::TraceView trace) {
-  const size_t count = trace.round_count();
-  if (count == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
+  const size_t first_row = trace_.round_count();
   // Block copy out of the borrowed view, one per column.
   trace_.AppendRows(trace);
-  rounds_.insert(rounds_.end(), rounds.begin(), rounds.begin() + count);
-  const size_t last_round =
-      *std::max_element(rounds.begin(), rounds.begin() + count);
-  NoteAppendedLocked(last_round, count);
-  PersistAppendedLocked(count);
+  CommitRows(rounds, first_row);
 }
 
-void SinkNode::PersistAppendedLocked(size_t appended) {
-  if (trace_store_ == nullptr || appended == 0) return;
+void SinkNode::CommitRows(std::span<const size_t> rounds, size_t first_row) {
+  const size_t count = trace_.round_count() - first_row;
+  if (count == 0) return;
+  rounds_.insert(rounds_.end(), rounds.begin(), rounds.begin() + count);
+  const auto [lowest, highest] =
+      std::minmax_element(rounds.begin(), rounds.begin() + count);
+  first_round_ = std::min(first_round_, *lowest);
+  if (telemetry_.outputs != nullptr) {
+    telemetry_.outputs->Add(static_cast<uint64_t>(count));
+  }
+  if (telemetry_.last_round != nullptr) {
+    telemetry_.last_round->Set(static_cast<double>(*highest));
+  }
+  if (telemetry_.lag_rounds != nullptr) {
+    // Rounds first_round_..highest were dispatched up to here; any this
+    // sink has not recorded was lost upstream.
+    const double dispatched = static_cast<double>(*highest - first_round_) + 1.0;
+    telemetry_.lag_rounds->Set(
+        std::max(0.0, dispatched - static_cast<double>(rounds_.size())));
+  }
+  if (trace_store_ == nullptr) return;
   // Build the points from the rows just stored, not the input: what the
   // backend holds is then bit-identical to this trace by construction.
   const std::span<const double> values = trace_.values();
   const std::span<const uint8_t> engaged = trace_.engaged();
   points_.clear();
-  for (size_t i = rounds_.size() - appended; i < rounds_.size(); ++i) {
+  for (size_t i = first_row; i < rounds_.size(); ++i) {
     points_.push_back(storage::TracePoint{
         rounds_[i], engaged[i] != 0 ? values[i] : 0.0, engaged[i] != 0});
   }
@@ -349,29 +340,13 @@ void SinkNode::PersistAppendedLocked(size_t appended) {
   }
 }
 
-void SinkNode::NoteAppendedLocked(size_t last_round, size_t appended) {
-  if (telemetry_.outputs != nullptr) {
-    telemetry_.outputs->Add(static_cast<uint64_t>(appended));
-  }
-  if (telemetry_.last_round != nullptr) {
-    telemetry_.last_round->Set(static_cast<double>(last_round));
-  }
-  if (telemetry_.lag_rounds != nullptr) {
-    // Round numbers start at 0, so last_round + 1 rounds were dispatched
-    // up to here; anything this sink has not recorded was lost upstream.
-    const double dispatched = static_cast<double>(last_round) + 1.0;
-    telemetry_.lag_rounds->Set(
-        std::max(0.0, dispatched - static_cast<double>(rounds_.size())));
-  }
-}
-
 size_t SinkNode::output_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::unique_lock<std::mutex> lock = LockGroup();
   return rounds_.size();
 }
 
 std::optional<double> SinkNode::last_value() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::unique_lock<std::mutex> lock = LockGroup();
   for (size_t i = rounds_.size(); i-- > 0;) {
     const auto value = trace_.output(i);
     if (value.has_value()) return value;

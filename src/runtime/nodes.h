@@ -6,10 +6,14 @@
 // reported or when the round is flushed (timeout) — missing modules
 // become missing values, feeding the §7 missing-value fault scenario.
 // Closed rounds leave the hub as a columnar RoundTable; the VoterNode
-// votes that table in one engine pass and appends the resulting trace
-// rows to the SinkNode.
+// votes that table in one engine pass straight into the SinkNode's trace.
+//
+// The nodes hold no locks.  Their owner, GroupRunner, runs every pass
+// under one group mutex; the sink's readers take that mutex, so they are
+// the only calls safe from other threads.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,8 +46,9 @@ struct HubTelemetry {
 struct SinkTelemetry {
   obs::Counter* outputs = nullptr;  ///< fused outputs recorded
   obs::Gauge* last_round = nullptr;
-  /// Rounds that closed upstream but never produced an output here
-  /// (hard CastVote/persistence errors drop the round before the sink).
+  /// Rounds that closed upstream but never produced an output here,
+  /// counted from the first round this sink recorded (a hard engine
+  /// error drops the failing round and the rest of its pass).
   obs::Gauge* lag_rounds = nullptr;
 };
 
@@ -106,8 +111,7 @@ class HubNode {
 
   size_t module_count() const { return module_count_; }
 
-  /// Ingests readings under one hub lock, appending every round they
-  /// complete.  Readings for closed rounds or unknown modules are
+  /// Ingests readings, appending every round they complete.  Readings for closed rounds or unknown modules are
   /// counted, not fatal; a repeated reading for an open round replaces
   /// the earlier value.
   BatchIngestStats IngestBatch(std::span<const ReadingMessage> readings,
@@ -122,10 +126,10 @@ class HubNode {
              data::RoundTable& table);
 
   /// Rounds currently open (received some but not all readings).
-  size_t open_rounds() const;
+  size_t open_rounds() const { return open_.size(); }
   /// Runs the closed-round set is stored as (1 while rounds close in
   /// order).
-  size_t closed_run_count() const;
+  size_t closed_run_count() const { return closed_.run_count(); }
 
   /// Assembly state for migrating a live hub between nodes: partially
   /// filled rounds, ascending by round, plus the closed-round set (the
@@ -145,26 +149,23 @@ class HubNode {
   };
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
-  // All private members below expect mutex_ held.
-
   /// First open_ entry whose round is not below `round`.
-  std::vector<OpenRound>::iterator OpenLowerBoundLocked(size_t round);
+  std::vector<OpenRound>::iterator OpenLowerBound(size_t round);
   /// Row of open `round`, opening the round on a fresh row when it has
   /// none; the caller checked that the round is not closed.
-  size_t OpenSlotLocked(size_t round);
+  size_t OpenSlot(size_t round);
   /// A pool row with no reading present.
-  size_t AcquireSlotLocked();
+  size_t AcquireSlot();
   /// Clears row `slot` and hands it back to the pool.
-  void ReleaseSlotLocked(size_t slot);
+  void ReleaseSlot(size_t slot);
   /// Appends row `slot` to the output as `round`, marks the round closed
   /// and releases the row; the caller drops its open_ entry.
-  void CloseSlotLocked(size_t round, size_t slot, std::vector<size_t>& rounds,
-                       data::RoundTable& table);
+  void CloseSlot(size_t round, size_t slot, std::vector<size_t>& rounds,
+                 data::RoundTable& table);
 
   size_t module_count_;
   size_t close_at_count_;
   HubTelemetry telemetry_;
-  mutable std::mutex mutex_;
   /// Row pool: row s holds cells [s * module_count_, (s + 1) *
   /// module_count_) of values_ and present_; present_counts_[s] counts
   /// its present cells.  Values of absent cells are stale, never read.
@@ -206,15 +207,16 @@ class VoterNode {
   const core::VotingEngine& engine() const { return engine_; }
 
   /// Votes every row of `table` (row i is round rounds[i]) in one
-  /// columnar engine pass, persists the state once, and appends the
-  /// trace rows to `sink` — all under the voter lock, so the sink copies
-  /// out of the scratch trace before the next pass can reuse it.  A
-  /// failed pass appends nothing; its status shows in last_status().
+  /// columnar engine pass straight into `sink`'s trace, persists the
+  /// state once, and has the sink record the new rows.  On a hard engine
+  /// error the rows committed before the failing round stay in the sink
+  /// (the engine has absorbed them), the state is not persisted, and
+  /// the status shows in last_status().
   void Vote(std::span<const size_t> rounds, const data::RoundTable& table,
             SinkNode& sink);
 
   /// Status of the most recent pass (persistence failures surface here).
-  Status last_status() const;
+  const Status& last_status() const { return last_status_; }
 
   /// Full engine state for migration (see core::VotingEngine::State).
   core::VotingEngine::State ExportEngineState() const;
@@ -222,16 +224,12 @@ class VoterNode {
   Status RestoreEngineState(const core::VotingEngine::State& state);
 
  private:
-  /// Persists the engine's state; caller holds mutex_.
-  void PersistStateLocked();
+  void PersistState();
 
   core::VotingEngine engine_;
   VoterOptions options_;
-  mutable std::mutex mutex_;
   Status last_status_;
-  /// Scratch trace reused across passes (guarded by mutex_).
-  core::BatchTrace batch_trace_;
-  /// State copy PersistStateLocked reuses (guarded by mutex_).
+  /// State copy PersistState reuses.
   core::VotingEngine::State persist_state_;
 };
 
@@ -246,16 +244,19 @@ class SinkNode {
   /// storage::TracePoint under `group` — the durable feed behind the
   /// QUERY_RANGE wire verb.  Persist errors are logged, never fatal: the
   /// in-memory trace is the source of truth for the live process.
+  /// `group_mutex` is the owner's group lock, which the readers below
+  /// take; without one the sink is single-threaded.
   explicit SinkNode(SinkTelemetry telemetry = {},
                     storage::TraceBackend* trace_store = nullptr,
-                    std::string group = {});
+                    std::string group = {}, std::mutex* group_mutex = nullptr);
 
   SinkNode(const SinkNode&) = delete;
   SinkNode& operator=(const SinkNode&) = delete;
 
   /// Appends the rows of `trace` (row i is round rounds[i]), copying
-  /// them out of the borrowed view.  Migrated rows arrive here too, with
-  /// the same gauge and persistence side effects as live ones.
+  /// them out of the borrowed view.  Migrated rows arrive here, with the
+  /// same gauge and persistence side effects as voted ones.  The caller
+  /// holds the group lock.
   void Append(std::span<const size_t> rounds, core::TraceView trace);
 
   size_t output_count() const;
@@ -263,30 +264,40 @@ class SinkNode {
   /// Most recent fused value, if any round voted successfully.
   std::optional<double> last_value() const;
 
-  /// Columnar read access under the sink lock: calls `fn(trace, rounds)`
+  /// Columnar read access under the group lock: calls `fn(trace, rounds)`
   /// where rounds[i] is the round number of trace row i.
   template <typename Fn>
   void WithTrace(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const std::unique_lock<std::mutex> lock = LockGroup();
     fn(static_cast<const core::BatchTrace&>(trace_),
        static_cast<const std::vector<size_t>&>(rounds_));
   }
 
  private:
-  /// Updates the sink gauges after appending rows; caller holds mutex_.
-  void NoteAppendedLocked(size_t last_round, size_t appended);
+  // VoterNode votes straight into trace_; GroupRunner::ExportState reads
+  // trace_ and rounds_ under the group lock it already holds.
+  friend class VoterNode;
+  friend class GroupRunner;
 
-  /// Persists the last `appended` rows of trace_ to trace_store_; caller
-  /// holds mutex_.
-  void PersistAppendedLocked(size_t appended);
+  std::unique_lock<std::mutex> LockGroup() const {
+    return group_mutex_ != nullptr ? std::unique_lock<std::mutex>(*group_mutex_)
+                                   : std::unique_lock<std::mutex>();
+  }
+
+  /// Records trace_ rows [first_row, end) as rounds[0..): the round
+  /// column, the gauges and the trace store.
+  void CommitRows(std::span<const size_t> rounds, size_t first_row);
 
   SinkTelemetry telemetry_;
   storage::TraceBackend* trace_store_;
   std::string group_;
-  mutable std::mutex mutex_;
+  std::mutex* group_mutex_;
   core::BatchTrace trace_;
   std::vector<size_t> rounds_;  ///< round number of each trace row
-  /// Scratch of PersistAppendedLocked, reused across appends.
+  /// Lowest round recorded; the lag gauge counts from it, so a restarted
+  /// group's earlier rounds (held by the trace store only) are not lost.
+  size_t first_round_ = SIZE_MAX;
+  /// Scratch of CommitRows' persist, reused across appends.
   std::vector<storage::TracePoint> points_;
 };
 

@@ -922,7 +922,7 @@ Result<std::string> RemoteVoterServer::ExportGroupBlob(
           GroupStateBlob::DedupEntry{client_id, seq, ack.accepted});
     }
   }
-  // Encoded while the sink is locked: its rows go to the wire in place.
+  // Encoded under the group lock: its sink rows go to the wire in place.
   std::string bytes;
   AVOC_RETURN_IF_ERROR(manager_->ExportGroupState(
       group, [&](const GroupRunner::State& state) {

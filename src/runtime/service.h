@@ -6,7 +6,7 @@
 // own thread at a configurable rate; late/absent sensors become missing
 // values; the voter fuses and the sink records, all live.  This is the
 // soft real-time configuration the paper's implementation notes describe;
-// the deterministic experiments use runtime/pipeline.h instead.
+// the deterministic experiments call GroupRunner::RunRound directly.
 #pragma once
 
 #include <atomic>

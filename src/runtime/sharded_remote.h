@@ -105,8 +105,8 @@ class ShardedVoterServer {
     return *managers_[shard];
   }
 
-  /// The group's output sink, wherever it lives.  SinkNode reads are
-  /// internally locked, so cross-shard inspection is safe.
+  /// The group's output sink, wherever it lives.  SinkNode reads take
+  /// the group's lock, so cross-shard inspection is safe.
   Result<const SinkNode*> sink(const std::string& group) const;
 
   // Aggregated introspection across all shards.

@@ -1,13 +1,13 @@
 // End-to-end VDX flow: definition file on disk -> registry -> voter ->
-// middleware pipeline -> fused outputs, i.e. the full §6 "voter service"
-// integration surface.
+// middleware group chain (hub -> voter -> sink) -> fused outputs, i.e. the
+// full §6 "voter service" integration surface.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
 #include "core/batch.h"
-#include "runtime/pipeline.h"
+#include "runtime/group_runner.h"
 #include "sim/light.h"
 #include "vdx/factory.h"
 #include "vdx/registry.h"
@@ -56,20 +56,21 @@ TEST_F(VdxE2eTest, FileToVoterToPipeline) {
   auto spec = registry.Get("app");
   ASSERT_TRUE(spec.ok());
 
-  // 3. A voter is instantiated and wired into the middleware pipeline.
+  // 3. A voter is instantiated and wired into a group's hub -> voter ->
+  // sink chain, which replays the recorded rounds.
   auto voter = vdx::MakeVoter(*spec, 5);
   ASSERT_TRUE(voter.ok()) << voter.status().ToString();
 
   sim::LightScenarioParams params;
   params.rounds = 500;
   const auto table = sim::LightScenario(params).MakeFaultyTable();
-  auto pipeline = runtime::Pipeline::FromTable(table, std::move(*voter));
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Run(table.round_count());
+  auto runner = runtime::GroupRunner::FromTable(table, std::move(*voter));
+  ASSERT_TRUE(runner.ok());
+  for (size_t r = 0; r < table.round_count(); ++r) (*runner)->RunRound(r);
 
   // 4. The sink sees one fused output per round; the faulty E4 never
   // drags the output out of the healthy band.
-  const auto outputs = SinkRows(pipeline->sink());
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), 500u);
   for (const auto& output : outputs) {
     ASSERT_TRUE(output.result.value.has_value());
@@ -134,11 +135,18 @@ TEST_F(VdxE2eTest, FaultPolicyFromSpecControlsPipeline) {
   data::RoundTable table = data::RoundTable::WithModuleCount(3);
   ASSERT_TRUE(table.AppendRound(std::vector<double>{1.0, 1.0, 1.0}).ok());
   ASSERT_TRUE(table.AppendRound({{1.0}, std::nullopt, {1.0}}).ok());
-  auto batch = core::RunOverTable(*voter, table);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->outcome(0), core::RoundOutcome::kVoted);
-  EXPECT_EQ(batch->outcome(1), core::RoundOutcome::kNoOutput);
-  EXPECT_FALSE(batch->output(1).has_value());
+  auto runner = runtime::GroupRunner::FromTable(table, std::move(*voter));
+  ASSERT_TRUE(runner.ok());
+  (*runner)->RunRound(0);
+  (*runner)->RunRound(1);
+  // The spec's EMIT_NOTHING policy reaches the sink: the round missing a
+  // module is recorded without a value, and the last value stays.
+  const auto outputs = SinkRows((*runner)->sink());
+  ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_EQ(outputs[0].result.outcome, core::RoundOutcome::kVoted);
+  EXPECT_EQ(outputs[1].result.outcome, core::RoundOutcome::kNoOutput);
+  EXPECT_FALSE(outputs[1].result.value.has_value());
+  EXPECT_DOUBLE_EQ(*(*runner)->sink().last_value(), 1.0);
 }
 
 }  // namespace

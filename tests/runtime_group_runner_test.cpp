@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/algorithms.h"
 #include "core/batch.h"
+#include "sim/light.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "sink_rows.h"
@@ -29,6 +34,27 @@ data::RoundTable SmallTable() {
   return table;
 }
 
+/// Hex-float rendering of every column of a trace — bit identity, not
+/// closeness.
+std::string RenderTrace(const core::TraceView& trace) {
+  std::string text;
+  for (size_t r = 0; r < trace.round_count(); ++r) {
+    const std::optional<double> output = trace.output(r);
+    text += output.has_value() ? StrFormat("%a", *output) : "-";
+    text += StrFormat(" o%d p%zu c%d m%d |",
+                      static_cast<int>(trace.outcome(r)),
+                      trace.present_count(r), trace.used_clustering(r) ? 1 : 0,
+                      trace.had_majority(r) ? 1 : 0);
+    for (size_t m = 0; m < trace.module_count(); ++m) {
+      text += StrFormat(" %a/%a/%a/%d%d", trace.weights(r)[m],
+                        trace.agreement(r)[m], trace.history(r)[m],
+                        trace.excluded(r)[m], trace.eliminated(r)[m]);
+    }
+    text += "\n";
+  }
+  return text;
+}
+
 TEST(GroupRunnerTest, FactoriesValidate) {
   EXPECT_FALSE(GroupRunner::WithGenerators({}, AverageEngine(1)).ok());
   std::vector<Generator> two(
@@ -40,21 +66,31 @@ TEST(GroupRunnerTest, FactoriesValidate) {
 }
 
 TEST(GroupRunnerTest, SynchronousRoundsMatchBatchRunner) {
-  const data::RoundTable table = SmallTable();
-  auto runner = GroupRunner::FromTable(table, AverageEngine(3));
-  ASSERT_TRUE(runner.ok());
-  EXPECT_EQ((*runner)->module_count(), 3u);
-  EXPECT_EQ((*runner)->sensor_count(), 3u);
-  for (size_t r = 0; r < table.round_count(); ++r) {
-    (*runner)->RunRound(r);
-  }
-  core::VotingEngine reference = AverageEngine(3);
-  auto batch = core::RunOverTable(reference, table);
-  ASSERT_TRUE(batch.ok());
-  const auto outputs = SinkRows((*runner)->sink());
-  ASSERT_EQ(outputs.size(), batch->round_count());
-  for (size_t r = 0; r < outputs.size(); ++r) {
-    EXPECT_EQ(outputs[r].result.value, batch->output(r)) << "round " << r;
+  // The replayed rounds fuse bit-identically to the direct batch path,
+  // for a stateless engine and a history-aware one over a faulty
+  // scenario.
+  sim::LightScenarioParams params;
+  params.rounds = 300;
+  const std::pair<core::AlgorithmId, data::RoundTable> cases[] = {
+      {core::AlgorithmId::kAverage, SmallTable()},
+      {core::AlgorithmId::kAvoc, sim::LightScenario(params).MakeFaultyTable()}};
+  for (const auto& [id, table] : cases) {
+    auto engine = core::MakeEngine(id, table.module_count());
+    ASSERT_TRUE(engine.ok());
+    auto runner = GroupRunner::FromTable(table, std::move(*engine));
+    ASSERT_TRUE(runner.ok());
+    EXPECT_EQ((*runner)->module_count(), table.module_count());
+    EXPECT_EQ((*runner)->sensor_count(), table.module_count());
+    for (size_t r = 0; r < table.round_count(); ++r) (*runner)->RunRound(r);
+    auto batch = core::RunAlgorithm(id, table);
+    ASSERT_TRUE(batch.ok());
+    std::string live;
+    (*runner)->sink().WithTrace(
+        [&](const core::BatchTrace& trace, const std::vector<size_t>& rounds) {
+          EXPECT_EQ(rounds.size(), table.round_count());
+          live = RenderTrace(trace.view());
+        });
+    EXPECT_EQ(live, RenderTrace(batch->view()));
   }
 }
 
@@ -76,6 +112,40 @@ TEST(GroupRunnerTest, RunRoundVotesGeneratorValues) {
   EXPECT_GT(outputs[0].result.weights[2], 0.0);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 15.0);
   EXPECT_DOUBLE_EQ(*outputs[1].result.value, 16.0);
+}
+
+TEST(GroupRunnerTest, MissingGeneratorsBecomeMissingValues) {
+  auto runner = GroupRunner::WithGenerators(
+      {[](size_t) { return std::optional<double>(10.0); },
+       [](size_t round) {
+         return round % 2 == 0 ? std::optional<double>(20.0) : std::nullopt;
+       }},
+      AverageEngine(2));
+  ASSERT_TRUE(runner.ok());
+  (*runner)->RunRound(0);
+  (*runner)->RunRound(1);
+  const auto outputs = SinkRows((*runner)->sink());
+  ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_DOUBLE_EQ(*outputs[0].result.value, 15.0);
+  EXPECT_EQ(outputs[1].result.present_count, 1u);
+  EXPECT_DOUBLE_EQ(*outputs[1].result.value, 10.0);
+}
+
+TEST(GroupRunnerTest, StepsBeyondTableProduceEmptyRounds) {
+  auto config = core::MakeConfig(core::AlgorithmId::kAverage);
+  config.on_no_quorum = core::NoQuorumPolicy::kRevertLast;
+  auto engine = core::VotingEngine::Create(3, config);
+  ASSERT_TRUE(engine.ok());
+  auto runner = GroupRunner::FromTable(SmallTable(), std::move(*engine));
+  ASSERT_TRUE(runner.ok());
+  for (size_t r = 0; r < 4; ++r) (*runner)->RunRound(r);  // one past
+  const auto outputs = SinkRows((*runner)->sink());
+  ASSERT_EQ(outputs.size(), 4u);
+  EXPECT_EQ(outputs[3].round, 3u);
+  EXPECT_EQ(outputs[3].result.present_count, 0u);
+  // The starved round reverts to the last fused value.
+  EXPECT_EQ(outputs[3].result.outcome, core::RoundOutcome::kRevertedLast);
+  EXPECT_EQ(outputs[3].result.value, outputs[2].result.value);
 }
 
 TEST(GroupRunnerTest, SilentGeneratorsCloseAnAllMissingRound) {
@@ -153,25 +223,32 @@ TEST(GroupRunnerTest, PersistsHistoryThroughStore) {
   EXPECT_EQ(snapshot->records.size(), 3u);
 }
 
-/// Hex-float rendering of every column of a trace — bit identity, not
-/// closeness.
-std::string RenderTrace(const core::TraceView& trace) {
-  std::string text;
-  for (size_t r = 0; r < trace.round_count(); ++r) {
-    const std::optional<double> output = trace.output(r);
-    text += output.has_value() ? StrFormat("%a", *output) : "-";
-    text += StrFormat(" o%d p%zu c%d m%d |",
-                      static_cast<int>(trace.outcome(r)),
-                      trace.present_count(r), trace.used_clustering(r) ? 1 : 0,
-                      trace.had_majority(r) ? 1 : 0);
-    for (size_t m = 0; m < trace.module_count(); ++m) {
-      text += StrFormat(" %a/%a/%a/%d%d", trace.weights(r)[m],
-                        trace.agreement(r)[m], trace.history(r)[m],
-                        trace.excluded(r)[m], trace.eliminated(r)[m]);
-    }
-    text += "\n";
+TEST(GroupRunnerTest, HistoryPersistsThroughStoreAcrossRunners) {
+  HistoryStore store;
+  GroupRunner::Options options;
+  options.group = "uc1";
+  options.store = &store;
+  data::RoundTable table = data::RoundTable::WithModuleCount(3);
+  for (int r = 0; r < 10; ++r) {
+    ASSERT_TRUE(table.AppendRound(std::vector<double>{10.0, 10.1, 60.0}).ok());
   }
-  return text;
+  auto hybrid = [] {
+    auto engine = core::MakeEngine(core::AlgorithmId::kHybrid, 3);
+    EXPECT_TRUE(engine.ok());
+    return std::move(*engine);
+  };
+  {
+    auto runner = GroupRunner::FromTable(table, hybrid(), options);
+    ASSERT_TRUE(runner.ok());
+    for (size_t r = 0; r < 10; ++r) (*runner)->RunRound(r);
+  }
+  // A fresh runner restores the learned distrust of module 2.
+  auto runner = GroupRunner::FromTable(table, hybrid(), options);
+  ASSERT_TRUE(runner.ok());
+  (*runner)->RunRound(0);
+  const auto outputs = SinkRows((*runner)->sink());
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_TRUE(outputs[0].result.eliminated[2]);
 }
 
 TEST(GroupRunnerTest, PerReadingAndBatchSubmitsShareOneRoundPath) {
@@ -254,6 +331,75 @@ TEST(GroupRunnerTest, PerReadingAndBatchSubmitsShareOneRoundPath) {
         live = RenderTrace(trace.view());
       });
   EXPECT_EQ(live, RenderTrace(batch->view()));
+}
+
+TEST(GroupRunnerTest, ConcurrentPassesAndExportSeeOneState) {
+  // Writers submit distinct whole rounds into one runner while a reader
+  // exports its state and reads the sink.  Every pass runs under the one
+  // group lock, so each export is one consistent snapshot.
+  constexpr size_t kModules = 3;
+  constexpr size_t kWriters = 4;
+  constexpr size_t kRounds = 2000;
+  auto runner = GroupRunner::Create(AverageEngine(kModules));
+  ASSERT_TRUE(runner.ok());
+  GroupRunner& group = **runner;
+
+  std::atomic<bool> start{false};
+  std::atomic<size_t> writers_done{0};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&group, &start, &writers_done, w] {
+      while (!start.load()) std::this_thread::yield();
+      // Writer w owns rounds w, w + kWriters, ...: one whole round per
+      // call, so every call is a pass that votes.
+      std::vector<ReadingMessage> round(kModules);
+      for (size_t r = w; r < kRounds; r += kWriters) {
+        for (size_t m = 0; m < kModules; ++m) {
+          round[m] = ReadingMessage{m, r, static_cast<double>(r + m)};
+        }
+        group.SubmitBatch(round);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+
+  start.store(true);
+  size_t exports = 0;
+  size_t inconsistent = 0;
+  while (writers_done.load() < kWriters || exports == 0) {
+    group.ExportState([&](const GroupRunner::State& state) {
+      ++exports;
+      std::vector<size_t> rounds(state.sink_rounds.begin(),
+                                 state.sink_rounds.end());
+      std::sort(rounds.begin(), rounds.end());
+      std::vector<size_t> closed;
+      for (const ClosedRounds::Run& run : state.hub.closed.runs()) {
+        for (uint64_t r = run.first; r <= run.last; ++r) closed.push_back(r);
+      }
+      if (state.engine.round_index != state.sink_trace.round_count() ||
+          rounds.size() != state.sink_trace.round_count() ||
+          closed != rounds) {
+        ++inconsistent;
+      }
+    });
+    group.sink().WithTrace(
+        [&](const core::BatchTrace& trace, const std::vector<size_t>& rounds) {
+          if (rounds.size() != trace.round_count()) ++inconsistent;
+        });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_GT(exports, 0u);
+  EXPECT_EQ(inconsistent, 0u);
+
+  std::vector<size_t> rounds;
+  group.sink().WithTrace(
+      [&](const core::BatchTrace&, const std::vector<size_t>& sink_rounds) {
+        rounds = sink_rounds;
+      });
+  std::sort(rounds.begin(), rounds.end());
+  ASSERT_EQ(rounds.size(), kRounds);
+  for (size_t r = 0; r < kRounds; ++r) EXPECT_EQ(rounds[r], r);
+  EXPECT_EQ(group.hub().open_rounds(), 0u);
 }
 
 }  // namespace

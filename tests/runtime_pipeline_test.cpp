@@ -1,4 +1,7 @@
-#include "runtime/pipeline.h"
+// The Fig. 1 chain (hub -> voter -> sink) driven synchronously from a
+// recorded table or from generators, one RunRound per round, as a
+// deterministic replay would drive it.
+#include "runtime/group_runner.h"
 
 #include <gtest/gtest.h>
 
@@ -23,46 +26,35 @@ data::RoundTable SmallTable() {
   return table;
 }
 
+void RunRounds(GroupRunner& runner, size_t rounds) {
+  for (size_t r = 0; r < rounds; ++r) runner.RunRound(r);
+}
+
 TEST(PipelineTest, CreateValidatesArity) {
   std::vector<Generator> two(2, [](size_t) {
     return std::optional<double>(1.0);
   });
-  EXPECT_FALSE(Pipeline::FromGenerators(
+  EXPECT_FALSE(GroupRunner::WithGenerators(
                    std::move(two),
                    MakeEngineOrDie(core::AlgorithmId::kAverage, 3))
                    .ok());
   std::vector<Generator> none;
-  EXPECT_FALSE(Pipeline::FromGenerators(
+  EXPECT_FALSE(GroupRunner::WithGenerators(
                    std::move(none),
                    MakeEngineOrDie(core::AlgorithmId::kAverage, 3))
                    .ok());
 }
 
 TEST(PipelineTest, ReplaysTableThroughVoter) {
-  auto pipeline = Pipeline::FromTable(
+  auto runner = GroupRunner::FromTable(
       SmallTable(), MakeEngineOrDie(core::AlgorithmId::kAverage, 3));
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Run(2);
-  EXPECT_EQ(pipeline->rounds_run(), 2u);
-  const auto outputs = SinkRows(pipeline->sink());
+  ASSERT_TRUE(runner.ok());
+  RunRounds(**runner, 2);
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_EQ(outputs[1].round, 1u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 2.0);
   EXPECT_DOUBLE_EQ(*outputs[1].result.value, 5.0);
-}
-
-TEST(PipelineTest, StepsBeyondTableProduceEmptyRounds) {
-  auto config = core::MakeConfig(core::AlgorithmId::kAverage);
-  config.on_no_quorum = core::NoQuorumPolicy::kRevertLast;
-  auto engine = core::VotingEngine::Create(3, config);
-  ASSERT_TRUE(engine.ok());
-  auto pipeline = Pipeline::FromTable(SmallTable(), std::move(*engine));
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Run(3);  // one step past the table
-  const auto outputs = SinkRows(pipeline->sink());
-  ASSERT_EQ(outputs.size(), 3u);
-  // The starved round reverts to the last fused value.
-  EXPECT_EQ(outputs[2].result.outcome, core::RoundOutcome::kRevertedLast);
-  EXPECT_DOUBLE_EQ(*outputs[2].result.value, 5.0);
 }
 
 TEST(PipelineTest, GeneratorsDriveRounds) {
@@ -72,30 +64,14 @@ TEST(PipelineTest, GeneratorsDriveRounds) {
       return std::optional<double>(static_cast<double>(round * 10 + m));
     });
   }
-  auto pipeline = Pipeline::FromGenerators(
+  auto runner = GroupRunner::WithGenerators(
       std::move(generators), MakeEngineOrDie(core::AlgorithmId::kAverage, 3));
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Run(2);
-  const auto outputs = SinkRows(pipeline->sink());
+  ASSERT_TRUE(runner.ok());
+  RunRounds(**runner, 2);
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 1.0);   // (0+1+2)/3
   EXPECT_DOUBLE_EQ(*outputs[1].result.value, 11.0);  // (10+11+12)/3
-}
-
-TEST(PipelineTest, MissingGeneratorsBecomeMissingValues) {
-  std::vector<Generator> generators;
-  generators.push_back([](size_t) { return std::optional<double>(10.0); });
-  generators.push_back([](size_t round) {
-    return round % 2 == 0 ? std::optional<double>(20.0) : std::nullopt;
-  });
-  auto pipeline = Pipeline::FromGenerators(
-      std::move(generators), MakeEngineOrDie(core::AlgorithmId::kAverage, 2));
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Run(2);
-  const auto outputs = SinkRows(pipeline->sink());
-  ASSERT_EQ(outputs.size(), 2u);
-  EXPECT_DOUBLE_EQ(*outputs[0].result.value, 15.0);
-  EXPECT_EQ(outputs[1].result.present_count, 1u);
 }
 
 TEST(PipelineTest, MatchesBatchRunnerExactly) {
@@ -107,11 +83,11 @@ TEST(PipelineTest, MatchesBatchRunnerExactly) {
   auto batch = core::RunAlgorithm(core::AlgorithmId::kAvoc, table);
   ASSERT_TRUE(batch.ok());
 
-  auto pipeline = Pipeline::FromTable(
+  auto runner = GroupRunner::FromTable(
       table, MakeEngineOrDie(core::AlgorithmId::kAvoc, 5));
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Run(table.round_count());
-  const auto outputs = SinkRows(pipeline->sink());
+  ASSERT_TRUE(runner.ok());
+  RunRounds(**runner, table.round_count());
+  const auto outputs = SinkRows((*runner)->sink());
   ASSERT_EQ(outputs.size(), table.round_count());
   for (size_t r = 0; r < table.round_count(); ++r) {
     const auto batch_output = batch->output(r);
@@ -121,32 +97,6 @@ TEST(PipelineTest, MatchesBatchRunnerExactly) {
           << "round " << r;
     }
   }
-}
-
-TEST(PipelineTest, HistoryPersistsThroughStoreAcrossPipelines) {
-  HistoryStore store;
-  PipelineOptions options;
-  options.store = &store;
-  options.group = "uc1";
-
-  data::RoundTable table = data::RoundTable::WithModuleCount(3);
-  for (int r = 0; r < 10; ++r) {
-    ASSERT_TRUE(table.AppendRound(std::vector<double>{10.0, 10.1, 60.0}).ok());
-  }
-  {
-    auto pipeline = Pipeline::FromTable(
-        table, MakeEngineOrDie(core::AlgorithmId::kHybrid, 3), options);
-    ASSERT_TRUE(pipeline.ok());
-    pipeline->Run(10);
-  }
-  // A fresh pipeline restores the learned distrust of module 2.
-  auto pipeline = Pipeline::FromTable(
-      table, MakeEngineOrDie(core::AlgorithmId::kHybrid, 3), options);
-  ASSERT_TRUE(pipeline.ok());
-  pipeline->Step();
-  const auto outputs = SinkRows(pipeline->sink());
-  ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_TRUE(outputs[0].result.eliminated[2]);
 }
 
 }  // namespace

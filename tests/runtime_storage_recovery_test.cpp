@@ -546,5 +546,37 @@ TEST(RestartExactnessTest, RestartedGroupVotesAsIfItNeverStopped) {
   }
 }
 
+TEST(RestartExactnessTest, SinkLagGaugeCountsFromTheRestart) {
+  // A restarted group's sink starts empty: its earlier rows live in the
+  // store only, so they must not read as rounds lost upstream.
+  constexpr size_t kBefore = 40;
+  const std::string dir = RecoveryDir(0x1A6);
+  std::filesystem::remove_all(dir);
+  storage::StorageEngineOptions options;
+  options.dir = dir;
+  obs::Registry registry;
+  const obs::Gauge& lag = registry.GetGauge(
+      obs::LabeledName("avoc_sink_lag_rounds", {{"group", "lights"}}));
+  const data::RoundTable table = ExactnessTable();
+  auto run = [&](size_t first, size_t end) {
+    auto store = storage::StorageEngine::Open(options);
+    ASSERT_TRUE(store.ok());
+    GroupRunnerOptions group;
+    group.group = "lights";
+    group.store = store->get();
+    group.trace_store = store->get();
+    group.registry = &registry;
+    auto runner = GroupRunner::FromTable(table, ExactnessEngine(), group);
+    ASSERT_TRUE(runner.ok());
+    for (size_t r = first; r < end; ++r) (*runner)->RunRound(r);
+    EXPECT_EQ((*runner)->sink().output_count(), end - first);
+  };
+  run(0, kBefore);
+  EXPECT_EQ(lag.Value(), 0.0);
+  run(kBefore, kBefore + 1);
+  EXPECT_EQ(lag.Value(), 0.0);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace avoc::runtime
