@@ -423,9 +423,9 @@ void BM_HubIngest(benchmark::State& state) {
 BENCHMARK(BM_HubIngest)->Args({16, 32})->Args({5, 1});
 
 // Sink append of one voted frame's trace rows (no trace store).  The
-// sink is replaced, untimed, every kSinkRows rows to bound memory.
-void BM_SinkAppend(benchmark::State& state) {
-  constexpr size_t kSinkRows = 1 << 9;
+// sink is replaced, untimed, once the next append would take it past
+// `sink_rows` rows, to bound memory.
+void SinkAppendBench(benchmark::State& state, size_t sink_rows) {
   const size_t modules = static_cast<size_t>(state.range(0));
   const size_t rounds = static_cast<size_t>(state.range(1));
   avoc::data::RoundTable table =
@@ -444,7 +444,7 @@ void BM_SinkAppend(benchmark::State& state) {
   }
   auto sink = std::make_unique<avoc::runtime::SinkNode>();
   for (auto _ : state) {
-    if (sink->output_count() + rounds > kSinkRows) {
+    if (sink->output_count() + rounds > sink_rows) {
       state.PauseTiming();
       sink = std::make_unique<avoc::runtime::SinkNode>();
       state.ResumeTiming();
@@ -455,7 +455,18 @@ void BM_SinkAppend(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(1));
 }
+
+// A young sink: replaced every 512 rows, so its columns stay warm.
+void BM_SinkAppend(benchmark::State& state) { SinkAppendBench(state, 1 << 9); }
 BENCHMARK(BM_SinkAppend)->Args({16, 32})->Args({5, 1});
+
+// A long-lived sink: one sink takes 8 windows of rows, as a group that
+// runs for hours does, so the appends pay whatever growth its columns
+// need.
+void BM_SinkAppendLongLived(benchmark::State& state) {
+  SinkAppendBench(state, 8 * avoc::core::kSinkDetailRows);
+}
+BENCHMARK(BM_SinkAppendLongLived)->Args({16, 32});
 
 // One percentile-pass config: an algorithm preset at a round width.
 struct PercentileConfig {

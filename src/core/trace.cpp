@@ -111,7 +111,7 @@ VoteResult TraceView::MaterializeRound(size_t r) const {
 void BatchTrace::Reset(size_t modules) {
   modules_ = modules;
   rounds_ = 0;
-  open_round_ = false;
+  base_ = 0;
   values_.clear();
   engaged_.clear();
   outcomes_.clear();
@@ -138,8 +138,8 @@ void BatchTrace::ReserveRounds(size_t rounds) {
   // (each of which would zero-fill the fresh row only for EmitColumns to
   // overwrite it).  The block size is decoupled from the committed round
   // count — every read goes through view(), which clamps the spans to
-  // rounds_ * modules_.
-  GrowBlocks(rounds * modules_);
+  // the committed detail rows.
+  if (rounds > base_) GrowBlocks((rounds - base_) * modules_);
 }
 
 void BatchTrace::GrowBlocks(size_t elements) {
@@ -155,9 +155,8 @@ void BatchTrace::GrowBlocks(size_t elements) {
 
 RoundColumns BatchTrace::BeginRound(size_t module_count) {
   if (modules_ == 0) modules_ = module_count;
-  const size_t offset = rounds_ * modules_;
+  const size_t offset = (rounds_ - base_) * modules_;
   GrowBlocks(offset + modules_);
-  open_round_ = true;
   return RoundColumns{
       std::span<double>(weights_).subspan(offset, modules_),
       std::span<double>(agreement_).subspan(offset, modules_),
@@ -178,7 +177,6 @@ void BatchTrace::EndRound(const RoundScalars& scalars) {
         RoundError{static_cast<uint32_t>(rounds_), *scalars.status});
   }
   ++rounds_;
-  open_round_ = false;
 }
 
 void BatchTrace::Append(const VoteResult& result) {
@@ -210,19 +208,23 @@ void BatchTrace::AppendRows(const TraceView& src) {
   const TraceColumns& c = src.columns();
   if (c.rounds == 0) return;
   if (modules_ == 0) modules_ = c.modules;
-  const size_t base = rounds_;
-  const size_t offset = base * modules_;
-  GrowBlocks(offset + c.rounds * modules_);
+  const size_t first = rounds_;
+  // Source rows below its base have no detail: this trace's detail then
+  // starts at the source's first detail row, so it stays one suffix.
+  if (c.detail_base > 0) base_ = first + c.detail_base;
+  const size_t offset = (first + c.detail_base - base_) * modules_;
+  const size_t detail = c.rounds - c.detail_base;
+  GrowBlocks(offset + detail * modules_);
   CopyBlockRows(c.weights, c.modules, weights_.data() + offset, modules_,
-                c.rounds);
+                detail);
   CopyBlockRows(c.agreement, c.modules, agreement_.data() + offset, modules_,
-                c.rounds);
+                detail);
   CopyBlockRows(c.history, c.modules, history_.data() + offset, modules_,
-                c.rounds);
+                detail);
   CopyBlockRows(c.excluded, c.modules, excluded_.data() + offset, modules_,
-                c.rounds);
+                detail);
   CopyBlockRows(c.eliminated, c.modules, eliminated_.data() + offset,
-                modules_, c.rounds);
+                modules_, detail);
   // Scalars as EndRound stores them: flags as 0/1, 0 as the value of a
   // round that produced none.
   for (size_t r = 0; r < c.rounds; ++r) {
@@ -237,16 +239,36 @@ void BatchTrace::AppendRows(const TraceView& src) {
   for (const RoundError& error : c.errors) {
     if (error.round < c.rounds && !error.status.ok()) {
       errors_.push_back(
-          RoundError{static_cast<uint32_t>(base + error.round), error.status});
+          RoundError{static_cast<uint32_t>(first + error.round), error.status});
     }
   }
   rounds_ += c.rounds;
+}
+
+void BatchTrace::TrimDetail(size_t base) {
+  base = std::min(base, rounds_);
+  if (base <= base_) return;
+  const size_t from = (base - base_) * modules_;
+  const size_t end = (rounds_ - base_) * modules_;
+  // Shift the surviving rows to the front; the ranges may overlap, and
+  // std::copy moves forward, which is safe for a shift down.
+  const auto shift = [&](auto& block) {
+    std::copy(block.begin() + static_cast<ptrdiff_t>(from),
+              block.begin() + static_cast<ptrdiff_t>(end), block.begin());
+  };
+  shift(weights_);
+  shift(agreement_);
+  shift(history_);
+  shift(excluded_);
+  shift(eliminated_);
+  base_ = base;
 }
 
 TraceView BatchTrace::view() const {
   TraceColumns columns;
   columns.rounds = rounds_;
   columns.modules = modules_;
+  columns.detail_base = base_;
   columns.values = values_;
   columns.engaged = engaged_;
   columns.outcomes = outcomes_;
@@ -255,7 +277,7 @@ TraceView BatchTrace::view() const {
   columns.present_counts = present_counts_;
   // The blocks are slab-sized past the committed rounds (see
   // ReserveRounds); clamp the read surface to what EndRound committed.
-  const size_t committed = rounds_ * modules_;
+  const size_t committed = (rounds_ - base_) * modules_;
   columns.weights = std::span<const double>(weights_.data(), committed);
   columns.agreement = std::span<const double>(agreement_.data(), committed);
   columns.history = std::span<const double>(history_.data(), committed);

@@ -12,6 +12,12 @@
 // owns the storage, implements VoteSink (core/vote_sink.h) so an engine
 // writes rounds straight into it, and is reusable: Reset keeps capacity,
 // so a warmed-up trace adds no allocations on subsequent batches.
+//
+// A trace has a detail base: every row keeps its fused series (value,
+// engaged, outcome, flags, present count, error), but only the rows from
+// the base on keep their per-module columns.  The base is 0 unless an
+// owner moves it (TrimDetail); a long-lived sink (runtime::SinkNode)
+// moves it by SinkDetailBase, keeping the newest 1024-2047 rows' detail.
 #pragma once
 
 #include <cstdint>
@@ -59,13 +65,28 @@ struct UninitAllocator : std::allocator<T> {
 template <typename T>
 using SlabVector = std::vector<T, UninitAllocator<T>>;
 
+/// Per-module detail rows a long-lived sink keeps: between one and two
+/// windows of the newest rows.
+inline constexpr size_t kSinkDetailRows = 1024;
+
+/// The detail base of a sink that holds `rows` rows: every whole window
+/// but the newest, so rows - base stays in [kSinkDetailRows,
+/// 2 * kSinkDetailRows) once the sink holds one window.
+constexpr size_t SinkDetailBase(size_t rows) {
+  const size_t windows = rows / kSinkDetailRows;
+  return windows > 1 ? (windows - 1) * kSinkDetailRows : 0;
+}
+
 /// The raw columns of a trace; all round-indexed spans have `rounds`
-/// entries, all block spans have `rounds * modules` entries (row-major:
-/// round r, module m at [r * modules + m]).  `errors` is sparse and
-/// ordered by round.
+/// entries, all block spans have `(rounds - detail_base) * modules`
+/// entries (row-major: round r >= detail_base, module m at
+/// [(r - detail_base) * modules + m]).  `errors` is sparse and ordered by
+/// round.
 struct TraceColumns {
   size_t rounds = 0;
   size_t modules = 0;
+  /// First row that keeps its per-module columns; at most `rounds`.
+  size_t detail_base = 0;
   std::span<const double> values;          ///< fused value where engaged
   std::span<const uint8_t> engaged;        ///< 1 = round produced a value
   std::span<const RoundOutcome> outcomes;
@@ -91,6 +112,8 @@ class TraceView {
   size_t round_count() const { return c_.rounds; }
   size_t module_count() const { return c_.modules; }
   bool empty() const { return c_.rounds == 0; }
+  /// Rows below this keep only their fused series.
+  size_t detail_base() const { return c_.detail_base; }
 
   const TraceColumns& columns() const { return c_; }
 
@@ -106,7 +129,7 @@ class TraceView {
   /// Status of round r; Ok unless the outcome was kError.
   Status status(size_t r) const;
 
-  // --- per-round module columns ---------------------------------------------
+  // --- per-round module columns (empty below detail_base()) ----------------
   std::span<const double> weights(size_t r) const { return Row(c_.weights, r); }
   std::span<const double> agreement(size_t r) const {
     return Row(c_.agreement, r);
@@ -133,13 +156,15 @@ class TraceView {
   size_t clustered_rounds() const;
 
   /// Legacy materializer: round r as a full VoteResult (for explain,
-  /// goldens, and APIs that still speak per-round results).
+  /// goldens, and APIs that still speak per-round results).  A row below
+  /// detail_base() has empty per-module vectors.
   VoteResult MaterializeRound(size_t r) const;
 
  private:
   template <typename T>
   std::span<const T> Row(std::span<const T> block, size_t r) const {
-    return block.subspan(r * c_.modules, c_.modules);
+    if (r < c_.detail_base) return {};
+    return block.subspan((r - c_.detail_base) * c_.modules, c_.modules);
   }
 
   TraceColumns c_;
@@ -153,10 +178,12 @@ class BatchTrace final : public VoteSink {
   BatchTrace() = default;
   explicit BatchTrace(size_t modules) { Reset(modules); }
 
-  /// Drops all rounds and fixes the module arity; keeps capacity.
+  /// Drops all rounds, fixes the module arity and the detail base at 0;
+  /// keeps capacity.
   void Reset(size_t modules);
 
-  /// Pre-grows every column for `rounds` rounds.
+  /// Pre-grows every column for `rounds` rounds (the blocks for the rows
+  /// from the detail base on).
   void ReserveRounds(size_t rounds);
 
   // --- VoteSink -------------------------------------------------------------
@@ -171,13 +198,24 @@ class BatchTrace final : public VoteSink {
   /// batch-driven sinks: one block copy per per-module column, no
   /// intermediate VoteResult.  Adopts the source's arity when the trace
   /// is still empty/unsized; a source of another arity is truncated or
-  /// zero-padded per row.
+  /// zero-padded per row.  A source with a detail base moves this trace's
+  /// base to the source's first detail row, so the detail stays one
+  /// contiguous suffix.
   void AppendRows(const TraceView& src);
+
+  /// Moves the detail base up to `base` (at most round_count()): rows
+  /// below it drop their per-module columns, and the surviving ones shift
+  /// down in place, keeping capacity.  No-op when `base` is not above
+  /// detail_base().
+  void TrimDetail(size_t base);
 
   // --- read surface ---------------------------------------------------------
   size_t round_count() const { return rounds_; }
   size_t module_count() const { return modules_; }
   bool empty() const { return rounds_ == 0; }
+  size_t detail_base() const { return base_; }
+  /// Rows that keep their per-module columns.
+  size_t detail_rows() const { return rounds_ - base_; }
 
   TraceView view() const;
 
@@ -226,7 +264,7 @@ class BatchTrace final : public VoteSink {
 
   size_t modules_ = 0;
   size_t rounds_ = 0;       ///< committed rounds
-  bool open_round_ = false;  ///< BeginRound issued, EndRound pending
+  size_t base_ = 0;         ///< detail base: block row 0 is round base_
 
   std::vector<double> values_;
   std::vector<uint8_t> engaged_;

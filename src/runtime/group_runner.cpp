@@ -23,9 +23,12 @@ GroupRunner::GroupRunner(std::vector<Generator> generators,
     hub_telemetry.rounds_closed = counter("avoc_hub_rounds_closed_total");
     hub_telemetry.open_rounds = gauge("avoc_hub_open_rounds");
     hub_telemetry.last_closed_round = gauge("avoc_hub_last_closed_round");
+    hub_telemetry.closed_runs = gauge("avoc_hub_closed_runs");
     sink_telemetry.outputs = counter("avoc_sink_outputs_total");
     sink_telemetry.last_round = gauge("avoc_sink_last_round");
     sink_telemetry.lag_rounds = gauge("avoc_sink_lag_rounds");
+    sink_telemetry.rows = gauge("avoc_sink_rows");
+    sink_telemetry.detail_rows = gauge("avoc_sink_detail_rows");
 
     obs::MetricsObserverOptions observer_options;
     observer_options.scope = options_.group;
@@ -183,12 +186,28 @@ void GroupRunner::ExportState(
   fn(state);
 }
 
-Status GroupRunner::RestoreState(const State& state) {
-  if (state.sink_rounds.size() != state.sink_trace.round_count()) {
+Status GroupRunner::CheckSinkRows(const State& state, size_t module_count) {
+  const core::TraceView& trace = state.sink_trace;
+  if (state.sink_rounds.size() != trace.round_count()) {
     return InvalidArgumentError(
         StrFormat("sink state has %zu rounds for %zu trace rows",
-                  state.sink_rounds.size(), state.sink_trace.round_count()));
+                  state.sink_rounds.size(), trace.round_count()));
   }
+  if (trace.detail_base() > trace.round_count()) {
+    return InvalidArgumentError(
+        StrFormat("sink state has detail base %zu past its %zu rows",
+                  trace.detail_base(), trace.round_count()));
+  }
+  if (!trace.empty() && trace.module_count() != module_count) {
+    return InvalidArgumentError(
+        StrFormat("sink state rows have %zu modules, the group has %zu",
+                  trace.module_count(), module_count));
+  }
+  return Status::Ok();
+}
+
+Status GroupRunner::RestoreState(const State& state) {
+  AVOC_RETURN_IF_ERROR(CheckSinkRows(state, module_count()));
   std::lock_guard<std::mutex> lock(mutex_);
   AVOC_RETURN_IF_ERROR(voter_->RestoreEngineState(state.engine));
   hub_->RestoreState(state.hub);

@@ -137,7 +137,15 @@ class GroupRunner {
   /// held for the call, so the sink rows are read in place.  `fn` must
   /// not call back into the runner.
   void ExportState(const std::function<void(const State&)>& fn) const;
+  /// Installs `state`; InvalidArgument, restoring nothing, when
+  /// CheckSinkRows refuses its sink rows or the engine refuses its
+  /// engine state.
   Status RestoreState(const State& state);
+  /// The sink rows a group of `module_count` modules can hold: one round
+  /// number per row, a detail base within the rows, and rows of
+  /// `module_count` modules when there are any.  InvalidArgument
+  /// otherwise.
+  static Status CheckSinkRows(const State& state, size_t module_count);
 
   // --- Introspection --------------------------------------------------------
 

@@ -14,9 +14,10 @@ namespace {
 
 // "AVGS" magic + version byte; trailing CRC32 over everything before it.
 constexpr char kBlobMagic[4] = {'A', 'V', 'G', 'S'};
-/// Version 2 carries the engine state in the storage group-state
-/// encoding, the closed set as runs and the sink rows as columns.
-constexpr uint8_t kBlobVersion = 2;
+/// Version 3: the engine state in the storage group-state encoding, the
+/// closed set as runs, and the sink rows as columns with their detail
+/// base (rows below it carry no per-module columns).
+constexpr uint8_t kBlobVersion = 3;
 // Replication records get their own magic: they travel independently
 // (the shipped-WAL-segment unit), so a record must never decode as a blob.
 constexpr char kRecordMagic[4] = {'A', 'V', 'R', 'L'};
@@ -58,13 +59,15 @@ Status ReadDoubles(PayloadReader& reader, std::vector<double>& values) {
   return Status::Ok();
 }
 
-/// The sink rows as columns: row count and arity, the round column, the
-/// per-round scalars, the per-module blocks, then the sparse errors.
+/// The sink rows as columns: row count, arity and detail base, the
+/// round column, the per-round scalars, the per-module blocks of the rows
+/// from the base on, then the sparse errors.
 void AppendSinkRows(std::string& out, const core::TraceView& trace,
                     std::span<const size_t> rounds) {
   const core::TraceColumns& c = trace.columns();
   AppendVarint(out, c.rounds);
   AppendVarint(out, c.modules);
+  AppendVarint(out, c.detail_base);
   for (const size_t round : rounds) AppendVarint(out, round);
   for (const double value : c.values) AppendDouble(out, value);
   AppendFlags(out, c.engaged);
@@ -113,14 +116,21 @@ struct SinkColumns {
 /// views at them.
 Status ReadSinkRows(PayloadReader& reader, GroupStateBlob& blob) {
   // Each row takes at least 13 bytes (round, value, five scalar bytes),
-  // each module cell at least 26 (three doubles, two flags).
+  // each module cell of a detail row at least 26 (three doubles, two
+  // flags).
   AVOC_ASSIGN_OR_RETURN(const uint64_t rows, ReadCount(reader, 13, "sink row"));
   AVOC_ASSIGN_OR_RETURN(const uint64_t modules, reader.ReadVarint());
-  if (rows != 0 && modules > reader.remaining() / 26 / rows) {
+  AVOC_ASSIGN_OR_RETURN(const uint64_t base, reader.ReadVarint());
+  if (base > rows) {
+    return InvalidArgumentError(
+        "group state: sink detail base past its rows");
+  }
+  const uint64_t detail = rows - base;
+  if (detail != 0 && modules > reader.remaining() / 26 / detail) {
     return ParseError("group state: sink arity exceeds payload");
   }
   const size_t n = static_cast<size_t>(rows);
-  const size_t cells = n * static_cast<size_t>(modules);
+  const size_t cells = static_cast<size_t>(detail * modules);
   auto owned = std::make_shared<SinkColumns>(n, cells);
   SinkColumns& c = *owned;
   for (size_t& round : c.rounds) {
@@ -168,9 +178,10 @@ Status ReadSinkRows(PayloadReader& reader, GroupStateBlob& blob) {
   }
   blob.state.sink_rounds = c.rounds;
   blob.state.sink_trace = core::TraceView(core::TraceColumns{
-      n, static_cast<size_t>(modules), c.values, c.engaged, c.outcomes,
-      c.used_clustering, c.had_majority, c.present_counts, c.weights,
-      c.agreement, c.history, c.excluded, c.eliminated, c.errors});
+      n, static_cast<size_t>(modules), static_cast<size_t>(base), c.values,
+      c.engaged, c.outcomes, c.used_clustering, c.had_majority,
+      c.present_counts, c.weights, c.agreement, c.history, c.excluded,
+      c.eliminated, c.errors});
   blob.sink_columns = std::move(owned);
   return Status::Ok();
 }
@@ -290,6 +301,9 @@ Result<GroupStateBlob> DecodeGroupState(std::string_view bytes) {
   }
 
   AVOC_RETURN_IF_ERROR(ReadSinkRows(reader, blob));
+  // The sink rows must fit the group the engine state describes.
+  AVOC_RETURN_IF_ERROR(
+      GroupRunner::CheckSinkRows(blob.state, blob.state.engine.records.size()));
 
   AVOC_ASSIGN_OR_RETURN(const uint64_t dedup,
                         ReadCount(reader, 3, "dedup"));

@@ -111,7 +111,9 @@ struct GroupStateBlob {
 std::string EncodeGroupState(const GroupStateBlob& blob);
 /// ParseError on truncation, bad magic/version, CRC mismatch, a
 /// malformed field (closed runs out of order, an error on a row that has
-/// none), or trailing bytes.
+/// none), or trailing bytes; InvalidArgument for sink rows no group of
+/// the engine state's arity could hold (GroupRunner::CheckSinkRows: a
+/// detail base past the rows, rows of another arity).
 Result<GroupStateBlob> DecodeGroupState(std::string_view bytes);
 
 // --- replication records -----------------------------------------------------

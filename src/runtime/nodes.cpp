@@ -163,6 +163,7 @@ BatchIngestStats HubNode::IngestBatch(
     if (telemetry_.last_closed_round != nullptr) {
       telemetry_.last_closed_round->Set(static_cast<double>(rounds.back()));
     }
+    SetClosedRunsGauge();
   }
   if (telemetry_.open_rounds != nullptr) {
     telemetry_.open_rounds->Set(static_cast<double>(open_.size()));
@@ -189,7 +190,14 @@ bool HubNode::Close(size_t round, std::vector<size_t>& rounds,
   if (telemetry_.last_closed_round != nullptr) {
     telemetry_.last_closed_round->Set(static_cast<double>(round));
   }
+  SetClosedRunsGauge();
   return true;
+}
+
+void HubNode::SetClosedRunsGauge() {
+  if (telemetry_.closed_runs != nullptr) {
+    telemetry_.closed_runs->Set(static_cast<double>(closed_.run_count()));
+  }
 }
 
 HubNode::State HubNode::ExportState() const {
@@ -231,6 +239,7 @@ void HubNode::RestoreState(const State& state) {
   if (telemetry_.open_rounds != nullptr) {
     telemetry_.open_rounds->Set(static_cast<double>(open_.size()));
   }
+  SetClosedRunsGauge();
 }
 
 VoterNode::VoterNode(core::VotingEngine engine, VoterOptions options)
@@ -322,6 +331,15 @@ void SinkNode::CommitRows(std::span<const size_t> rounds, size_t first_row) {
     const double dispatched = static_cast<double>(*highest - first_round_) + 1.0;
     telemetry_.lag_rounds->Set(
         std::max(0.0, dispatched - static_cast<double>(rounds_.size())));
+  }
+  // Only a recent window keeps per-module detail; every row keeps its
+  // fused series.
+  trace_.TrimDetail(core::SinkDetailBase(rounds_.size()));
+  if (telemetry_.rows != nullptr) {
+    telemetry_.rows->Set(static_cast<double>(rounds_.size()));
+  }
+  if (telemetry_.detail_rows != nullptr) {
+    telemetry_.detail_rows->Set(static_cast<double>(trace_.detail_rows()));
   }
   if (trace_store_ == nullptr) return;
   // Build the points from the rows just stored, not the input: what the

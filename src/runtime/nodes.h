@@ -40,6 +40,7 @@ struct HubTelemetry {
   obs::Counter* rounds_closed = nullptr;  ///< rounds closed
   obs::Gauge* open_rounds = nullptr;      ///< pending-round queue depth
   obs::Gauge* last_closed_round = nullptr;
+  obs::Gauge* closed_runs = nullptr;  ///< runs of the closed-round set
 };
 
 /// Optional sink instrumentation.
@@ -50,6 +51,8 @@ struct SinkTelemetry {
   /// counted from the first round this sink recorded (a hard engine
   /// error drops the failing round and the rest of its pass).
   obs::Gauge* lag_rounds = nullptr;
+  obs::Gauge* rows = nullptr;         ///< rows held (fused series)
+  obs::Gauge* detail_rows = nullptr;  ///< rows holding per-module columns
 };
 
 /// What one IngestBatch call did with its readings.
@@ -158,6 +161,8 @@ class HubNode {
   size_t AcquireSlot();
   /// Clears row `slot` and hands it back to the pool.
   void ReleaseSlot(size_t slot);
+  /// Publishes closed_.run_count() to the closed-runs gauge.
+  void SetClosedRunsGauge();
   /// Appends row `slot` to the output as `round`, marks the round closed
   /// and releases the row; the caller drops its open_ entry.
   void CloseSlot(size_t round, size_t slot, std::vector<size_t>& rounds,
@@ -238,6 +243,12 @@ class VoterNode {
 /// column per field) plus a round-number column, so a long-running sink
 /// holds no per-round heap objects; WithTrace reads the columns and
 /// BatchTrace::MaterializeRound one row as a VoteResult.
+///
+/// Every row keeps its fused series.  After each append the sink moves
+/// its trace's detail base to core::SinkDetailBase(rows), so only the
+/// newest 1024–2047 rows keep their per-module columns (the recent
+/// window that explanation and migration read), and the per-module
+/// blocks stop growing once they hold two windows plus one pass.
 class SinkNode {
  public:
   /// When `trace_store` is set, every appended row is also persisted as a

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -254,6 +256,163 @@ TEST(BatchTraceTest, OutputsAndContinuousOutputs) {
   const auto continuous = trace.ContinuousOutputs();
   const std::vector<double> expected = {3.0, 3.0, 3.0, 4.0};
   EXPECT_EQ(continuous, expected);
+}
+
+/// Pushes `count` rows of `modules` width whose columns encode their
+/// row index, every seventh an error row.
+void PushIndexedRows(BatchTrace& trace, size_t modules, size_t count) {
+  const Status failed(ErrorCode::kNoQuorum, "starved");
+  for (size_t i = 0; i < count; ++i) {
+    const double row = static_cast<double>(trace.round_count());
+    RoundScalars scalars = VotedScalars(row + 0.5, 2);
+    if (trace.round_count() % 7 == 3) {
+      scalars.has_value = false;
+      scalars.outcome = RoundOutcome::kError;
+      scalars.status = &failed;
+    }
+    PushRound(trace, modules, row, scalars);
+  }
+}
+
+/// `trace` holds `reference`'s rows: every row's fused series, and the
+/// per-module columns of the rows from its detail base on (none below).
+void ExpectTrimmedCopyOf(const BatchTrace& trace, const BatchTrace& reference) {
+  ASSERT_EQ(trace.round_count(), reference.round_count());
+  for (size_t r = 0; r < reference.round_count(); ++r) {
+    SCOPED_TRACE(testing::Message() << "row " << r);
+    VoteResult want = reference.MaterializeRound(r);
+    if (r < trace.detail_base()) {
+      EXPECT_TRUE(trace.weights(r).empty());
+      EXPECT_TRUE(trace.eliminated(r).empty());
+      want.weights.clear();
+      want.agreement.clear();
+      want.history.clear();
+      want.excluded.clear();
+      want.eliminated.clear();
+    }
+    ExpectSameRound(trace.MaterializeRound(r), want);
+  }
+}
+
+TEST(BatchTraceTest, SinkDetailBaseKeepsOneToTwoWindows) {
+  EXPECT_EQ(kSinkDetailRows, 1024u);
+  // rows -> base: the newest partial window plus the whole one before it.
+  const std::pair<size_t, size_t> rule[] = {
+      {0, 0},       {1023, 0},    {1024, 0},    {2047, 0},
+      {2048, 1024}, {3071, 1024}, {3072, 2048}, {5000, 3072}};
+  for (const auto& [rows, base] : rule) {
+    EXPECT_EQ(SinkDetailBase(rows), base) << rows;
+  }
+  // Fed row by row and trimmed after each one, as a sink does.
+  BatchTrace reference(3);
+  BatchTrace trace(3);
+  for (size_t rows = 1; rows <= 3071; ++rows) {
+    PushIndexedRows(reference, 3, 1);
+    PushIndexedRows(trace, 3, 1);
+    trace.TrimDetail(SinkDetailBase(rows));
+    ASSERT_EQ(trace.detail_base(), SinkDetailBase(rows));
+    ASSERT_EQ(trace.view().detail_base(), trace.detail_base());
+    if (rows == 1023 || rows == 1024 || rows == 2047 || rows == 2048 ||
+        rows == 3071) {
+      SCOPED_TRACE(testing::Message() << rows << " rows");
+      ExpectTrimmedCopyOf(trace, reference);
+    }
+  }
+  EXPECT_EQ(trace.detail_rows(), 2047u);
+}
+
+TEST(BatchTraceTest, OnePassOfFiveThousandRowsTrimsToTheWindow) {
+  BatchTrace reference(4);
+  PushIndexedRows(reference, 4, 5000);
+  BatchTrace trace(4);
+  trace.ReserveRounds(5000);
+  trace.AppendRows(reference.view());
+  trace.TrimDetail(SinkDetailBase(trace.round_count()));
+  EXPECT_EQ(trace.detail_base(), 3072u);
+  EXPECT_EQ(trace.detail_rows(), 1928u);
+  EXPECT_EQ(trace.view().columns().weights.size(), 1928u * 4);
+  ExpectTrimmedCopyOf(trace, reference);
+  // Trimming never moves the base down, and stops at the last row.
+  trace.TrimDetail(1024);
+  EXPECT_EQ(trace.detail_base(), 3072u);
+  trace.TrimDetail(9999);
+  EXPECT_EQ(trace.detail_base(), 5000u);
+  EXPECT_EQ(trace.detail_rows(), 0u);
+  ExpectTrimmedCopyOf(trace, reference);
+  // Rows voted past a base of 5000 keep their detail.
+  PushIndexedRows(reference, 4, 3);
+  PushIndexedRows(trace, 4, 3);
+  ExpectTrimmedCopyOf(trace, reference);
+}
+
+TEST(BatchTraceTest, RowsBelowTheBaseKeepOnlyTheFusedSeries) {
+  BatchTrace trace(2);
+  PushIndexedRows(trace, 2, 12);
+  trace.TrimDetail(5);
+  const TraceView view = trace.view();
+  for (size_t r = 0; r < 5; ++r) {
+    EXPECT_TRUE(view.weights(r).empty());
+    EXPECT_TRUE(view.agreement(r).empty());
+    EXPECT_TRUE(view.history(r).empty());
+    EXPECT_TRUE(view.excluded(r).empty());
+    EXPECT_TRUE(view.eliminated(r).empty());
+    const VoteResult round = view.MaterializeRound(r);
+    EXPECT_TRUE(round.weights.empty());
+    EXPECT_TRUE(round.history.empty());
+    EXPECT_TRUE(round.excluded.empty());
+  }
+  // The fused series is whole: row 3 is an error row below the base.
+  EXPECT_EQ(view.outcome(3), RoundOutcome::kError);
+  EXPECT_EQ(view.status(3).message(), "starved");
+  EXPECT_FALSE(view.output(3).has_value());
+  EXPECT_EQ(view.output(4), std::optional<double>(4.5));
+  EXPECT_EQ(view.Outputs().size(), 12u);
+  ASSERT_EQ(view.weights(5).size(), 2u);
+  EXPECT_EQ(view.weights(5)[1], 6.0);
+  EXPECT_EQ(view.weights(11)[0], 11.0);
+  // Reset drops the base with the rows.
+  trace.Reset(2);
+  EXPECT_EQ(trace.detail_base(), 0u);
+  PushIndexedRows(trace, 2, 1);
+  EXPECT_EQ(trace.weights(0).size(), 2u);
+}
+
+TEST(BatchTraceTest, AppendRowsOfATrimmedViewKeepsDetailOneSuffix) {
+  BatchTrace whole(3);
+  PushIndexedRows(whole, 3, 40);
+  BatchTrace source = whole;
+  source.TrimDetail(25);
+
+  // Into an empty trace: the base travels with the rows.
+  BatchTrace empty;
+  empty.AppendRows(source.view());
+  EXPECT_EQ(empty.module_count(), 3u);
+  EXPECT_EQ(empty.detail_base(), 25u);
+  ExpectTrimmedCopyOf(empty, whole);
+
+  // Into a trace with rows of its own: those rows and the source's rows
+  // below its base lose their detail, the source's detail rows keep it.
+  BatchTrace full(3);
+  PushIndexedRows(full, 3, 10);
+  full.TrimDetail(4);
+  BatchTrace reference(3);
+  PushIndexedRows(reference, 3, 10);
+  reference.AppendRows(whole.view());
+  full.AppendRows(source.view());
+  EXPECT_EQ(full.round_count(), 50u);
+  EXPECT_EQ(full.detail_base(), 35u);
+  EXPECT_EQ(full.detail_rows(), 15u);
+  ExpectTrimmedCopyOf(full, reference);
+  EXPECT_EQ(full.status(13).message(), "starved");
+  EXPECT_EQ(full.weights(35)[0], 25.0);
+
+  // An untrimmed source appends below a trimmed trace's detail as before.
+  BatchTrace more(3);
+  PushIndexedRows(more, 3, 5);
+  reference.AppendRows(more.view());
+  full.AppendRows(more.view());
+  EXPECT_EQ(full.detail_base(), 35u);
+  ExpectTrimmedCopyOf(full, reference);
 }
 
 TEST(TraceViewTest, ViewIsNonOwningWindowOverTrace) {

@@ -514,11 +514,13 @@ TEST(ClusterMigrationNegativeTest, DoubleMigrationRaceSecondIsTyped) {
   (*cluster)->Stop();
 }
 
-/// Forwards to the cluster, but every blob it ships carries AVGS version
-/// 1 with its CRC re-sealed: what a node that predates version 2 sends.
-class VersionOneTransfers : public ClusterControl {
+/// Forwards to the cluster, but every blob it ships carries an older
+/// AVGS version with its CRC re-sealed: what a node of an older build
+/// sends.
+class OldVersionTransfers : public ClusterControl {
  public:
-  explicit VersionOneTransfers(ClusterControl* inner) : inner_(inner) {}
+  OldVersionTransfers(ClusterControl* inner, uint8_t version)
+      : inner_(inner), version_(version) {}
 
   size_t OwnerOf(const std::string& group) const override {
     return inner_->OwnerOf(group);
@@ -534,7 +536,7 @@ class VersionOneTransfers : public ClusterControl {
   void TransferGroup(size_t from, size_t dest, std::string blob,
                      std::function<void(Status)> done) override {
     blob.resize(blob.size() - 4);
-    blob[4] = '\x01';
+    blob[4] = static_cast<char>(version_);
     storage::AppendU32(blob, storage::Crc32(blob));
     inner_->TransferGroup(from, dest, std::move(blob), std::move(done));
   }
@@ -548,11 +550,13 @@ class VersionOneTransfers : public ClusterControl {
 
  private:
   ClusterControl* inner_;
+  uint8_t version_;
 };
 
-TEST(ClusterMigrationNegativeTest, VersionOneBlobAbortsAndSourceKeepsGroup) {
-  // Blob version 1 is no longer decoded: in a mixed-version cluster the
-  // handoff fails typed on import and the group stays where it was.
+/// A blob of an older `version` is not decoded: in a mixed-version
+/// cluster the handoff fails typed on import and the group stays where
+/// it was.
+void ExpectOldBlobAbortsAndSourceKeepsGroup(uint8_t version) {
   SimWorld world(kSeed);
   VoterCluster::Options options;
   options.nodes = 2;
@@ -576,7 +580,7 @@ TEST(ClusterMigrationNegativeTest, VersionOneBlobAbortsAndSourceKeepsGroup) {
     ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   }
 
-  VersionOneTransfers old_blobs(cluster->get());
+  OldVersionTransfers old_blobs(cluster->get(), version);
   ClusterLink link;
   link.node_index = source;
   link.control = &old_blobs;
@@ -600,6 +604,16 @@ TEST(ClusterMigrationNegativeTest, VersionOneBlobAbortsAndSourceKeepsGroup) {
   ASSERT_TRUE(sink.ok());
   EXPECT_EQ(RenderOutputs(*sink), ReferenceTrace(kSeed));
   (*cluster)->Stop();
+}
+
+TEST(ClusterMigrationNegativeTest, VersionOneBlobAbortsAndSourceKeepsGroup) {
+  ExpectOldBlobAbortsAndSourceKeepsGroup(1);
+}
+
+TEST(ClusterMigrationNegativeTest, VersionTwoBlobAbortsAndSourceKeepsGroup) {
+  // Version 2 carried no sink detail base; a cluster must not mix builds
+  // across versions 2 and 3.
+  ExpectOldBlobAbortsAndSourceKeepsGroup(2);
 }
 
 TEST(ClusterMigrationNegativeTest, RedirectLoopToDeadOwnerFailsTyped) {
@@ -795,6 +809,31 @@ TEST(ClusterCodecTest, GroupStateDecodeRejectsHostileBytes) {
   EXPECT_FALSE(DecodeGroupState(EncodeReplicationRecord({})).ok());
   EXPECT_FALSE(DecodeGroupState(good + "x").ok());
   EXPECT_FALSE(DecodeGroupState("").ok());
+}
+
+TEST(ClusterCodecTest, GroupStateDecodeRejectsSinkRowsTheEngineCannotHold) {
+  // The engine state has three modules; two-wide sink rows would be
+  // written past by the next pass, so the decoder refuses them.
+  GroupStateBlob narrow = SampleBlob();
+  core::VoteResult out;
+  out.value = 21.0;
+  out.weights = {0.5, 0.5};
+  out.agreement = {1.0, 1.0};
+  out.history = {1.0, 1.0};
+  out.excluded = {false, false};
+  out.eliminated = {false, false};
+  core::BatchTrace trace;
+  trace.Append(out);
+  SetSinkRows(narrow, std::move(trace), {2});
+  auto decoded = DecodeGroupState(EncodeGroupState(narrow));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidArgument)
+      << decoded.status().ToString();
+
+  // No sink rows: any arity will do.
+  GroupStateBlob empty = SampleBlob();
+  SetSinkRows(empty, core::BatchTrace(), {});
+  EXPECT_TRUE(DecodeGroupState(EncodeGroupState(empty)).ok());
 }
 
 TEST(ClusterCodecTest, ReplicationRecordDecodeRejectsHostileBytes) {

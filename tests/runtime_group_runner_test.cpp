@@ -12,6 +12,7 @@
 
 #include "core/algorithms.h"
 #include "core/batch.h"
+#include "runtime/migration.h"
 #include "sim/light.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -331,6 +332,69 @@ TEST(GroupRunnerTest, PerReadingAndBatchSubmitsShareOneRoundPath) {
         live = RenderTrace(trace.view());
       });
   EXPECT_EQ(live, RenderTrace(batch->view()));
+}
+
+/// Submits whole rounds [from, to) of a 5-module group.
+void SubmitRounds(GroupRunner& runner, size_t from, size_t to) {
+  for (size_t r = from; r < to; ++r) {
+    std::vector<ReadingMessage> round;
+    for (size_t m = 0; m < 5; ++m) {
+      round.push_back(ReadingMessage{
+          m, r, 20.0 + 0.1 * static_cast<double>(m) + (m == 4 ? r : 0.0)});
+    }
+    runner.SubmitBatch(round);
+  }
+}
+
+TEST(GroupRunnerTest, RestoreRejectsSinkRowsTheGroupCannotHold) {
+  // Sink rows narrower than the engine would have the next pass write
+  // five modules into four-wide rows; a detail base past the rows names
+  // rows that do not exist.  Either state is refused before anything is
+  // restored.
+  auto make = [] {
+    auto engine = core::MakeEngine(core::AlgorithmId::kAvoc, 5);
+    EXPECT_TRUE(engine.ok());
+    auto runner = GroupRunner::Create(std::move(*engine));
+    EXPECT_TRUE(runner.ok());
+    return std::move(*runner);
+  };
+  std::unique_ptr<GroupRunner> runner = make();
+  SubmitRounds(*runner, 0, 10);
+  SubmitRounds(*runner, 12, 13);  // a second closed run
+  const ReadingMessage open{1, 15, 20.0};
+  runner->SubmitBatch({&open, 1});  // an open round
+  const std::string before = EncodedState(*runner);
+
+  std::unique_ptr<GroupRunner> other = make();
+  SubmitRounds(*other, 0, 30);
+  core::BatchTrace four(4);
+  core::VoteResult row;
+  row.value = 1.0;
+  row.weights.assign(4, 0.25);
+  row.agreement.assign(4, 1.0);
+  row.history.assign(4, 1.0);
+  row.excluded.assign(4, false);
+  row.eliminated.assign(4, false);
+  for (int i = 0; i < 3; ++i) four.Append(row);
+  const std::vector<size_t> rounds = {30, 31, 32};
+  other->ExportState([&](const GroupRunner::State& state) {
+    GroupRunner::State narrow = state;
+    narrow.sink_trace = four.view();
+    narrow.sink_rounds = rounds;
+    const Status status = runner->RestoreState(narrow);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << status.ToString();
+
+    GroupRunner::State past = state;
+    core::TraceColumns columns = state.sink_trace.columns();
+    columns.detail_base = columns.rounds + 1;
+    columns.weights = columns.agreement = columns.history = {};
+    columns.excluded = columns.eliminated = {};
+    past.sink_trace = core::TraceView(columns);
+    EXPECT_EQ(runner->RestoreState(past).code(), ErrorCode::kInvalidArgument);
+  });
+  EXPECT_EQ(EncodedState(*runner), before);
+  EXPECT_EQ(runner->hub().closed_run_count(), 2u);
+  EXPECT_EQ(runner->hub().open_rounds(), 1u);
 }
 
 TEST(GroupRunnerTest, ConcurrentPassesAndExportSeeOneState) {

@@ -1,10 +1,12 @@
 // Test-side reader of a SinkNode's rows: each trace row materialized as
 // a VoteResult next to its round number.  SetSinkRows fills a migration
-// blob's sink rows from a trace.
+// blob's sink rows from a trace; EncodedState renders a runner's whole
+// state as blob bytes.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,6 +44,18 @@ inline void SetSinkRows(GroupStateBlob& blob, core::BatchTrace trace,
   blob.state.sink_trace = rows->first.view();
   blob.state.sink_rounds = rows->second;
   blob.sink_columns = std::move(rows);
+}
+
+/// The runner's whole state as a migration blob would ship it.
+inline std::string EncodedState(const GroupRunner& runner) {
+  std::string bytes;
+  runner.ExportState([&](const GroupRunner::State& state) {
+    GroupStateBlob blob;
+    blob.group = runner.group();
+    blob.state = state;
+    bytes = EncodeGroupState(blob);
+  });
+  return bytes;
 }
 
 }  // namespace avoc::runtime

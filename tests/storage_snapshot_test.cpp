@@ -279,8 +279,9 @@ TEST(SnapshotCodecTest, BitFlipsCrcTrailingBytesAndBadMagicFailTyped) {
 }
 
 /// A migration blob with a hostile double in every double field, a
-/// multi-run closed set, an error row and a dedup entry.
-runtime::GroupStateBlob HostileBlob() {
+/// multi-run closed set, an error row and a dedup entry; its sink rows
+/// below `detail_base` carry no per-module columns.
+runtime::GroupStateBlob HostileBlob(size_t detail_base = 0) {
   runtime::GroupStateBlob blob;
   blob.group = "lights";
   blob.state.engine = HostileSnapshot();
@@ -319,6 +320,7 @@ runtime::GroupStateBlob HostileBlob() {
     trace.Append(result);
     rounds.push_back(7 + row);
   }
+  trace.TrimDetail(detail_base);
   runtime::SetSinkRows(blob, std::move(trace), std::move(rounds));
   blob.dedup.push_back({"edge-7", 3, 3});
   blob.dedup.push_back({"", UINT64_MAX, 0});
@@ -343,6 +345,39 @@ TEST(SnapshotCodecTest, GroupStateBlobRoundTripsAndRejectsEveryDamage) {
             "no quorum: 1 of 10");
 
   ExpectEveryTruncationAndFlipFailsTyped(good, runtime::DecodeGroupState);
+}
+
+TEST(SnapshotCodecTest, GroupStateBlobWithADetailBaseRejectsEveryDamage) {
+  const runtime::GroupStateBlob blob = HostileBlob(/*detail_base=*/2);
+  const std::string good = runtime::EncodeGroupState(blob);
+  auto decoded = runtime::DecodeGroupState(good);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(runtime::EncodeGroupState(*decoded), good);
+  const core::TraceView& trace = decoded->state.sink_trace;
+  EXPECT_EQ(trace.round_count(), 4u);
+  EXPECT_EQ(trace.detail_base(), 2u);
+  EXPECT_TRUE(trace.weights(1).empty());
+  EXPECT_EQ(trace.weights(2).size(), HostileDoubles().size());
+  EXPECT_EQ(trace.status(3).message(), "no quorum: 1 of 10");
+  // Two rows' blocks fewer than the untrimmed blob.
+  EXPECT_EQ(runtime::EncodeGroupState(HostileBlob()).size() - good.size(),
+            2 * HostileDoubles().size() * 26);
+
+  ExpectEveryTruncationAndFlipFailsTyped(good, runtime::DecodeGroupState);
+}
+
+TEST(SnapshotCodecTest, GroupStateBlobWithABasePastItsRowsFailsTyped) {
+  runtime::GroupStateBlob blob = HostileBlob();
+  core::TraceColumns columns = blob.state.sink_trace.columns();
+  columns.detail_base = columns.rounds + 1;
+  columns.weights = columns.agreement = columns.history = {};
+  columns.excluded = columns.eliminated = {};
+  blob.state.sink_trace = core::TraceView(columns);
+  const auto decoded =
+      runtime::DecodeGroupState(runtime::EncodeGroupState(blob));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidArgument)
+      << decoded.status().ToString();
 }
 
 TEST(SnapshotCodecTest, FuzzBytesNeverFault) {
